@@ -11,7 +11,10 @@ Three gates, in order (``make batch-smoke``):
    ``simulate_year_block`` vs the scalar ``_simulate_year``, per-year
    aggregate dicts compared with ``==`` — exercises cross-outage
    state-of-charge threading, recharge clamping and the runner's RNG
-   discipline at a block size that splits mid-year.
+   discipline at a block size that splits mid-year.  Then the production
+   path: ``AvailabilityAnalyzer.analyze`` at 1000 years (one year block)
+   must equal the report reduced from 1000 scalar ``_simulate_year``
+   jobs, on the same slices.
 3. **Differential fuzz.**  A seeded, bounded run of the scalar↔batch
    fuzzer (:func:`repro.vsim.fuzz.run_diff_fuzz`): random
    configurations, plans and adversarial boundary-snapped durations.
@@ -30,10 +33,11 @@ import time
 
 import numpy as np
 
-from repro.analysis.availability import _simulate_year
+from repro.analysis.availability import AvailabilityAnalyzer, _simulate_year
 from repro.core.configurations import get_configuration
 from repro.core.performability import make_datacenter, plan_power_budget_watts
 from repro.power.ups import DEFAULT_RECHARGE_SECONDS
+from repro.runner.jobs import spawn_seeds
 from repro.techniques.base import TechniqueContext
 from repro.techniques.registry import get_technique
 from repro.vsim.equivalence import certify_grid
@@ -50,6 +54,8 @@ YEARLY_SLICES = (
 )
 
 YEARLY_YEARS = 30
+#: Years of the analyzer-vs-scalar-oracle check: one production block.
+ANALYZER_YEARS = 1000
 FUZZ_CASES = 60
 FUZZ_SEED = 20260807
 
@@ -107,12 +113,36 @@ def _yearly_gate() -> int:
                 file=sys.stderr,
             )
             return 1
+        if not _analyzer_matches_scalar_oracle(
+            workload, get_configuration(config_name), get_technique(technique_name)
+        ):
+            print(
+                f"FAIL: {workload_name}/{config_name}/{technique_name}: "
+                f"analyze() at {ANALYZER_YEARS} years differs from the "
+                "scalar-oracle report",
+                file=sys.stderr,
+            )
+            return 1
     elapsed = time.perf_counter() - started
     print(
         f"batch-smoke[yearly]: {len(YEARLY_SLICES)} slices x "
-        f"{YEARLY_YEARS} years bit-identical ({elapsed:.1f}s)"
+        f"{YEARLY_YEARS} years bit-identical, analyze() x {ANALYZER_YEARS} "
+        f"years equal to the scalar oracle ({elapsed:.1f}s)"
     )
     return 0
+
+
+def _analyzer_matches_scalar_oracle(workload, configuration, technique) -> bool:
+    """``analyze`` (year blocks) == the report of scalar per-year jobs."""
+    analyzer = AvailabilityAnalyzer(workload, seed=0)
+    jobs, reduce = analyzer.prepare(configuration, technique, years=ANALYZER_YEARS)
+    spec = jobs[0].spec
+    year_spec = {k: spec[k] for k in ("datacenter", "plan", "recharge_seconds")}
+    scalar = [
+        _simulate_year(year_spec, seed) for seed in spawn_seeds(0, ANALYZER_YEARS)
+    ]
+    report = analyzer.analyze(configuration, technique, years=ANALYZER_YEARS)
+    return len(jobs) == 1 and report == reduce([scalar])
 
 
 def _fuzz_gate() -> int:

@@ -6,7 +6,9 @@ instrumented hot path captures the ambient tracer/metrics at construction
 ``is None`` check.  This benchmark holds that to measurement: it times the
 same outage-simulation loop (a) with observability off and (b) inside an
 active session, and fails if the *off* path regressed — which is what
-would happen if a hook ever slipped out of its guard.
+would happen if a hook ever slipped out of its guard.  It does the same
+for the production fault-free path, a block of Monte-Carlo years through
+:func:`repro.vsim.yearly.simulate_year_block`.
 
 The off-path budget is 5% (the ISSUE acceptance bound); in practice the
 difference sits inside run-to-run noise, so the benchmark takes the best
@@ -21,15 +23,19 @@ import time
 from repro import obs
 from repro.core.configurations import get_configuration
 from repro.core.performability import make_datacenter, plan_power_budget_watts
+from repro.power.ups import DEFAULT_RECHARGE_SECONDS
 from repro.sim.outage_sim import OutageSimulator
 from repro.techniques.base import TechniqueContext
 from repro.techniques.registry import get_technique
 from repro.units import minutes
+from repro.vsim.yearly import simulate_year_block
 from repro.workloads.specjbb import specjbb
 
 #: Outage durations exercised per iteration (one short, one battery-deep).
 DURATIONS = (minutes(5), minutes(45))
 ITERATIONS = 250
+#: Monte-Carlo years per timed year-block pass (one production block).
+BLOCK_YEARS = 1000
 REPEATS = 5
 BUDGET = 0.05
 
@@ -52,29 +58,43 @@ def loop(datacenter, plan) -> float:
     return time.perf_counter() - started
 
 
-def main() -> int:
-    datacenter = make_datacenter(specjbb(), get_configuration("LargeEUPS"), 16)
-    plan = build_plan(datacenter)
-    loop(datacenter, plan)  # warm-up (imports, caches, branch predictors)
+def block(datacenter, plan) -> float:
+    """One timed pass: BLOCK_YEARS Monte-Carlo years as one year block."""
+    spec = {
+        "datacenter": datacenter,
+        "plan": plan,
+        "recharge_seconds": DEFAULT_RECHARGE_SECONDS,
+        "base_seed": 0,
+        "start": 0,
+        "count": BLOCK_YEARS,
+        "total_years": BLOCK_YEARS,
+    }
+    started = time.perf_counter()
+    simulate_year_block(spec)
+    return time.perf_counter() - started
+
+
+def certify(name: str, units: str, timed) -> int:
+    """Time ``timed()`` off / traced / off again; gate the off path."""
+    timed()  # warm-up (imports, caches, branch predictors)
 
     # Interleave the two off-path sample sets (and the traced passes) so
     # every mode sees the same noise environment; best-of suppresses
     # scheduler jitter.
     off_samples, again_samples, on_samples = [], [], []
     for _ in range(REPEATS):
-        off_samples.append(loop(datacenter, plan))
+        off_samples.append(timed())
         with obs.session():
-            on_samples.append(loop(datacenter, plan))
-        again_samples.append(loop(datacenter, plan))
+            on_samples.append(timed())
+        again_samples.append(timed())
     off = min(off_samples)
     off_again = min(again_samples)
     on = min(on_samples)
 
     off_best = min(off, off_again)
     overhead_on = (on - off_best) / off_best
-    n_sims = ITERATIONS * len(DURATIONS)
     print(
-        f"bench-obs: {n_sims} outage sims/pass | "
+        f"bench-obs[{name}]: {units}/pass | "
         f"off {off_best:.3f}s | traced {on:.3f}s | "
         f"tracing-on overhead {overhead_on * 100:+.1f}%"
     )
@@ -85,16 +105,28 @@ def main() -> int:
     drift = abs(off - off_again) / off_best
     if drift > BUDGET:
         print(
-            f"bench-obs: FAILED — off-path passes differ by {drift * 100:.1f}% "
-            f"(> {BUDGET * 100:.0f}%); the machine is too noisy to certify",
+            f"bench-obs[{name}]: FAILED — off-path passes differ by "
+            f"{drift * 100:.1f}% (> {BUDGET * 100:.0f}%); the machine is too "
+            "noisy to certify",
             file=sys.stderr,
         )
         return 1
     print(
-        f"bench-obs: OK — off-path repeatability {drift * 100:.1f}% "
+        f"bench-obs[{name}]: OK — off-path repeatability {drift * 100:.1f}% "
         f"(budget {BUDGET * 100:.0f}%); hooks are None-checks when off"
     )
     return 0
+
+
+def main() -> int:
+    datacenter = make_datacenter(specjbb(), get_configuration("LargeEUPS"), 16)
+    plan = build_plan(datacenter)
+    n_sims = ITERATIONS * len(DURATIONS)
+    statuses = [
+        certify("outage", f"{n_sims} outage sims", lambda: loop(datacenter, plan)),
+        certify("year-block", f"{BLOCK_YEARS} years", lambda: block(datacenter, plan)),
+    ]
+    return max(statuses)
 
 
 if __name__ == "__main__":

@@ -6,11 +6,14 @@ from the Figure 1 statistics, run every outage through the simulator, and
 aggregate down time, availability and the dollar cost of unavailability
 (via the Figure 10 TCO frame).
 
-Each simulated year is an independent :class:`repro.runner.Job` whose
-random streams are spawned from ``SeedSequence(seed)`` by year position,
-so the study produces **bit-identical statistics at any worker count**:
-``analyze(..., jobs=8)`` equals ``analyze(..., jobs=1)`` exactly, and an
-on-disk cache can answer repeated years across runs.
+Every year draws from its own stream, ``SeedSequence(seed)``'s child at
+the year's position, so the study produces **bit-identical statistics at
+any worker count**: ``analyze(..., jobs=8)`` equals ``analyze(...,
+jobs=1)`` exactly, and an on-disk cache can answer repeated studies
+across runs.  Fault-free studies run as :mod:`repro.vsim` year blocks
+(one runner job per block of up to 1000 years); fault studies run one
+scalar :func:`_simulate_year` job per year, and the block engine is
+certified bit-identical to those scalar years (docs/BATCH.md).
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from repro.servers.server import PAPER_SERVER, ServerSpec
 from repro.sim.yearly import YearlyRunner
 from repro.techniques.base import OutageTechnique, TechniqueContext
 from repro.units import SECONDS_PER_YEAR, to_minutes
+from repro.vsim.yearly import simulate_year_block, year_block_specs
 from repro.workloads.base import WorkloadSpec
 
 
@@ -91,6 +95,10 @@ def _simulate_year(
     execution order.  The fault stream is spawned *after* the original
     two (SeedSequence children are positional), so a fault-free run
     draws exactly the same schedule and DG rolls it always did.
+
+    This is the fault-injection path, and the oracle the fault-free year
+    blocks of :func:`repro.vsim.yearly.simulate_year_block` are certified
+    against.
     """
     schedule_seed, dg_seed = seed.spawn(2)
     injector = None
@@ -160,27 +168,23 @@ class AvailabilityAnalyzer:
         technique: OutageTechnique,
         years: int = 200,
         faults: Optional[FaultPlan] = None,
-        engine: str = "scalar",
     ) -> Tuple[List[Job], Callable[[Sequence[Any]], AvailabilityReport]]:
         """The study as ``(jobs, reduce)`` — its runner job list plus the
-        aggregator that folds the per-year values into a report.
+        aggregator that folds the job values into a report.
 
         Splitting job construction from aggregation lets callers that
         own the executor loop (the batched evaluation service merges
         many studies into one runner submission) run the jobs themselves
         and still aggregate exactly as :meth:`analyze` would.  Seeds are
-        spawned here, positionally per year, so the same arguments
+        derived here, positionally per year, so the same arguments
         always yield the same job fingerprints no matter who runs them.
 
-        ``engine="batch"`` routes the years through the vectorized
-        :mod:`repro.vsim` kernel in year blocks (bit-identical reports,
-        different job fingerprints — see docs/BATCH.md); fault studies
-        always use the scalar engine regardless of the flag.
+        Fault-free studies are year-block jobs on the vectorized
+        :mod:`repro.vsim` kernel; a non-null fault plan gets one scalar
+        job per year.
         """
         if years <= 0:
             raise ValueError("years must be positive")
-        if engine not in ("scalar", "batch"):
-            raise ValueError(f"unknown engine {engine!r}; use scalar or batch")
         datacenter = make_datacenter(
             self.workload, configuration, self.num_servers, self.server
         )
@@ -199,34 +203,12 @@ class AvailabilityAnalyzer:
                 TechniqueContext(cluster=datacenter.cluster, workload=self.workload)
             )
 
-        year_spec = {
-            "datacenter": datacenter,
-            "plan": plan,
-            "recharge_seconds": self.recharge_seconds,
-        }
-        inject = faults is not None and not faults.is_null
-        if inject:
-            # Only a non-null plan enters the spec: fault-free runs keep
-            # their historical fingerprints (and cache entries).
-            year_spec["fault_plan"] = faults
-        if engine == "batch" and not inject:
-            # Vectorized fast path: year blocks on one compiled kernel.
+        blocks = faults is None or faults.is_null
+        if blocks:
             # Each block job returns a *list* of per-year dicts, flattened
-            # below so the shared aggregation sees the same stream the
-            # scalar path produces.
-            from repro.vsim.yearly import (
-                DEFAULT_BLOCK_YEARS,
-                simulate_year_block,
-                year_block_specs,
-            )
-
+            # in reduce so the aggregation sees the scalar years' stream.
             block_specs = year_block_specs(
-                datacenter,
-                plan,
-                self.recharge_seconds,
-                self.seed,
-                years,
-                block_years=DEFAULT_BLOCK_YEARS,
+                datacenter, plan, self.recharge_seconds, self.seed, years
             )
             job_list = make_jobs(
                 simulate_year_block,
@@ -237,6 +219,12 @@ class AvailabilityAnalyzer:
                 ],
             )
         else:
+            year_spec = {
+                "datacenter": datacenter,
+                "plan": plan,
+                "recharge_seconds": self.recharge_seconds,
+                "fault_plan": faults,
+            }
             job_list = make_jobs(
                 _simulate_year,
                 [year_spec] * years,
@@ -245,7 +233,7 @@ class AvailabilityAnalyzer:
             )
 
         def reduce(values: Sequence[Any]) -> AvailabilityReport:
-            if engine == "batch" and not inject:
+            if blocks:
                 values = [year for block in values for year in block]
             downtime_arr = np.array([y["downtime_seconds"] for y in values])
             crashes = sum(y["crashes"] for y in values)
@@ -284,7 +272,6 @@ class AvailabilityAnalyzer:
         cache: Optional[ResultCache] = None,
         progress: Optional[ProgressListener] = None,
         faults: Optional[FaultPlan] = None,
-        engine: str = "scalar",
     ) -> AvailabilityReport:
         """Simulate ``years`` of Figure 1 outages under the pairing.
 
@@ -297,19 +284,15 @@ class AvailabilityAnalyzer:
                 value.
             executor: Pre-built executor (overrides ``jobs``/``cache``/
                 ``progress``).
-            cache: Optional on-disk result cache for the per-year jobs.
+            cache: Optional on-disk result cache for the study's jobs.
             progress: Optional per-job event listener.
             faults: Optional :class:`~repro.faults.FaultPlan` of injected
                 backup failures sampled per outage.  Part of each job's
                 fingerprint, so cached fault-free years stay valid and a
                 fault study never reads them by accident.
-            engine: ``"scalar"`` (default, per-year jobs) or ``"batch"``
-                (vectorized year blocks via :mod:`repro.vsim`; identical
-                reports, different cache fingerprints).  Fault studies
-                ignore the flag and stay scalar.
         """
         job_list, reduce = self.prepare(
-            configuration, technique, years=years, faults=faults, engine=engine
+            configuration, technique, years=years, faults=faults
         )
         if executor is None:
             executor = make_executor(jobs=jobs, cache=cache, progress=progress)

@@ -337,7 +337,6 @@ def _cmd_availability(args: argparse.Namespace) -> int:
         years=args.years,
         executor=executor,
         faults=_parse_faults(args),
-        engine=getattr(args, "engine", "scalar"),
     )
     rows = [
         ("years simulated", report.years_simulated),
@@ -1056,16 +1055,6 @@ def build_parser() -> argparse.ArgumentParser:
             "`repro serve` response body's `result` field for the same query)",
         )
 
-    def add_engine_flag(p: argparse.ArgumentParser):
-        p.add_argument(
-            "--engine",
-            choices=("scalar", "batch"),
-            default="scalar",
-            help="simulation engine: per-outage scalar loop or the "
-            "vectorized repro.vsim kernel (bit-identical results; "
-            "see docs/BATCH.md)",
-        )
-
     p_rank = sub.add_parser("rank", help="rank techniques by sized cost")
     add_common(p_rank)
     p_rank.add_argument(
@@ -1078,7 +1067,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_runner_flags(p_rank)
     add_json_flag(p_rank)
-    add_engine_flag(p_rank)
+    p_rank.add_argument(
+        "--engine",
+        choices=("scalar", "batch"),
+        default="scalar",
+        help="simulation engine: per-outage scalar loop or the "
+        "vectorized repro.vsim kernel (bit-identical results; "
+        "see docs/BATCH.md)",
+    )
     p_rank.set_defaults(func=_cmd_rank)
 
     p_avail = sub.add_parser("availability", help="Monte-Carlo yearly study")
@@ -1087,7 +1083,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_runner_flags(p_avail)
     add_fault_flags(p_avail)
     add_json_flag(p_avail)
-    add_engine_flag(p_avail)
     p_avail.set_defaults(func=_cmd_availability)
 
     p_whatif = sub.add_parser(

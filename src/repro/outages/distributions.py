@@ -82,6 +82,10 @@ class EmpiricalDistribution:
                 raise ConfigurationError("buckets must be ordered and disjoint")
         self._buckets = list(buckets)
         self._masses = np.array([b.probability for b in buckets])
+        # The normalised CDF ``Generator.choice(n, p=masses)`` rebuilds on
+        # every call, built once; see :meth:`draw_buckets`.
+        self._cdf = np.cumsum(self._masses)
+        self._cdf /= self._cdf[-1]
 
     @property
     def buckets(self) -> List[DurationBucket]:
@@ -119,11 +123,21 @@ class EmpiricalDistribution:
         """Expected duration using geometric bucket midpoints."""
         return sum(b.probability * b.midpoint_seconds() for b in self._buckets)
 
+    def draw_buckets(self, rng: np.random.Generator, size=None):
+        """Bucket indices drawn by mass (an int when ``size`` is None).
+
+        The exact computation ``rng.choice(n, size, p=masses)`` performs
+        — the same indices from the same uniforms, leaving ``rng`` in the
+        same state — minus rebuilding and re-validating the CDF per call.
+        """
+        indices = self._cdf.searchsorted(rng.random(size), side="right")
+        return int(indices) if size is None else indices
+
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         """Draw ``size`` durations (seconds)."""
         if size < 0:
             raise ValueError("size must be >= 0")
-        indices = rng.choice(len(self._buckets), size=size, p=self._masses)
+        indices = self.draw_buckets(rng, size)
         out = np.empty(size)
         for i, idx in enumerate(indices):
             bucket = self._buckets[int(idx)]
@@ -168,9 +182,7 @@ def sample_outage_count(rng: np.random.Generator) -> int:
     from the integers the bucket covers.
     """
     buckets = OUTAGE_FREQUENCY_DISTRIBUTION.buckets
-    masses = [b.probability for b in buckets]
-    idx = int(rng.choice(len(buckets), p=masses))
-    bucket = buckets[idx]
+    bucket = buckets[OUTAGE_FREQUENCY_DISTRIBUTION.draw_buckets(rng)]
     low = int(bucket.low_seconds)
     high = int(bucket.high_seconds)
     return int(rng.integers(low, high))

@@ -147,7 +147,12 @@ class PowerTrace:
 
     def zero_performance_seconds(self, start_seconds: float, end_seconds: float) -> float:
         """Time within a window with zero delivered performance (down time);
-        uncovered time counts as down."""
+        uncovered time counts as down.
+
+        Clamped at 0.0: segments that tile the window exactly can still
+        sum a few ulps past it, and ``window - covered`` must not turn
+        that into negative down time.  The vsim kernel clamps the same
+        way (``max(0.0, x)``, NaN and -0.0 included)."""
         if end_seconds <= start_seconds:
             return 0.0
         covered_up = 0.0
@@ -160,7 +165,7 @@ class PowerTrace:
                 if seg.performance > 0:
                     covered_up += hi - lo
         window = end_seconds - start_seconds
-        return (window - covered_total) + (covered_total - covered_up)
+        return max(0.0, (window - covered_total) + (covered_total - covered_up))
 
     def power_at(self, time_seconds: float) -> float:
         """Draw at an instant (0 outside any segment)."""

@@ -12,7 +12,8 @@ The scalar simulator (:mod:`repro.sim.outage_sim`) plays one
 * :mod:`~repro.vsim.yearly` — batch Monte-Carlo years threading
   cross-outage SoC and DG-start state exactly as
   :class:`~repro.sim.yearly.YearlyRunner` does, with the same
-  SeedSequence spawn discipline as the runner's per-year jobs.
+  SeedSequence spawn discipline as the runner's per-year jobs; every
+  fault-free availability study runs on it.
 * :mod:`~repro.vsim.select` — kernel-backed ``evaluate_point`` used to
   accelerate the sweep/rank searches behind an ``engine="batch"`` flag.
 * :mod:`~repro.vsim.equivalence` / :mod:`~repro.vsim.fuzz` — the

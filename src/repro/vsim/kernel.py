@@ -952,6 +952,8 @@ class _BatchRun:
         downtime_during = (window - self.covered_total) + (
             self.covered_total - self.covered_up
         )
+        # PowerTrace.zero_performance_seconds' max(0.0, x), element-wise.
+        downtime_during = np.where(downtime_during > 0.0, downtime_during, 0.0)
         mean_perf = self.perf_integral / window
         if k.has_ups:
             soc_end = self.soc

@@ -10,12 +10,13 @@ compiled plan).
 :func:`repro.analysis.availability._simulate_year`, evaluating a
 contiguous block of years per job:
 
-* **Same RNG discipline.**  Per-year seeds are re-derived as
-  ``SeedSequence(base_seed).spawn(total_years)[start:start+count]`` —
-  the exact children :func:`repro.runner.jobs.make_jobs` hands the
-  scalar per-year jobs — and each year spawns ``(schedule, dg)`` streams
-  positionally, so the sampled schedules and DG start rolls are
-  bit-identical to the scalar path at any block size.
+* **Same RNG discipline.**  Year ``i``'s seed is
+  ``SeedSequence(base_seed, spawn_key=(i,))`` — the exact child
+  :func:`repro.runner.jobs.make_jobs` hands the scalar per-year job,
+  built directly rather than by spawning all ``total_years`` children —
+  and each year spawns ``(schedule, dg)`` streams positionally, so the
+  sampled schedules and DG start rolls are bit-identical to the scalar
+  path at any block size.
 * **Same state threading.**  Cross-outage state of charge and recharge
   clamping follow :meth:`repro.sim.yearly.YearlyRunner._run_schedule`
   verbatim; only the outage simulations themselves are vectorized, in
@@ -27,8 +28,16 @@ contiguous block of years per job:
   each dict equals the scalar job's bit-for-bit — certified by
   ``make batch-smoke`` and ``tests/sim/test_vsim_yearly.py``.
 
-Fault injection is out of kernel scope; the availability analyzer keeps
-fault studies on the scalar path.
+Fault injection is out of kernel scope: fault-free availability studies
+always run here, fault studies on the scalar path.
+
+Observability follows the scalar path's contract: the ambient tracer and
+metrics are captured once per block, and with both off every hook is a
+single ``is None`` check.  A traced block records a ``year_block`` span
+with one ``kernel`` child per event-position batch; metrics get the
+scalar path's ``sim.outages``/``sim.crashes``/``sim.dg_start_failures``
+counters, plus each outage's end-of-outage charge as a ``battery.soc``
+observation when the datacenter has a UPS.
 """
 
 from __future__ import annotations
@@ -38,13 +47,13 @@ from typing import Any, Dict, List, Mapping, Optional
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.obs import current_metrics, current_tracer
 from repro.outages.generator import OutageGenerator
 from repro.vsim.kernel import PlanKernel
 
-#: Years per batch job.  Wide enough to amortise kernel compilation and
-#: fill the vector lanes, small enough that a multi-worker run still
-#: load-balances a default 200-year study.
-DEFAULT_BLOCK_YEARS = 50
+#: Years per batch job.  A study of up to 1000 years is one kernel job
+#: (one cache entry); longer studies split into 1000-year blocks.
+DEFAULT_BLOCK_YEARS = 1000
 
 
 def simulate_year_block(
@@ -61,6 +70,22 @@ def simulate_year_block(
     Returns one aggregate dict per year, each bit-identical to what
     ``_simulate_year`` returns for the same year index.
     """
+    tracer = current_tracer()
+    metrics = current_metrics()
+    if tracer is None:
+        return _simulate_block(spec, None, metrics)
+    with tracer.span(
+        "year_block", "vsim", start=int(spec["start"]), count=int(spec["count"])
+    ) as span:
+        years = _simulate_block(spec, tracer, metrics)
+        span.set("outages", int(sum(y["outages"] for y in years)))
+        span.set("crashes", int(sum(y["crashes"] for y in years)))
+        return years
+
+
+def _simulate_block(
+    spec: Mapping[str, Any], tracer, metrics
+) -> List[Dict[str, float]]:
     datacenter = spec["datacenter"]
     plan = spec["plan"]
     recharge_seconds = float(spec["recharge_seconds"])
@@ -71,8 +96,10 @@ def simulate_year_block(
     total_years = int(spec["total_years"])
     if not (0 <= start and count > 0 and start + count <= total_years):
         raise SimulationError("year block out of range")
-    seeds = np.random.SeedSequence(spec["base_seed"]).spawn(total_years)[
-        start : start + count
+    base_seed = spec["base_seed"]
+    seeds = [
+        np.random.SeedSequence(base_seed, spawn_key=(i,))
+        for i in range(start, start + count)
     ]
 
     generator_spec = datacenter.generator
@@ -133,9 +160,17 @@ def simulate_year_block(
             durations.append(event.duration_seconds)
             socs.append(soc[y])
             dgs.append(dg_starts)
-        batch = kernel.run(
-            durations, initial_state_of_charge=socs, dg_starts=dgs
-        )
+        if tracer is None:
+            batch = kernel.run(
+                durations, initial_state_of_charge=socs, dg_starts=dgs
+            )
+        else:
+            with tracer.span("kernel", "vsim", position=j, lanes=len(years)):
+                batch = kernel.run(
+                    durations, initial_state_of_charge=socs, dg_starts=dgs
+                )
+        if metrics is not None:
+            _record_batch(metrics, kernel, batch)
         for pos, y in enumerate(years):
             event = events_per_year[y][j]
             event_downtime = float(
@@ -151,6 +186,8 @@ def simulate_year_block(
             soc[y] = float(batch.ups_state_of_charge_end[pos])
             previous_end[y] = event.end_seconds
 
+    if metrics is not None and sum(dg_failures):
+        metrics.counter("sim.dg_start_failures").inc(sum(dg_failures))
     return [
         {
             "downtime_seconds": downtime[y],
@@ -162,6 +199,18 @@ def simulate_year_block(
         }
         for y in range(count)
     ]
+
+
+def _record_batch(metrics, kernel: PlanKernel, batch) -> None:
+    """The scalar path's per-outage metrics, for one kernel batch."""
+    metrics.counter("sim.outages").inc(len(batch))
+    crashes = int(batch.crashed.sum())
+    if crashes:
+        metrics.counter("sim.crashes").inc(crashes)
+    if kernel.has_ups:
+        soc = metrics.histogram("battery.soc")
+        for value in batch.ups_state_of_charge_end:
+            soc.observe(float(value))
 
 
 def year_block_specs(

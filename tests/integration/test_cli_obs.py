@@ -45,6 +45,14 @@ class TestTraceFlag:
         assert code == 0
         with open(trace) as fh:
             names = {e["name"] for e in json.load(fh)["traceEvents"]}
+        assert {"cli", "runner.run", "job", "year_block", "kernel"} <= names
+
+    def test_fault_runs_keep_the_scalar_spans(self, capsys, tmp_path):
+        trace = str(tmp_path / "out.json")
+        code, _, _ = run(capsys, *AVAIL, "--faults", "dg_start=0.2", "--trace", trace)
+        assert code == 0
+        with open(trace) as fh:
+            names = {e["name"] for e in json.load(fh)["traceEvents"]}
         assert {"cli", "runner.run", "job", "schedule", "outage", "phase"} <= names
 
     def test_session_deactivated_after_run(self, capsys, tmp_path):

@@ -119,6 +119,18 @@ class TestEval:
         reference = evaluate_request(parse_request(json.dumps(body)))
         assert canonical_json(served["result"]) == canonical_json(reference)
 
+    def test_availability_rounding_residue_is_not_a_500(self, server):
+        """MaxPerf + proactive-migration has no real down time; per-outage
+        rounding residue used to average to a negative mean down time,
+        which the TCO step refused with HTTP 500."""
+        body = {"analysis": "availability",
+                "params": {"workload": "memcached", "configuration": "MaxPerf",
+                           "technique": "proactive-migration", "years": 1000,
+                           "seed": 1707611285}}
+        status, served = post_request(server.base_url, body)
+        assert status == 200
+        assert served["result"]["mean_downtime_minutes_per_year"] == 0.0
+
     def test_coalesced_duplicates_one_evaluation(self, server):
         body = {"analysis": "echo",
                 "params": {"payload": "ride", "sleep_s": 0.3}}

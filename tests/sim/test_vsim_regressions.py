@@ -244,3 +244,43 @@ class TestNaNBudgetAdaptiveHold:
             scalar, batch = both_engines(datacenter, plan, 3600.0)
         diffs = _field_diffs(scalar, batch)
         assert not diffs, diffs
+
+
+class TestDowntimeRoundingResidue:
+    """Segments tiling an outage exactly can sum a few ulps past it
+    (8.333... + 18.888... > 27.222...), and ``window - covered`` turned
+    that into -3.55e-15 s of down time.  A long enough MaxPerf /
+    proactive-migration study then averaged to a negative down time and
+    the TCO step refused it.  Both engines now clamp at 0.0."""
+
+    OUTAGE_SECONDS = 27.22206033533946
+
+    def test_trace_down_time_is_never_negative(self):
+        from repro.sim.trace import PowerTrace
+
+        end = self.OUTAGE_SECONDS
+        split = 8.333333333333334
+        assert split + (end - split) > end  # the residue this guards against
+        trace = PowerTrace()
+        trace.record(0.0, split, 1.0, 0.85, "ups", "a")
+        trace.record(split, end, 1.0, 0.5555555555555556, "ups", "b")
+        assert trace.zero_performance_seconds(0.0, end) == 0.0
+
+    def test_engines_agree_on_zero_down_time(self):
+        from repro.core.configurations import get_configuration
+        from repro.core.performability import plan_power_budget_watts
+        from repro.techniques.base import TechniqueContext
+        from repro.techniques.registry import get_technique
+
+        workload = get_workload("memcached")
+        datacenter = make_datacenter(workload, get_configuration("MaxPerf"))
+        plan = get_technique("proactive-migration").compile_plan(
+            TechniqueContext(
+                cluster=datacenter.cluster,
+                workload=workload,
+                power_budget_watts=plan_power_budget_watts(datacenter),
+            )
+        )
+        scalar, batch = both_engines(datacenter, plan, self.OUTAGE_SECONDS)
+        assert scalar.downtime_during_outage_seconds == 0.0
+        assert not _field_diffs(scalar, batch)

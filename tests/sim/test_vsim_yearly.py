@@ -7,6 +7,7 @@ from repro.analysis.availability import AvailabilityAnalyzer, _simulate_year
 from repro.core.configurations import get_configuration
 from repro.core.performability import make_datacenter, plan_power_budget_watts
 from repro.errors import SimulationError
+from repro.runner.jobs import spawn_seeds
 from repro.techniques.base import TechniqueContext
 from repro.techniques.registry import get_technique
 from repro.units import hours
@@ -57,6 +58,18 @@ class TestYearBlock:
         )
         assert scalar == batch  # dict equality is exact float equality
 
+    def test_late_block_of_a_long_study_matches_scalar_years(self):
+        """Years 9990..9999 of a 10000-year study: the per-year seeds
+        built from ``spawn_key`` are the runner's spawned children."""
+        datacenter, plan = study("SmallPUPS", "throttle+sleep-l")
+        spec = {"datacenter": datacenter, "plan": plan, "recharge_seconds": hours(8)}
+        seeds = spawn_seeds(13, 10_000)[9990:]
+        scalar = [_simulate_year(spec, s) for s in seeds]
+        block = simulate_year_block(
+            {**spec, "base_seed": 13, "start": 9990, "count": 10, "total_years": 10_000}
+        )
+        assert block == scalar
+
     def test_block_size_invariance(self):
         datacenter, plan = study()
         years, base_seed = 10, 3
@@ -86,41 +99,42 @@ class TestYearBlock:
             )
 
 
+def scalar_oracle_report(analyzer, config, technique, years, faults=None):
+    """The report ``analyze`` must equal, reduced from scalar
+    ``_simulate_year`` jobs over the runner's per-year seeds."""
+    jobs, reduce = analyzer.prepare(config, technique, years=years, faults=faults)
+    spec = {
+        key: jobs[0].spec[key]
+        for key in ("datacenter", "plan", "recharge_seconds", "fault_plan")
+        if key in jobs[0].spec
+    }
+    scalar = [_simulate_year(spec, seed) for seed in spawn_seeds(analyzer.seed, years)]
+    if faults is None:
+        return reduce([scalar])  # one "block" holding every year
+    return reduce(scalar)
+
+
 class TestAnalyzerEngine:
     def test_batch_report_equals_scalar(self):
+        """The production path across a block boundary (1000 + 1)."""
         analyzer = AvailabilityAnalyzer(get_workload("websearch"), seed=5)
         config = get_configuration("DG-SmallPUPS")
         technique = get_technique("sleep-l")
-        scalar = analyzer.analyze(config, technique, years=20)
-        batch = analyzer.analyze(config, technique, years=20, engine="batch")
-        assert scalar == batch
-
-    def test_unknown_engine_rejected(self):
-        analyzer = AvailabilityAnalyzer(get_workload("websearch"))
-        with pytest.raises(ValueError):
-            analyzer.analyze(
-                get_configuration("DG-SmallPUPS"),
-                get_technique("sleep-l"),
-                years=1,
-                engine="vectorised",
-            )
+        jobs, _ = analyzer.prepare(config, technique, years=1001)
+        assert [job.fn for job in jobs] == [simulate_year_block] * 2
+        report = analyzer.analyze(config, technique, years=1001)
+        assert report == scalar_oracle_report(analyzer, config, technique, 1001)
 
     def test_fault_studies_stay_scalar(self):
         from repro.faults import FaultPlan
 
         analyzer = AvailabilityAnalyzer(get_workload("websearch"), seed=5)
+        config = get_configuration("DG-SmallPUPS")
+        technique = get_technique("sleep-l")
         faults = FaultPlan.parse("dg_start=0.2")
-        scalar = analyzer.analyze(
-            get_configuration("DG-SmallPUPS"),
-            get_technique("sleep-l"),
-            years=5,
-            faults=faults,
+        jobs, _ = analyzer.prepare(config, technique, years=5, faults=faults)
+        assert [job.fn for job in jobs] == [_simulate_year] * 5
+        report = analyzer.analyze(config, technique, years=5, faults=faults)
+        assert report == scalar_oracle_report(
+            analyzer, config, technique, 5, faults=faults
         )
-        batch = analyzer.analyze(
-            get_configuration("DG-SmallPUPS"),
-            get_technique("sleep-l"),
-            years=5,
-            faults=faults,
-            engine="batch",
-        )
-        assert scalar == batch

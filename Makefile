@@ -4,10 +4,15 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke batch-smoke bench-obs selfcheck trace-smoke chaos-smoke serve-smoke policy-smoke telemetry-smoke drill-smoke fleet-smoke
+.PHONY: test golden bench bench-smoke batch-smoke bench-obs selfcheck trace-smoke chaos-smoke serve-smoke policy-smoke telemetry-smoke drill-smoke fleet-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# Golden payloads: every request in the tests/golden/ corpora must
+# reproduce its committed SHA-256 (see tests/golden/test_golden.py).
+golden:
+	$(PYTHON) -m pytest -q tests/golden
 
 # Fast invariant sweep: closed forms vs numeric oracles over the Table-3
 # space, plus a short guarded fuzz run (see docs/CHECKS.md).

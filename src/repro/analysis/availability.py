@@ -24,13 +24,8 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.configurations import BackupConfiguration
-from repro.core.performability import (
-    DEFAULT_NUM_SERVERS,
-    make_datacenter,
-    plan_power_budget_watts,
-)
+from repro.core.performability import DEFAULT_NUM_SERVERS, make_plant
 from repro.core.tco import TCOModel
-from repro.errors import TechniqueError
 from repro.faults import FaultInjector, FaultPlan
 from repro.outages.generator import OutageGenerator
 from repro.power.ups import DEFAULT_RECHARGE_SECONDS
@@ -40,7 +35,7 @@ from repro.runner.jobs import Job, make_jobs
 from repro.runner.progress import ProgressListener, RunStats
 from repro.servers.server import PAPER_SERVER, ServerSpec
 from repro.sim.yearly import YearlyRunner
-from repro.techniques.base import OutageTechnique, TechniqueContext
+from repro.techniques.base import OutageTechnique
 from repro.units import SECONDS_PER_YEAR, to_minutes
 from repro.vsim.yearly import simulate_year_block, year_block_specs
 from repro.workloads.base import WorkloadSpec
@@ -185,23 +180,9 @@ class AvailabilityAnalyzer:
         """
         if years <= 0:
             raise ValueError("years must be positive")
-        datacenter = make_datacenter(
-            self.workload, configuration, self.num_servers, self.server
+        datacenter, plan = make_plant(
+            self.workload, configuration, technique, self.num_servers, self.server
         )
-        context = TechniqueContext(
-            cluster=datacenter.cluster,
-            workload=self.workload,
-            power_budget_watts=plan_power_budget_watts(datacenter),
-        )
-        try:
-            plan = technique.compile_plan(context)
-        except TechniqueError:
-            # An uncompilable technique means every outage is a crash-through.
-            from repro.techniques.nop import FullService
-
-            plan = FullService().compile_plan(
-                TechniqueContext(cluster=datacenter.cluster, workload=self.workload)
-            )
 
         blocks = faults is None or faults.is_null
         if blocks:

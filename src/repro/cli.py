@@ -183,6 +183,19 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """``--seed``: an integer ``SeedSequence`` accepts, as the protocol bounds it."""
+    try:
+        value = int(text)
+        if 0 <= value <= 2**63 - 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be an integer in [0, {2**63 - 1}], got {text!r}"
+    )
+
+
 def _make_executor(args: argparse.Namespace):
     """Build the runner executor the ``--jobs/--cache/--retries/--checkpoint``
     flags describe."""
@@ -1021,7 +1034,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_seed:
             p.add_argument(
                 "--seed",
-                type=int,
+                type=_seed,
                 default=0,
                 help="root RNG seed for stochastic stages (deterministic "
                 "analyses ignore it)",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.core.configurations import BackupConfiguration
 from repro.core.costs import BackupCostModel
@@ -34,7 +34,7 @@ from repro.servers.server import PAPER_SERVER, ServerSpec
 from repro.sim.datacenter import Datacenter
 from repro.sim.metrics import OutageOutcome
 from repro.sim.outage_sim import simulate_outage
-from repro.techniques.base import OutageTechnique, TechniqueContext
+from repro.techniques.base import OutagePlan, OutageTechnique, TechniqueContext
 from repro.workloads.base import WorkloadSpec
 
 #: Cluster size used throughout the evaluation.  The paper notes a small
@@ -103,6 +103,36 @@ def plan_power_budget_watts(datacenter: Datacenter) -> float:
     if datacenter.generator.is_provisioned:
         return datacenter.generator.power_capacity_watts
     return math.inf
+
+
+def make_plant(
+    workload: WorkloadSpec,
+    configuration: BackupConfiguration,
+    technique: OutageTechnique,
+    num_servers: int = DEFAULT_NUM_SERVERS,
+    server: ServerSpec = PAPER_SERVER,
+) -> Tuple[Datacenter, OutagePlan]:
+    """A configuration's datacenter plus the technique's plan for it.
+
+    Yearly studies keep running when a technique cannot compile for a
+    configuration (its phases overdraw the backup): every outage then
+    runs as the full-service crash-through instead of failing the study.
+    """
+    datacenter = make_datacenter(workload, configuration, num_servers, server)
+    context = TechniqueContext(
+        cluster=datacenter.cluster,
+        workload=workload,
+        power_budget_watts=plan_power_budget_watts(datacenter),
+    )
+    try:
+        plan = technique.compile_plan(context)
+    except TechniqueError:
+        from repro.techniques.nop import FullService
+
+        plan = FullService().compile_plan(
+            TechniqueContext(cluster=datacenter.cluster, workload=workload)
+        )
+    return datacenter, plan
 
 
 def evaluate_point(

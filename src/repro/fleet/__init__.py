@@ -32,11 +32,18 @@ from repro.fleet.routing import (
     OutageWindow,
     SiteState,
     SiteTimeline,
+    SiteWindows,
     latency_factor,
     route_fleet_year,
+    route_fleet_years,
     serve_instant,
 )
-from repro.fleet.sim import FleetAnalyzer, reduce_fleet_years, simulate_fleet_year
+from repro.fleet.sim import (
+    FleetAnalyzer,
+    reduce_fleet_years,
+    simulate_fleet_year,
+    simulate_fleet_years,
+)
 from repro.fleet.spec import (
     DEFAULT_FLEET,
     FleetSpec,
@@ -58,6 +65,7 @@ __all__ = [
     "SiteSpec",
     "SiteState",
     "SiteTimeline",
+    "SiteWindows",
     "contingency_report",
     "contingency_scenarios",
     "fleet_cell",
@@ -71,6 +79,8 @@ __all__ = [
     "reduce_fleet_frontier",
     "reduce_fleet_years",
     "route_fleet_year",
+    "route_fleet_years",
     "serve_instant",
     "simulate_fleet_year",
+    "simulate_fleet_years",
 ]

@@ -26,7 +26,7 @@ import numpy as np
 from repro.analysis.frontier import dominates, pareto_frontier
 from repro.core.configurations import get_configuration
 from repro.errors import RunnerError
-from repro.fleet.sim import reduce_fleet_years, simulate_fleet_year
+from repro.fleet.sim import reduce_fleet_years, simulate_fleet_years
 from repro.fleet.spec import get_fleet
 from repro.runner.cache import ResultCache
 from repro.runner.executor import BaseExecutor, make_executor
@@ -46,7 +46,8 @@ def fleet_cell(
     The spec carries names only — ``fleet``, ``configuration``,
     ``technique``, ``routing``, ``years`` — so the job fingerprints on
     primitives.  The cell's seed spawns one child per year; the same
-    (cell spec, seed) always replays the same years.
+    (cell spec, seed) always replays the same years.  All of the cell's
+    years run as one batch (:func:`repro.fleet.sim.simulate_fleet_years`).
     """
     if seed is None:
         raise RunnerError("fleet_cell requires a seeded job")
@@ -55,11 +56,7 @@ def fleet_cell(
     )
     routing = bool(spec["routing"])
     years = int(spec["years"])
-    year_spec = {"fleet": fleet, "routing": routing}
-    values = [
-        simulate_fleet_year(year_spec, year_seed)
-        for year_seed in seed.spawn(years)
-    ]
+    values = simulate_fleet_years(fleet, routing, seed.spawn(years))
     report = reduce_fleet_years(values, fleet, routing)
     return {
         "fleet": spec["fleet"],

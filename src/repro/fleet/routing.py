@@ -23,18 +23,22 @@ timeline model.
   :data:`DEGRADED_UTILIZATION` — a degraded-survivor factor: the host's
   own throttling/admission control kicking in under failover load.
 
-:func:`route_fleet_year` integrates that pricing over the elementary
-intervals induced by every site's outage windows.  The decomposition is
-exact for the piecewise-constant state model (breakpoints at every
-outage start, redirect expiry and outage end), so the result is a pure
-deterministic function of the per-site schedules — identical serial or
-parallel, and cacheable under the runner's fingerprints.
+:func:`route_fleet_years` integrates that pricing over the elementary
+intervals induced by every site's outage windows, for many years in one
+array pass (:func:`route_fleet_year` is its one-year call).  The
+decomposition is exact for the piecewise-constant state model
+(breakpoints at every outage start, redirect expiry and outage end), so
+the result is a pure deterministic function of the per-site schedules —
+identical serial or parallel, and cacheable under the runner's
+fingerprints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.geo.replication import LATENCY_PENALTY_PER_100MS
@@ -137,10 +141,14 @@ def serve_instant(
     across the remaining spare of up sites in *other* power regions,
     proportionally to that spare.  Deterministic in input order.
     """
-    demand = sum(s.load for s in states)
-    local = sum(
-        (s.load * s.performance) if s.in_outage else s.load for s in states
-    )
+    # Sums are explicit left-to-right adds from ``0``, as builtin ``sum``
+    # does before Python 3.12 (later versions compensate float sums):
+    # the array router replays exactly these operations.
+    demand = 0
+    local = 0
+    for s in states:
+        demand += s.load
+        local += (s.load * s.performance) if s.in_outage else s.load
     spare: Dict[str, float] = {
         s.name: s.capacity - s.load for s in states if not s.in_outage
     }
@@ -159,7 +167,9 @@ def serve_instant(
                 and s.power_region != source.power_region
                 and spare[s.name] > 0
             ]
-            total_spare = sum(spare[h.name] for h in hosts)
+            total_spare = 0
+            for h in hosts:
+                total_spare += spare[h.name]
             if total_spare <= 0:
                 continue
             take = min(displaced, total_spare)
@@ -179,12 +189,13 @@ def serve_instant(
         and (s.load + absorbed[s.name]) > DEGRADED_UTILIZATION * s.capacity
     )
     degraded_set = set(degraded)
-    remote = sum(
-        amount
-        * latency_factor(source.rtt_seconds, host.rtt_seconds)
-        * (SURVIVOR_DEGRADED_FACTOR if host.name in degraded_set else 1.0)
-        for source, host, amount in placements
-    )
+    remote = 0
+    for source, host, amount in placements:
+        remote += (
+            amount
+            * latency_factor(source.rtt_seconds, host.rtt_seconds)
+            * (SURVIVOR_DEGRADED_FACTOR if host.name in degraded_set else 1.0)
+        )
     return InstantService(
         demand=demand,
         served=local + remote,
@@ -196,13 +207,201 @@ def serve_instant(
     )
 
 
-def _window_at(
-    timeline: SiteTimeline, instant: float
-) -> "OutageWindow | None":
-    for window in timeline.windows:
-        if window.start_seconds <= instant < window.end_seconds:
-            return window
-    return None
+@dataclass(frozen=True)
+class SiteWindows:
+    """One site's outage windows over many years, as parallel arrays.
+
+    Windows are sorted by ``(year, start)`` and disjoint within a year;
+    ``performance`` is already clamped to [0, 1].
+    """
+
+    year: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    performance: np.ndarray
+
+
+def _window_index(
+    interval_year: np.ndarray, midpoint: np.ndarray, windows: SiteWindows
+) -> np.ndarray:
+    """Per interval, the last window with ``(year, start) <= (year, mid)``.
+
+    An exact merge of the two sorted sequences (-1 where no window
+    precedes): windows sort ahead of midpoints on ties, so a window
+    starting exactly at a midpoint counts as begun.
+    """
+    n_windows = len(windows.year)
+    order = np.lexsort(
+        (
+            np.concatenate(
+                (np.zeros(n_windows, bool), np.ones(len(midpoint), bool))
+            ),
+            np.concatenate((windows.start, midpoint)),
+            np.concatenate((windows.year, interval_year)),
+        )
+    )
+    is_interval = order >= n_windows
+    preceding = np.cumsum(~is_interval)[is_interval] - 1
+    index = np.empty(len(midpoint), dtype=np.int64)
+    index[order[is_interval] - n_windows] = preceding
+    return index
+
+
+def route_fleet_years(
+    sites: Sequence[Any],
+    windows: Sequence[SiteWindows],
+    years: int,
+    horizon_seconds: float,
+    redirect_seconds: float,
+    routing: bool = True,
+) -> List[Dict[str, float]]:
+    """Integrate :func:`serve_instant` over many fleet years at once.
+
+    ``sites`` supply ``capacity``/``load``/``power_region``/
+    ``rtt_seconds`` in fleet order (site specs or timelines), and
+    ``windows`` each site's outages over years ``0 .. years-1``.  Every
+    year's elementary intervals (cut at each outage start, redirect
+    expiry and outage end) are priced in one elementwise pass that
+    applies :func:`serve_instant`'s float operations in its order; each
+    year's six totals are then summed interval by interval, as the
+    one-year scalar integral does.
+
+    Returns one plain-dict summary per year (server-equivalent-seconds
+    and plain counts — JSON-able, reduction-friendly):
+
+    ``demand``/``served``: integrals of offered and delivered work;
+    ``remote_served``: the failover traffic's delivered integral;
+    ``fully_served_seconds``: time with no unserved demand anywhere;
+    ``simultaneous_outage_seconds``: time with >= 2 sites in outage;
+    ``max_simultaneous_outages``: peak concurrent dark-site count.
+    """
+    if horizon_seconds <= 0:
+        raise ConfigurationError("horizon must be positive")
+    horizon = float(horizon_seconds)
+
+    # Breakpoints, deduplicated per year and sorted by (year, instant).
+    every_year = np.arange(years)
+    cut_year = [every_year, every_year]
+    cut_at = [np.zeros(years), np.full(years, horizon)]
+    for w in windows:
+        cut_year += [w.year, w.year, w.year]
+        cut_at += [
+            w.start,
+            np.minimum(w.end, horizon),
+            np.minimum(w.start + redirect_seconds, w.end),
+        ]
+    cut_year = np.concatenate(cut_year)
+    cut_at = np.concatenate(cut_at)
+    inside = (cut_at >= 0.0) & (cut_at <= horizon)
+    cut_year, cut_at = cut_year[inside], cut_at[inside]
+    order = np.lexsort((cut_at, cut_year))
+    cut_year, cut_at = cut_year[order], cut_at[order]
+    new = np.ones(len(cut_at), dtype=bool)
+    new[1:] = (cut_year[1:] != cut_year[:-1]) | (cut_at[1:] != cut_at[:-1])
+    cut_year, cut_at = cut_year[new], cut_at[new]
+    pair = cut_year[1:] == cut_year[:-1]
+    year = cut_year[:-1][pair]
+    start = cut_at[:-1][pair]
+    end = cut_at[1:][pair]
+    dt = end - start
+    midpoint = (start + end) / 2.0
+
+    # Per-site state at each interval midpoint.
+    count = len(midpoint)
+    dark, performance, ready = [], [], []
+    for w in windows:
+        if not len(w.year):
+            dark.append(np.zeros(count, dtype=bool))
+            performance.append(np.ones(count))
+            ready.append(dark[-1])
+            continue
+        index = _window_index(year, midpoint, w)
+        at = np.maximum(index, 0)
+        in_window = (index >= 0) & (w.year[at] == year) & (midpoint < w.end[at])
+        dark.append(in_window)
+        performance.append(w.performance[at])
+        ready.append(in_window & (midpoint >= w.start[at] + redirect_seconds))
+
+    # serve_instant, elementwise.
+    demand = 0
+    local = np.zeros(count)
+    for i, site in enumerate(sites):
+        demand += site.load
+        local = local + np.where(dark[i], site.load * performance[i], site.load)
+    spare = [np.full(count, site.capacity - site.load) for site in sites]
+    absorbed = [np.zeros(count) for _ in sites]
+    placed = [np.zeros(count, dtype=bool) for _ in sites]
+    placements = []
+    if routing:
+        for i, source in enumerate(sites):
+            displaced = source.load * (1.0 - performance[i])
+            active = ready[i] & (displaced > 0)
+            hosts = [
+                (h, ~dark[h] & (spare[h] > 0))
+                for h, host in enumerate(sites)
+                if host.power_region != source.power_region
+            ]
+            total_spare = np.zeros(count)
+            for h, eligible in hosts:
+                total_spare = total_spare + np.where(eligible, spare[h], 0.0)
+            active &= total_spare > 0
+            take = np.minimum(displaced, total_spare)
+            divisor = np.where(active, total_spare, 1.0)
+            shares = [spare[h] / divisor for h, _ in hosts]
+            for (h, eligible), share in zip(hosts, shares):
+                moved = active & eligible
+                amount = take * share
+                spare[h] = np.where(moved, spare[h] - amount, spare[h])
+                absorbed[h] = np.where(moved, absorbed[h] + amount, absorbed[h])
+                placed[h] |= moved
+                placements.append((i, h, moved, amount))
+    degraded = [
+        placed[h]
+        & ((site.load + absorbed[h]) > DEGRADED_UTILIZATION * site.capacity)
+        for h, site in enumerate(sites)
+    ]
+    remote = np.zeros(count)
+    for i, h, moved, amount in placements:
+        delivered = (
+            amount
+            * latency_factor(sites[i].rtt_seconds, sites[h].rtt_seconds)
+            * np.where(degraded[h], SURVIVOR_DEGRADED_FACTOR, 1.0)
+        )
+        remote = remote + np.where(moved, delivered, 0.0)
+    served = local + remote
+
+    full = served >= demand - _FULL_SERVICE_EPS
+    dark_count = np.zeros(count, dtype=np.int64)
+    for in_window in dark:
+        dark_count += in_window
+    columns = (
+        (demand * dt).tolist(),
+        (served * dt).tolist(),
+        (remote * dt).tolist(),
+        np.where(full, dt, 0.0).tolist(),
+        np.where(dark_count >= 2, dt, 0.0).tolist(),
+    )
+    bounds = np.searchsorted(year, np.arange(years + 1)).tolist()
+    totals = []
+    for y in range(years):
+        lo, hi = bounds[y], bounds[y + 1]
+        sums = []
+        for column in columns:
+            acc = 0.0
+            for value in column[lo:hi]:
+                acc += value
+            sums.append(acc)
+        totals.append(
+            {
+                "demand": sums[0],
+                "served": sums[1],
+                "remote_served": sums[2],
+                "fully_served_seconds": sums[3],
+                "simultaneous_outage_seconds": sums[4],
+                "max_simultaneous_outages": float(dark_count[lo:hi].max()),
+            }
+        )
+    return totals
 
 
 def route_fleet_year(
@@ -213,80 +412,27 @@ def route_fleet_year(
 ) -> Dict[str, float]:
     """Integrate :func:`serve_instant` over one fleet year.
 
-    Returns a plain-dict summary (server-equivalent-seconds and plain
-    counts — JSON-able, reduction-friendly):
-
-    ``demand``/``served``: integrals of offered and delivered work;
-    ``remote_served``: the failover traffic's delivered integral;
-    ``fully_served_seconds``: time with no unserved demand anywhere;
-    ``simultaneous_outage_seconds``: time with >= 2 sites in outage;
-    ``max_simultaneous_outages``: peak concurrent dark-site count.
+    The one-year call of :func:`route_fleet_years` (same summary keys).
+    Each timeline's windows must be disjoint; they may come in any order.
     """
-    if horizon_seconds <= 0:
-        raise ConfigurationError("horizon must be positive")
-    breakpoints = {0.0, horizon_seconds}
+    windows = []
     for timeline in timelines:
-        for window in timeline.windows:
-            breakpoints.add(window.start_seconds)
-            breakpoints.add(min(window.end_seconds, horizon_seconds))
-            breakpoints.add(
-                min(window.start_seconds + redirect_seconds, window.end_seconds)
+        ordered = sorted(timeline.windows, key=lambda w: w.start_seconds)
+        for earlier, later in zip(ordered, ordered[1:]):
+            if later.start_seconds < earlier.end_seconds:
+                raise ConfigurationError(
+                    f"{timeline.name}: outage windows must be disjoint"
+                )
+        windows.append(
+            SiteWindows(
+                year=np.zeros(len(ordered), dtype=np.int64),
+                start=np.array([w.start_seconds for w in ordered], dtype=float),
+                end=np.array([w.end_seconds for w in ordered], dtype=float),
+                performance=np.array(
+                    [w.performance for w in ordered], dtype=float
+                ),
             )
-    cuts = sorted(b for b in breakpoints if 0.0 <= b <= horizon_seconds)
-
-    totals = {
-        "demand": 0.0,
-        "served": 0.0,
-        "remote_served": 0.0,
-        "fully_served_seconds": 0.0,
-        "simultaneous_outage_seconds": 0.0,
-        "max_simultaneous_outages": 0.0,
-    }
-    for start, end in zip(cuts, cuts[1:]):
-        dt = end - start
-        if dt <= 0:
-            continue
-        midpoint = (start + end) / 2.0
-        states = []
-        dark = 0
-        for timeline in timelines:
-            window = _window_at(timeline, midpoint)
-            if window is None:
-                states.append(
-                    SiteState(
-                        name=timeline.name,
-                        capacity=timeline.capacity,
-                        load=timeline.load,
-                        power_region=timeline.power_region,
-                        rtt_seconds=timeline.rtt_seconds,
-                    )
-                )
-            else:
-                dark += 1
-                states.append(
-                    SiteState(
-                        name=timeline.name,
-                        capacity=timeline.capacity,
-                        load=timeline.load,
-                        power_region=timeline.power_region,
-                        rtt_seconds=timeline.rtt_seconds,
-                        performance=window.performance,
-                        in_outage=True,
-                        remote_ready=(
-                            midpoint
-                            >= window.start_seconds + redirect_seconds
-                        ),
-                    )
-                )
-        instant = serve_instant(states, routing=routing)
-        totals["demand"] += instant.demand * dt
-        totals["served"] += instant.served * dt
-        totals["remote_served"] += instant.remote_served * dt
-        if instant.served >= instant.demand - _FULL_SERVICE_EPS:
-            totals["fully_served_seconds"] += dt
-        if dark >= 2:
-            totals["simultaneous_outage_seconds"] += dt
-        totals["max_simultaneous_outages"] = max(
-            totals["max_simultaneous_outages"], float(dark)
         )
-    return totals
+    return route_fleet_years(
+        timelines, windows, 1, horizon_seconds, redirect_seconds, routing
+    )[0]

@@ -1,11 +1,12 @@
 """Monte-Carlo fleet years: every site simulated, every shock shared.
 
-One :func:`simulate_fleet_year` job runs the whole fleet through one
-year: each site draws its own Figure 1 outage schedule and DG start
+:func:`simulate_fleet_years` runs the whole fleet through a batch of
+years: each site draws its own Figure 1 outage schedule and DG start
 rolls *exactly* as the certified single-site path does, the regional
-shock layer merges correlated events in, the per-site simulator runs
-each (possibly extended) schedule, and the routing layer integrates
-where displaced load went.
+shock layer merges correlated events in, the :mod:`repro.vsim` kernel
+runs each (possibly extended) schedule, and the routing layer
+integrates where displaced load went.  :func:`simulate_fleet_year` is
+its one-year runner job.
 
 **Seed discipline** (the property the independence regression pins):
 the per-year seed spawns one child per site, in fleet order, and the
@@ -22,57 +23,37 @@ certified single-site path.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
-from repro.core.performability import make_datacenter, plan_power_budget_watts
-from repro.errors import RunnerError, TechniqueError
+from repro.core.performability import make_plant
+from repro.errors import RunnerError
 from repro.fleet.correlation import RegionalShockSampler, merge_outage_events
-from repro.fleet.routing import OutageWindow, SiteTimeline, route_fleet_year
-from repro.fleet.spec import FleetSpec, SiteSpec
+from repro.fleet.routing import SiteWindows, route_fleet_years
+from repro.fleet.spec import FleetSpec
 from repro.obs import current_metrics, current_tracer
+from repro.outages.events import OutageEvent
 from repro.outages.generator import OutageGenerator
 from repro.power.ups import DEFAULT_RECHARGE_SECONDS
 from repro.runner.cache import ResultCache
 from repro.runner.executor import BaseExecutor, make_executor
 from repro.runner.jobs import Job, make_jobs
 from repro.runner.progress import ProgressListener
-from repro.sim.yearly import YearlyRunner
-from repro.techniques.base import TechniqueContext
 from repro.units import SECONDS_PER_YEAR, to_minutes
-
-
-def _site_plant(site: SiteSpec):
-    """Materialise a site's (datacenter, plan), availability-style.
-
-    Mirrors :meth:`repro.analysis.availability.AvailabilityAnalyzer.prepare`:
-    an uncompilable technique degrades to the full-service crash-through
-    rather than failing the year.
-    """
-    from repro.techniques.registry import get_technique
-    from repro.workloads.registry import get_workload
-
-    workload = get_workload(site.workload)
-    from repro.core.configurations import get_configuration
-
-    datacenter = make_datacenter(
-        workload, get_configuration(site.configuration), site.servers
-    )
-    context = TechniqueContext(
-        cluster=datacenter.cluster,
-        workload=workload,
-        power_budget_watts=plan_power_budget_watts(datacenter),
-    )
-    try:
-        plan = get_technique(site.technique).compile_plan(context)
-    except TechniqueError:
-        from repro.techniques.nop import FullService
-
-        plan = FullService().compile_plan(
-            TechniqueContext(cluster=datacenter.cluster, workload=workload)
-        )
-    return datacenter, plan
+from repro.vsim.kernel import PlanKernel
+from repro.vsim.yearly import draw_dg_starts, run_years
 
 
 def simulate_fleet_year(
@@ -81,96 +62,190 @@ def simulate_fleet_year(
     """Runner job: one fleet year, reduced to per-site and fleet aggregates.
 
     The spec carries ``fleet`` (a :class:`~repro.fleet.spec.FleetSpec`)
-    and ``routing`` (whether displaced load fails over).  The per-site
-    blocks use the exact field names of the single-site year job, so
-    the independence regression can compare dicts with ``==``.
+    and ``routing`` (whether displaced load fails over).  The one-year
+    call of :func:`simulate_fleet_years`.
     """
     if seed is None:
         raise RunnerError("simulate_fleet_year requires a seeded job")
-    fleet: FleetSpec = spec["fleet"]
-    routing: bool = bool(spec["routing"])
+    return simulate_fleet_years(spec["fleet"], bool(spec["routing"]), [seed])[0]
 
-    site_seeds = seed.spawn(len(fleet.sites))
-    (shock_seed,) = seed.spawn(1)
-    shocks = RegionalShockSampler(fleet).sample_year(
-        np.random.default_rng(shock_seed)
-    )
-    shock_site_hits = sum(len(events) for events in shocks.values())
 
+def simulate_fleet_years(
+    fleet: FleetSpec,
+    routing: bool,
+    seeds: Sequence[np.random.SeedSequence],
+) -> List[Dict[str, Any]]:
+    """Simulate one fleet year per seed, all years at once.
+
+    Every site-year is sampled first (the seed tree in the module
+    docstring), then each distinct site plant is built once and all of
+    its site-years run through one :class:`~repro.vsim.kernel.PlanKernel`
+    (:func:`repro.vsim.yearly.run_years`), and finally every year's
+    intervals are routed in one array pass
+    (:func:`~repro.fleet.routing.route_fleet_years`).
+
+    Each year is ``{"sites": {name: aggregates}, "fleet": totals}``.  The
+    per-site blocks use the exact field names of the single-site year
+    job, so the independence regression can compare dicts with ``==``.
+
+    A traced run records a ``cell`` span holding ``sample``, ``kernel``
+    and ``route`` spans; with tracing off the stages cost one ``is
+    None`` check in all.
+    """
     tracer = current_tracer()
     metrics = current_metrics()
+    if tracer is None:
+        years = _fleet_years(fleet, routing, seeds, _no_span, metrics)
+    else:
+        with tracer.span(
+            "cell", "fleet", fleet=fleet.name, routing=routing, years=len(seeds)
+        ):
+            years = _fleet_years(fleet, routing, seeds, tracer.span, metrics)
+            for year in years:
+                tracer.event(
+                    "fleet-year",
+                    fleet=fleet.name,
+                    routing=routing,
+                    shock_site_hits=int(year["fleet"]["shock_site_hits"]),
+                    max_simultaneous=year["fleet"]["max_simultaneous_outages"],
+                )
+    if metrics is not None:
+        for year in years:
+            metrics.counter("fleet.years").inc()
+            hits = int(year["fleet"]["shock_site_hits"])
+            if hits:
+                metrics.counter("fleet.shock_site_hits").inc(hits)
+            if year["fleet"]["max_simultaneous_outages"] >= 2:
+                metrics.counter("fleet.multi_site_years").inc()
+    return years
 
-    sites: Dict[str, Dict[str, float]] = {}
-    timelines: List[SiteTimeline] = []
-    for site, site_seed in zip(fleet.sites, site_seeds):
-        schedule_seed, dg_seed = site_seed.spawn(2)
-        generator = OutageGenerator(seed=schedule_seed)
-        schedule = merge_outage_events(
-            generator.sample_year(), shocks[site.name]
-        )
-        datacenter, plan = _site_plant(site)
-        runner = YearlyRunner(
-            datacenter,
-            plan,
-            recharge_seconds=DEFAULT_RECHARGE_SECONDS,
-            rng=np.random.default_rng(dg_seed),
-        )
-        result = runner.run_schedule(schedule)
-        perf_sum = 0.0
-        perf_weight = 0.0
+
+@contextmanager
+def _no_span(*args: Any, **attrs: Any) -> Iterator[None]:
+    yield
+
+
+def _fleet_years(
+    fleet: FleetSpec,
+    routing: bool,
+    seeds: Sequence[np.random.SeedSequence],
+    span: Callable[..., Any],
+    metrics,
+) -> List[Dict[str, Any]]:
+    from repro.core.configurations import get_configuration
+    from repro.techniques.registry import get_technique
+    from repro.workloads.registry import get_workload
+
+    sites = fleet.sites
+    # A site's plant is fixed by these four names.
+    site_keys = [
+        (site.workload, site.configuration, site.technique, site.servers)
+        for site in sites
+    ]
+    plants = {}
+    for site, key in zip(sites, site_keys):
+        if key not in plants:
+            plants[key] = make_plant(
+                get_workload(site.workload),
+                get_configuration(site.configuration),
+                get_technique(site.technique),
+                site.servers,
+            )
+
+    # Per year: one child per site, then the shock stream's child, then
+    # (schedule, dg) per site — the seed tree of the module docstring.
+    events: List[List[Sequence[OutageEvent]]] = []
+    dg: List[List[List[bool]]] = []
+    shock_hits: List[int] = []
+    sampler = RegionalShockSampler(fleet)
+    with span("sample", "fleet", years=len(seeds), sites=len(sites)):
+        for year_seed in seeds:
+            site_seeds = year_seed.spawn(len(sites))
+            (shock_seed,) = year_seed.spawn(1)
+            shocks = sampler.sample_year(np.random.default_rng(shock_seed))
+            shock_hits.append(sum(len(hits) for hits in shocks.values()))
+            year_events = []
+            year_dg = []
+            for site, key, site_seed in zip(sites, site_keys, site_seeds):
+                schedule_seed, dg_seed = site_seed.spawn(2)
+                schedule = merge_outage_events(
+                    OutageGenerator(seed=schedule_seed).sample_year(),
+                    shocks[site.name],
+                )
+                datacenter, _ = plants[key]
+                year_events.append(schedule.events)
+                year_dg.append(
+                    draw_dg_starts(dg_seed, datacenter, len(schedule.events))
+                )
+            events.append(year_events)
+            dg.append(year_dg)
+
+    # Every site-year sharing a plant runs through one kernel, in
+    # (year, site) order.
+    years = len(seeds)
+    aggregates: Dict[Tuple[int, int], Dict[str, float]] = {}
+    performance: Dict[Tuple[int, int], List[float]] = {}
+    for key, (datacenter, plan) in plants.items():
+        lanes = [
+            (y, i)
+            for y in range(years)
+            for i, site_key in enumerate(site_keys)
+            if site_key == key
+        ]
+        with span("kernel", "fleet", lanes=len(lanes)):
+            lane_years, lane_performance = run_years(
+                PlanKernel(datacenter, plan),
+                [events[y][i] for y, i in lanes],
+                [dg[y][i] for y, i in lanes],
+                DEFAULT_RECHARGE_SECONDS,
+                None,
+                metrics,
+            )
+        aggregates.update(zip(lanes, lane_years))
+        performance.update(zip(lanes, lane_performance))
+
+    with span("route", "fleet", routing=routing):
         windows = []
-        for event, outcome in zip(result.events, result.outcomes):
-            perf_sum += outcome.mean_performance * event.duration_seconds
-            perf_weight += event.duration_seconds
+        for i in range(len(sites)):
+            year_of, start, end, level = [], [], [], []
+            for y in range(years):
+                year_events = events[y][i]
+                year_of += [y] * len(year_events)
+                start += [event.start_seconds for event in year_events]
+                end += [event.end_seconds for event in year_events]
+                level += performance[(y, i)]
+            # min(1.0, max(0.0, x)) with Python's tie rules.
+            level = np.array(level, dtype=float)
+            level = np.where(level > 0.0, level, 0.0)
             windows.append(
-                OutageWindow(
-                    start_seconds=event.start_seconds,
-                    end_seconds=event.end_seconds,
-                    performance=min(1.0, max(0.0, outcome.mean_performance)),
+                SiteWindows(
+                    year=np.array(year_of, dtype=np.int64),
+                    start=np.array(start, dtype=float),
+                    end=np.array(end, dtype=float),
+                    performance=np.where(level < 1.0, level, 1.0),
                 )
             )
-        sites[site.name] = {
-            "downtime_seconds": result.total_downtime_seconds,
-            "crashes": float(result.crashes),
-            "outages": float(len(result.outcomes)),
-            "perf_sum": perf_sum,
-            "perf_weight": perf_weight,
-            "dg_start_failures": float(result.dg_start_failures),
-        }
-        timelines.append(
-            SiteTimeline(
-                name=site.name,
-                capacity=site.capacity,
-                load=site.load,
-                power_region=site.power_region,
-                rtt_seconds=site.rtt_seconds,
-                windows=tuple(windows),
-            )
-        )
-
-    totals = route_fleet_year(
-        timelines,
-        SECONDS_PER_YEAR,
-        fleet.redirect_seconds,
-        routing=routing,
-    )
-    totals["shock_site_hits"] = float(shock_site_hits)
-
-    if metrics is not None:
-        metrics.counter("fleet.years").inc()
-        if shock_site_hits:
-            metrics.counter("fleet.shock_site_hits").inc(shock_site_hits)
-        if totals["max_simultaneous_outages"] >= 2:
-            metrics.counter("fleet.multi_site_years").inc()
-    if tracer is not None:
-        tracer.event(
-            "fleet-year",
-            fleet=fleet.name,
+        totals = route_fleet_years(
+            sites,
+            windows,
+            years,
+            SECONDS_PER_YEAR,
+            fleet.redirect_seconds,
             routing=routing,
-            shock_site_hits=shock_site_hits,
-            max_simultaneous=totals["max_simultaneous_outages"],
         )
-    return {"sites": sites, "fleet": totals}
+
+    out = []
+    for y in range(years):
+        totals[y]["shock_site_hits"] = float(shock_hits[y])
+        out.append(
+            {
+                "sites": {
+                    site.name: aggregates[(y, i)] for i, site in enumerate(sites)
+                },
+                "fleet": totals[y],
+            }
+        )
+    return out
 
 
 def reduce_fleet_years(

@@ -35,12 +35,8 @@ from typing import List, Optional
 
 from repro.analysis.availability import _simulate_year
 from repro.core.configurations import BackupConfiguration
-from repro.core.performability import (
-    DEFAULT_NUM_SERVERS,
-    make_datacenter,
-    plan_power_budget_watts,
-)
-from repro.errors import RunnerError, TechniqueError
+from repro.core.performability import DEFAULT_NUM_SERVERS, make_plant
+from repro.errors import RunnerError
 from repro.faults import FaultPlan
 from repro.power.ups import DEFAULT_RECHARGE_SECONDS
 from repro.runner.cache import ResultCache
@@ -50,7 +46,7 @@ from repro.runner.jobs import make_jobs
 from repro.runner.progress import JobEvent, JobEventKind, ProgressListener, RunStats
 from repro.runner.retry import RetryPolicy
 from repro.servers.server import PAPER_SERVER, ServerSpec
-from repro.techniques.base import OutageTechnique, TechniqueContext
+from repro.techniques.base import OutageTechnique
 from repro.workloads.base import WorkloadSpec
 
 
@@ -184,20 +180,9 @@ def run_chaos(
                 num_servers=num_servers, server=server,
             )
 
-    datacenter = make_datacenter(workload, configuration, num_servers, server)
-    context = TechniqueContext(
-        cluster=datacenter.cluster,
-        workload=workload,
-        power_budget_watts=plan_power_budget_watts(datacenter),
+    datacenter, plan = make_plant(
+        workload, configuration, technique, num_servers, server
     )
-    try:
-        plan = technique.compile_plan(context)
-    except TechniqueError:
-        from repro.techniques.nop import FullService
-
-        plan = FullService().compile_plan(
-            TechniqueContext(cluster=datacenter.cluster, workload=workload)
-        )
     year_spec = {
         "datacenter": datacenter,
         "plan": plan,

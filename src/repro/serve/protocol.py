@@ -174,7 +174,7 @@ def _normalize_availability(params: Mapping[str, Any]) -> Dict[str, Any]:
         "technique": _technique(merged),
         "years": _int_in(merged, "years", 1, MAX_YEARS),
         "servers": _int_in(merged, "servers", 1, 1_000_000),
-        "seed": _int_in(merged, "seed", -(2**63), 2**63 - 1),
+        "seed": _int_in(merged, "seed", 0, 2**63 - 1),
         "faults": _faults(merged),
     }
 
@@ -346,7 +346,7 @@ def _normalize_fleet_frontier(params: Mapping[str, Any]) -> Dict[str, Any]:
         "configurations": configurations,
         "technique": _technique(merged),
         "years": _int_in(merged, "years", 1, MAX_YEARS),
-        "seed": _int_in(merged, "seed", -(2**63), 2**63 - 1),
+        "seed": _int_in(merged, "seed", 0, 2**63 - 1),
     }
 
 

@@ -22,7 +22,8 @@ contiguous block of years per job:
   verbatim; only the outage simulations themselves are vectorized, in
   event-position-major order (all years' first outages as one batch,
   then all second outages, ...), which preserves each year's sequential
-  threading while batching across years.
+  threading while batching across years.  That loop, :func:`run_years`,
+  also runs fleet site-years (:mod:`repro.fleet.sim`).
 * **Same aggregates.**  The returned per-year dicts accumulate
   downtime/performance in event order with plain Python float adds, so
   each dict equals the scalar job's bit-for-bit — certified by
@@ -42,7 +43,7 @@ observation when the datacenter has a UPS.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,49 +88,78 @@ def _simulate_block(
     spec: Mapping[str, Any], tracer, metrics
 ) -> List[Dict[str, float]]:
     datacenter = spec["datacenter"]
-    plan = spec["plan"]
     recharge_seconds = float(spec["recharge_seconds"])
-    if recharge_seconds <= 0:
-        raise SimulationError("recharge_seconds must be positive")
     start = int(spec["start"])
     count = int(spec["count"])
     total_years = int(spec["total_years"])
     if not (0 <= start and count > 0 and start + count <= total_years):
         raise SimulationError("year block out of range")
     base_seed = spec["base_seed"]
-    seeds = [
-        np.random.SeedSequence(base_seed, spawn_key=(i,))
-        for i in range(start, start + count)
-    ]
-
-    generator_spec = datacenter.generator
-    roll_dg = (
-        generator_spec.is_provisioned and generator_spec.start_reliability < 1.0
-    )
 
     # Draw every year's schedule and DG rolls up front (cheap, sequential
     # per year exactly as the scalar runner draws them).
-    events_per_year: List[List[Any]] = []
+    events_per_year: List[Sequence[Any]] = []
     dg_per_year: List[List[bool]] = []
-    for year_seed in seeds:
+    for i in range(start, start + count):
+        year_seed = np.random.SeedSequence(base_seed, spawn_key=(i,))
         schedule_seed, dg_seed = year_seed.spawn(2)
-        schedule = OutageGenerator(seed=schedule_seed).sample_year()
-        rng = np.random.default_rng(dg_seed)
-        events = list(schedule)
-        if roll_dg:
-            draws = [
-                bool(rng.random() < generator_spec.start_reliability)
-                for _ in events
-            ]
-        else:
-            draws = [True] * len(events)
+        events = OutageGenerator(seed=schedule_seed).sample_year().events
         events_per_year.append(events)
-        dg_per_year.append(draws)
+        dg_per_year.append(draw_dg_starts(dg_seed, datacenter, len(events)))
 
-    kernel = PlanKernel(datacenter, plan)
+    years, _ = run_years(
+        PlanKernel(datacenter, spec["plan"]),
+        events_per_year,
+        dg_per_year,
+        recharge_seconds,
+        tracer,
+        metrics,
+    )
+    return years
 
-    # Per-year sequential state and aggregates, threaded exactly as
-    # YearlyRunner._run_schedule (Python floats, event order).
+
+def draw_dg_starts(
+    dg_seed: np.random.SeedSequence, datacenter, count: int
+) -> List[bool]:
+    """A year's DG start rolls, one per outage, from the year's DG stream.
+
+    The draws :meth:`repro.sim.yearly.YearlyRunner._dg_starts` makes, in
+    the same order: one uniform per outage when the engine is
+    provisioned and unreliable, none otherwise (the engine starts).
+    """
+    generator = datacenter.generator
+    if not (generator.is_provisioned and generator.start_reliability < 1.0):
+        return [True] * count
+    rng = np.random.default_rng(dg_seed)
+    return (rng.random(count) < generator.start_reliability).tolist()
+
+
+def run_years(
+    kernel: PlanKernel,
+    events_per_year: Sequence[Sequence[Any]],
+    dg_per_year: Sequence[Sequence[bool]],
+    recharge_seconds: float,
+    tracer=None,
+    metrics=None,
+) -> Tuple[List[Dict[str, float]], List[List[float]]]:
+    """Thread independent years of outages through one kernel.
+
+    Each year is a sequence of ordered outage events (anything with
+    ``start_seconds``/``duration_seconds``/``end_seconds``) plus one DG
+    start roll per event.  Outages run in event-position-major batches
+    (all years' first outages, then all second outages, ...), with the
+    cross-outage state of charge threaded exactly as
+    :meth:`repro.sim.yearly.YearlyRunner._run_schedule` does.
+
+    Returns the per-year aggregate dicts (the fields of
+    :func:`repro.analysis.availability._simulate_year`, accumulated in
+    event order with Python float adds) and each year's per-event mean
+    performance.
+    """
+    if recharge_seconds <= 0:
+        raise SimulationError("recharge_seconds must be positive")
+    count = len(events_per_year)
+    provisioned = kernel.dc.generator.is_provisioned
     soc = [1.0] * count
     previous_end = [float("-inf")] * count
     downtime = [0.0] * count
@@ -137,12 +167,11 @@ def _simulate_block(
     perf_sum = [0.0] * count
     perf_weight = [0.0] * count
     dg_failures = [0] * count
+    performance: List[List[float]] = [[] for _ in range(count)]
 
     max_events = max((len(e) for e in events_per_year), default=0)
     for j in range(max_events):
         years = [y for y in range(count) if len(events_per_year[y]) > j]
-        if not years:
-            break
         durations = []
         socs = []
         dgs = []
@@ -155,7 +184,7 @@ def _simulate_block(
                 )
             soc[y] = min(1.0, max(0.0, soc[y] + gap / recharge_seconds))
             dg_starts = dg_per_year[y][j]
-            if generator_spec.is_provisioned and not dg_starts:
+            if provisioned and not dg_starts:
                 dg_failures[y] += 1
             durations.append(event.duration_seconds)
             socs.append(soc[y])
@@ -171,24 +200,25 @@ def _simulate_block(
                 )
         if metrics is not None:
             _record_batch(metrics, kernel, batch)
+        during = batch.downtime_during_outage_seconds.tolist()
+        after = batch.downtime_after_restore_seconds.tolist()
+        crashed = batch.crashed.tolist()
+        mean_performance = batch.mean_performance.tolist()
+        soc_end = batch.ups_state_of_charge_end.tolist()
         for pos, y in enumerate(years):
             event = events_per_year[y][j]
-            event_downtime = float(
-                batch.downtime_during_outage_seconds[pos]
-            ) + float(batch.downtime_after_restore_seconds[pos])
-            downtime[y] += event_downtime
-            if bool(batch.crashed[pos]):
+            downtime[y] += during[pos] + after[pos]
+            if crashed[pos]:
                 crashes[y] += 1
-            perf_sum[y] += (
-                float(batch.mean_performance[pos]) * event.duration_seconds
-            )
+            perf_sum[y] += mean_performance[pos] * event.duration_seconds
             perf_weight[y] += event.duration_seconds
-            soc[y] = float(batch.ups_state_of_charge_end[pos])
+            performance[y].append(mean_performance[pos])
+            soc[y] = soc_end[pos]
             previous_end[y] = event.end_seconds
 
     if metrics is not None and sum(dg_failures):
         metrics.counter("sim.dg_start_failures").inc(sum(dg_failures))
-    return [
+    years_out = [
         {
             "downtime_seconds": downtime[y],
             "crashes": float(crashes[y]),
@@ -199,6 +229,7 @@ def _simulate_block(
         }
         for y in range(count)
     ]
+    return years_out, performance
 
 
 def _record_batch(metrics, kernel: PlanKernel, batch) -> None:

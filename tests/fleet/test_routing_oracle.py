@@ -1,0 +1,258 @@
+"""Oracles for the array router.
+
+:func:`route_fleet_year`/:func:`route_fleet_years` price every
+elementary interval of a fleet year in one numpy pass.  These tests hold
+it to independent forms of the same integral:
+
+* the per-interval scalar loop (``tests/fleet/reference.py``), with
+  ``==`` on every total;
+* a sampled integral: :func:`serve_instant` evaluated at several instants
+  inside each elementary interval, summed exactly with ``math.fsum``,
+  within 1e-9 relative;
+* properties of the failover model: served <= demand, routing never
+  serves less, and scaling every survivor's spare capacity up never
+  serves less.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import ConfigurationError
+from repro.fleet.routing import (
+    OutageWindow,
+    SiteTimeline,
+    SiteWindows,
+    route_fleet_year,
+    route_fleet_years,
+    serve_instant,
+)
+
+from tests.fleet.reference import (
+    breakpoints,
+    reference_route_fleet_year,
+    state_at,
+)
+
+HORIZON = 1000.0
+
+#: A coarse grid of instants (past the horizon too), so windows of
+#: different sites share breakpoints and windows cross the horizon.
+instants = st.sampled_from([25.0 * k for k in range(49)])
+levels = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def site_windows(draw):
+    points = sorted(draw(st.sets(instants, max_size=8)))
+    # step 1 chains touching windows, step 2 leaves gaps between them.
+    step = draw(st.sampled_from([1, 2]))
+    return tuple(
+        OutageWindow(
+            start_seconds=points[j],
+            end_seconds=points[j + 1],
+            performance=draw(levels),
+        )
+        for j in range(0, len(points) - 1, step)
+    )
+
+
+@st.composite
+def fleets(draw):
+    count = draw(st.integers(2, 4))
+    timelines = []
+    for i in range(count):
+        load = draw(st.floats(0.0, 1.0))
+        timelines.append(
+            SiteTimeline(
+                name=f"s{i}",
+                capacity=load + draw(st.floats(0.0, 1.0)) + 1e-6,
+                load=load,
+                # four regions over up to four sites: some share one.
+                power_region=draw(st.sampled_from(["a", "b", "c", "d"])),
+                rtt_seconds=draw(st.sampled_from([0.0, 0.04, 0.05, 0.12])),
+                windows=draw(site_windows()),
+            )
+        )
+    return timelines
+
+
+redirects = st.sampled_from([0.0, 25.0, 37.5, 90.0])
+
+
+def with_spare_scaled(timelines, factor):
+    return [
+        SiteTimeline(
+            name=t.name,
+            capacity=t.load + (t.capacity - t.load) * factor,
+            load=t.load,
+            power_region=t.power_region,
+            rtt_seconds=t.rtt_seconds,
+            windows=t.windows,
+        )
+        for t in timelines
+    ]
+
+
+class TestAgainstScalarReference:
+    @settings(max_examples=300, deadline=None)
+    @given(fleets(), redirects, st.booleans())
+    def test_array_router_equals_scalar_loop(self, timelines, redirect, routing):
+        assert route_fleet_year(
+            timelines, HORIZON, redirect, routing=routing
+        ) == reference_route_fleet_year(
+            timelines, HORIZON, redirect, routing=routing
+        )
+
+    def test_host_spares_add_in_fleet_order(self):
+        """Three hosts whose spares round differently summed backwards:
+        (0.28 + 0.1) + 0.33 != (0.33 + 0.1) + 0.28."""
+        dark = OutageWindow(start_seconds=100.0, end_seconds=300.0,
+                            performance=0.0)
+        timelines = [SiteTimeline("src", 1.0, 0.9, "a", 0.05, (dark,))] + [
+            SiteTimeline(f"h{i}", spare, 0.0, f"r{i}", 0.05, ())
+            for i, spare in enumerate((0.28, 0.1, 0.33))
+        ]
+        assert route_fleet_year(
+            timelines, HORIZON, 25.0
+        ) == reference_route_fleet_year(timelines, HORIZON, 25.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(fleets(), min_size=1, max_size=4), redirects, st.booleans())
+    def test_many_years_at_once_equal_each_year_alone(
+        self, years, redirect, routing
+    ):
+        # Every year reuses the first year's sites with its own windows.
+        sites = years[0]
+        per_year = [
+            [
+                SiteTimeline(
+                    name=s.name,
+                    capacity=s.capacity,
+                    load=s.load,
+                    power_region=s.power_region,
+                    rtt_seconds=s.rtt_seconds,
+                    windows=(year[i].windows if i < len(year) else ()),
+                )
+                for i, s in enumerate(sites)
+            ]
+            for year in years
+        ]
+        windows = []
+        for i in range(len(sites)):
+            rows = [
+                (y, w)
+                for y, year in enumerate(per_year)
+                for w in year[i].windows
+            ]
+            windows.append(
+                SiteWindows(
+                    year=np.array([y for y, _ in rows], dtype=np.int64),
+                    start=np.array([w.start_seconds for _, w in rows]),
+                    end=np.array([w.end_seconds for _, w in rows]),
+                    performance=np.array([w.performance for _, w in rows]),
+                )
+            )
+        batch = route_fleet_years(
+            sites, windows, len(years), HORIZON, redirect, routing=routing
+        )
+        assert batch == [
+            reference_route_fleet_year(year, HORIZON, redirect, routing=routing)
+            for year in per_year
+        ]
+
+
+def sampled_integral(timelines, redirect, routing):
+    """Integrate serve_instant by sampling each elementary interval."""
+    cuts = breakpoints(timelines, HORIZON, redirect)
+    demand, served, remote = [], [], []
+    for start, end in zip(cuts, cuts[1:]):
+        dt = end - start
+        samples = [
+            serve_instant(
+                [state_at(t, start + f * dt, redirect) for t in timelines],
+                routing=routing,
+            )
+            for f in (0.01, 0.25, 0.5, 0.75, 0.99)
+        ]
+        # The state model is piecewise constant between breakpoints.
+        assert len({s.served for s in samples}) == 1
+        demand.append(samples[0].demand * dt)
+        served.append(samples[0].served * dt)
+        remote.append(samples[0].remote_served * dt)
+    return math.fsum(demand), math.fsum(served), math.fsum(remote)
+
+
+class TestSampledIntegral:
+    @settings(max_examples=150, deadline=None)
+    @given(fleets(), redirects, st.booleans())
+    def test_router_matches_sampled_serve_instant(
+        self, timelines, redirect, routing
+    ):
+        totals = route_fleet_year(timelines, HORIZON, redirect, routing=routing)
+        demand, served, remote = sampled_integral(timelines, redirect, routing)
+        assert totals["demand"] == pytest.approx(demand, rel=1e-9, abs=1e-9)
+        assert totals["served"] == pytest.approx(served, rel=1e-9, abs=1e-9)
+        assert totals["remote_served"] == pytest.approx(
+            remote, rel=1e-9, abs=1e-9
+        )
+
+
+class TestProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(fleets(), redirects, st.booleans())
+    def test_served_never_exceeds_demand(self, timelines, redirect, routing):
+        totals = route_fleet_year(timelines, HORIZON, redirect, routing=routing)
+        assert totals["served"] <= totals["demand"] * (1 + 1e-12) + 1e-12
+        assert 0.0 <= totals["remote_served"] <= totals["served"] + 1e-12
+        assert totals["fully_served_seconds"] <= HORIZON
+
+    @settings(max_examples=150, deadline=None)
+    @given(fleets(), redirects)
+    def test_routing_never_serves_less(self, timelines, redirect):
+        routed = route_fleet_year(timelines, HORIZON, redirect, routing=True)
+        solo = route_fleet_year(timelines, HORIZON, redirect, routing=False)
+        assert routed["served"] >= solo["served"] * (1 - 1e-12)
+        assert routed["demand"] == solo["demand"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(fleets(), redirects, st.floats(1.0, 4.0))
+    def test_served_monotone_in_survivor_spare(self, timelines, redirect, factor):
+        """Scaling every site's spare capacity by one factor >= 1.
+
+        Not per site: one survivor's extra spare draws a larger share of
+        the failover load and can push it past the degraded threshold,
+        so a single-site bump may serve less.
+        """
+        base = route_fleet_year(timelines, HORIZON, redirect)
+        roomier = route_fleet_year(
+            with_spare_scaled(timelines, factor), HORIZON, redirect
+        )
+        assert roomier["served"] >= base["served"] * (1 - 1e-12)
+
+
+class TestOneYearCall:
+    def test_windows_may_come_unsorted(self):
+        a = OutageWindow(start_seconds=100.0, end_seconds=200.0, performance=0.0)
+        b = OutageWindow(start_seconds=500.0, end_seconds=600.0, performance=0.5)
+
+        def timeline(windows):
+            return [
+                SiteTimeline("x", 1.0, 0.6, "a", 0.05, windows),
+                SiteTimeline("y", 1.0, 0.3, "b", 0.05, ()),
+            ]
+
+        assert route_fleet_year(
+            timeline((b, a)), HORIZON, 90.0
+        ) == route_fleet_year(timeline((a, b)), HORIZON, 90.0)
+
+    def test_overlapping_windows_rejected(self):
+        a = OutageWindow(start_seconds=100.0, end_seconds=300.0, performance=0.0)
+        b = OutageWindow(start_seconds=200.0, end_seconds=400.0, performance=0.0)
+        with pytest.raises(ConfigurationError):
+            route_fleet_year(
+                [SiteTimeline("x", 1.0, 0.6, "a", 0.05, (a, b))], HORIZON, 90.0
+            )

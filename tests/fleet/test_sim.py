@@ -11,13 +11,16 @@ from repro.fleet.sim import (
     FleetAnalyzer,
     reduce_fleet_years,
     simulate_fleet_year,
+    simulate_fleet_years,
 )
-from repro.fleet.spec import get_fleet
+from repro.fleet.spec import fleet_names, get_fleet
 from repro.power.ups import DEFAULT_RECHARGE_SECONDS
 from repro.runner.executor import SerialExecutor
 from repro.techniques.base import TechniqueContext
 from repro.techniques.registry import get_technique
 from repro.workloads.registry import get_workload
+
+from tests.fleet.reference import reference_fleet_year
 
 YEARS = 3
 
@@ -151,3 +154,58 @@ class TestFleetAnalyzer:
     def test_reduce_requires_values(self):
         with pytest.raises(RunnerError):
             reduce_fleet_years([], get_fleet("us-triad"), True)
+
+
+class TestBatchAgainstScalarReference:
+    """The batch engine against the scalar runner plus the scalar router.
+
+    Every named fleet with correlated shocks on (so merged schedules,
+    multi-site dark years and shared regions all occur), routing on and
+    off, compared dict for dict with ``==``.
+    """
+
+    @pytest.mark.parametrize("name", fleet_names())
+    @pytest.mark.parametrize("routing", [True, False])
+    def test_batch_years_equal_scalar_years(self, name, routing):
+        fleet = get_fleet(name).with_shocks(6.0, 0.6)
+        batch = simulate_fleet_years(
+            fleet, routing, np.random.SeedSequence(11).spawn(4)
+        )
+        scalar = [
+            reference_fleet_year(fleet, routing, seed)
+            for seed in np.random.SeedSequence(11).spawn(4)
+        ]
+        assert batch == scalar
+
+    def test_mixed_plants_in_one_fleet(self):
+        """Sites on different plants run through separate kernels."""
+        from dataclasses import replace
+
+        base = get_fleet("regional-quad").with_shocks(6.0, 0.6)
+        fleet = replace(
+            base,
+            sites=(
+                replace(base.sites[0], configuration="NoDG"),
+                replace(base.sites[1], technique="sleep-l"),
+                base.sites[2],
+                replace(base.sites[3], workload="memcached", servers=8),
+            ),
+        )
+        batch = simulate_fleet_years(
+            fleet, True, np.random.SeedSequence(5).spawn(3)
+        )
+        scalar = [
+            reference_fleet_year(fleet, True, seed)
+            for seed in np.random.SeedSequence(5).spawn(3)
+        ]
+        assert batch == scalar
+
+    def test_one_year_job_is_the_batch_of_one(self):
+        fleet = get_fleet("coastal-pair").with_shocks(6.0, 0.6)
+        seeds = np.random.SeedSequence(2).spawn(3)
+        batch = simulate_fleet_years(fleet, True, seeds)
+        singles = [
+            fleet_year(fleet, seed)
+            for seed in np.random.SeedSequence(2).spawn(3)
+        ]
+        assert batch == singles

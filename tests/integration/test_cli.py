@@ -53,6 +53,23 @@ class TestEvaluate:
             main(["evaluate", "-w", "doom", "-c", "MaxPerf", "-t", "sleep"])
 
 
+class TestSeedFlag:
+    @pytest.mark.parametrize("argv", [
+        ("availability", "-w", "memcached", "-c", "NoDG", "-t", "sleep-l",
+         "--years", "1"),
+        ("fleet", "-c", "NoDG", "--years", "1"),
+        ("fleet", "-c", "NoDG", "--years", "1", "--json"),
+    ])
+    @pytest.mark.parametrize("seed", ["-1", "9223372036854775808", "x"])
+    def test_out_of_range_seed_is_a_usage_error(self, capsys, argv, seed):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed" in err
+        assert "Traceback" not in err
+
+
 class TestPlan:
     def test_feasible(self, capsys):
         code, out, _ = run(

@@ -55,6 +55,31 @@ class TestTraceFlag:
             names = {e["name"] for e in json.load(fh)["traceEvents"]}
         assert {"cli", "runner.run", "job", "schedule", "outage", "phase"} <= names
 
+    def test_fleet_runs_show_the_batch_stages(self, capsys, tmp_path):
+        trace = str(tmp_path / "out.json")
+        events = str(tmp_path / "events.jsonl")
+        code, _, _ = run(
+            capsys, "fleet", "-c", "NoDG,LargeEUPS", "--years", "3",
+            "--trace", trace, "--metrics", events,
+        )
+        assert code == 0
+        with open(trace) as fh:
+            trace_events = json.load(fh)["traceEvents"]
+        names = {e["name"] for e in trace_events}
+        assert {"job", "cell", "sample", "kernel", "route", "fleet-year"} <= names
+        assert "outage" not in names and "schedule" not in names
+        cells = {
+            e["args"]["span_id"] for e in trace_events if e["name"] == "cell"
+        }
+        stages = [
+            e for e in trace_events if e["name"] in ("sample", "kernel", "route")
+        ]
+        assert all(e["args"]["parent_id"] in cells for e in stages)
+        _, snap = read_events_jsonl(events)
+        # 2 configurations x routed/unrouted x 3 years.
+        assert snap["fleet.years"]["value"] == 12
+        assert snap["sim.outages"]["value"] > 0
+
     def test_session_deactivated_after_run(self, capsys, tmp_path):
         run(capsys, *AVAIL, "--trace", str(tmp_path / "out.json"))
         assert obs.current() is None

@@ -250,16 +250,16 @@ class TestDGStartReliability:
                 dc, generator=replace(dc.generator, start_reliability=0.8)
             )
 
-        import repro.analysis.availability as avail_mod
-
-        avail_mod.make_datacenter, saved = flaky_make, avail_mod.make_datacenter
+        # The analyzer builds its datacenter through make_plant, which
+        # looks make_datacenter up in its own module.
+        perf_mod.make_datacenter = flaky_make
         try:
             flaky = AvailabilityAnalyzer(specjbb(), num_servers=8, seed=5)
             report_flaky = flaky.analyze(
                 flaky_config, get_technique("full-service"), years=60
             )
         finally:
-            avail_mod.make_datacenter = saved
+            perf_mod.make_datacenter = original
         assert (
             report_flaky.mean_downtime_minutes_per_year
             > report_reliable.mean_downtime_minutes_per_year

@@ -131,6 +131,20 @@ class TestEval:
         assert status == 200
         assert served["result"]["mean_downtime_minutes_per_year"] == 0.0
 
+    @pytest.mark.parametrize("analysis, params", [
+        ("availability", {"workload": "memcached", "configuration": "NoDG",
+                          "technique": "sleep-l", "years": 1}),
+        ("fleet_frontier", {"configurations": ["NoDG"], "years": 1}),
+    ])
+    def test_negative_seed_is_a_400_not_a_500(self, server, analysis, params):
+        status, body = post_request(
+            server.base_url,
+            {"analysis": analysis, "params": {**params, "seed": -1}},
+        )
+        assert status == 400
+        assert body["error"]["type"] == "protocol"
+        assert "seed" in body["error"]["message"]
+
     def test_coalesced_duplicates_one_evaluation(self, server):
         body = {"analysis": "echo",
                 "params": {"payload": "ride", "sleep_s": 0.3}}

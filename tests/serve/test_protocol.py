@@ -105,6 +105,26 @@ class TestParseRequest:
                                       "years": 0})
             )
 
+    @pytest.mark.parametrize(
+        "analysis, params",
+        [
+            ("availability", {"workload": "memcached",
+                              "configuration": "NoDG",
+                              "technique": "sleep-l"}),
+            ("fleet_frontier", {}),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [-1, -(2**63), 2**63])
+    def test_seed_bounded_to_what_seed_sequence_accepts(
+        self, analysis, params, seed
+    ):
+        with pytest.raises(ProtocolError, match="seed"):
+            parse_request(body(analysis, {**params, "seed": seed}))
+
+    def test_largest_seed_accepted(self):
+        request = parse_request(body("fleet_frontier", {"seed": 2**63 - 1}))
+        assert request.params["seed"] == 2**63 - 1
+
     def test_bool_is_not_an_int(self):
         with pytest.raises(ProtocolError, match="years"):
             parse_request(

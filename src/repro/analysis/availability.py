@@ -36,7 +36,7 @@ from repro.runner.progress import ProgressListener, RunStats
 from repro.servers.server import PAPER_SERVER, ServerSpec
 from repro.sim.yearly import YearlyRunner
 from repro.techniques.base import OutageTechnique
-from repro.units import SECONDS_PER_YEAR, to_minutes
+from repro.units import SECONDS_PER_YEAR, ordered_sum, to_minutes
 from repro.vsim.yearly import simulate_year_block, year_block_specs
 from repro.workloads.base import WorkloadSpec
 
@@ -219,8 +219,8 @@ class AvailabilityAnalyzer:
             downtime_arr = np.array([y["downtime_seconds"] for y in values])
             crashes = sum(y["crashes"] for y in values)
             outages = int(sum(y["outages"] for y in values))
-            perf_sum = sum(y["perf_sum"] for y in values)
-            perf_weight = sum(y["perf_weight"] for y in values)
+            perf_sum = ordered_sum(y["perf_sum"] for y in values)
+            perf_weight = ordered_sum(y["perf_weight"] for y in values)
             mean_seconds = float(downtime_arr.mean())
             p95_seconds = float(np.percentile(downtime_arr, 95))
             availability = 1.0 - mean_seconds / SECONDS_PER_YEAR

@@ -78,7 +78,6 @@ def _configuration_cell(
         spec["outage_seconds"],
         num_servers=spec["num_servers"],
         server=spec["server"],
-        engine=spec.get("engine", "scalar"),
     )
     return SweepResult(
         row_key=config.name,
@@ -104,7 +103,6 @@ def _technique_cell(
             spec["outage_seconds"],
             num_servers=spec["num_servers"],
             server=spec["server"],
-            engine=spec.get("engine", "scalar"),
         )
     except InfeasibleError:
         return SweepResult(
@@ -121,23 +119,12 @@ def _technique_cell(
     )
 
 
-def _cell_spec(base: Dict[str, Any], engine: str) -> Dict[str, Any]:
-    """One cell spec; the engine enters only when non-default so scalar
-    fingerprints (and cached cells) are unchanged."""
-    if engine not in ("scalar", "batch"):
-        raise ValueError(f"unknown engine {engine!r}; use scalar or batch")
-    if engine != "scalar":
-        base["engine"] = engine
-    return base
-
-
 def technique_sweep_jobs(
     workload: WorkloadSpec,
     technique_names: Iterable[str],
     outage_durations_seconds: Sequence[float],
     num_servers: int = DEFAULT_NUM_SERVERS,
     server: ServerSpec = PAPER_SERVER,
-    engine: str = "scalar",
 ) -> List[Job]:
     """The Figures 6-9 grid as a bare runner job list (grid order).
 
@@ -151,16 +138,13 @@ def technique_sweep_jobs(
     for name in technique_names:
         for duration in outage_durations_seconds:
             specs.append(
-                _cell_spec(
-                    {
-                        "technique": name,
-                        "workload": workload,
-                        "outage_seconds": duration,
-                        "num_servers": num_servers,
-                        "server": server,
-                    },
-                    engine,
-                )
+                {
+                    "technique": name,
+                    "workload": workload,
+                    "outage_seconds": duration,
+                    "num_servers": num_servers,
+                    "server": server,
+                }
             )
             labels.append(f"{name}@{duration:g}s")
     return make_jobs(_technique_cell, specs, labels=labels)
@@ -172,7 +156,6 @@ def configuration_sweep_jobs(
     outage_durations_seconds: Sequence[float],
     num_servers: int = DEFAULT_NUM_SERVERS,
     server: ServerSpec = PAPER_SERVER,
-    engine: str = "scalar",
 ) -> List[Job]:
     """The Figure 5 grid as a bare runner job list (grid order)."""
     specs: List[Mapping[str, Any]] = []
@@ -180,16 +163,13 @@ def configuration_sweep_jobs(
     for config in configurations:
         for duration in outage_durations_seconds:
             specs.append(
-                _cell_spec(
-                    {
-                        "configuration": config,
-                        "workload": workload,
-                        "outage_seconds": duration,
-                        "num_servers": num_servers,
-                        "server": server,
-                    },
-                    engine,
-                )
+                {
+                    "configuration": config,
+                    "workload": workload,
+                    "outage_seconds": duration,
+                    "num_servers": num_servers,
+                    "server": server,
+                }
             )
             labels.append(f"{config.name}@{duration:g}s")
     return make_jobs(_configuration_cell, specs, labels=labels)
@@ -205,7 +185,6 @@ def sweep_configurations(
     executor: Optional[BaseExecutor] = None,
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressListener] = None,
-    engine: str = "scalar",
 ) -> List[SweepResult]:
     """Figure 5 sweep: best technique per configuration per duration."""
     return custom_configuration_sweep(
@@ -218,7 +197,6 @@ def sweep_configurations(
         executor=executor,
         cache=cache,
         progress=progress,
-        engine=engine,
     )
 
 
@@ -232,15 +210,13 @@ def sweep_techniques(
     executor: Optional[BaseExecutor] = None,
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressListener] = None,
-    engine: str = "scalar",
 ) -> List[SweepResult]:
     """Figures 6-9 sweep: lowest-cost sizing per technique per duration.
 
     Infeasible cells (technique cannot survive the outage on any UPS in
     the grid) appear with ``point=None`` and infinite cost, so the figure
     renderer can mark them, as the paper's text does for Throttling past
-    4 hours.  ``engine="batch"`` sizes each cell on the vectorized kernel
-    (identical cells, separate cache fingerprints — see docs/BATCH.md).
+    4 hours.
     """
     job_list = technique_sweep_jobs(
         workload,
@@ -248,7 +224,6 @@ def sweep_techniques(
         outage_durations_seconds,
         num_servers=num_servers,
         server=server,
-        engine=engine,
     )
     if executor is None:
         executor = make_executor(jobs=jobs, cache=cache, progress=progress)
@@ -272,7 +247,6 @@ def custom_configuration_sweep(
     executor: Optional[BaseExecutor] = None,
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressListener] = None,
-    engine: str = "scalar",
 ) -> List[SweepResult]:
     """Like :func:`sweep_configurations` for ad-hoc configuration objects."""
     job_list = configuration_sweep_jobs(
@@ -281,7 +255,6 @@ def custom_configuration_sweep(
         outage_durations_seconds,
         num_servers=num_servers,
         server=server,
-        engine=engine,
     )
     if executor is None:
         executor = make_executor(jobs=jobs, cache=cache, progress=progress)

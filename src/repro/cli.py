@@ -11,27 +11,36 @@ Subcommands::
     python -m repro availability -w specjbb -c LargeEUPS -t throttle+sleep-l
     python -m repro whatif    -w memcached -c NoDG -t sleep-l
     python -m repro sweep     -w memcached --kind techniques -m 5 30
+    python -m repro policy    -w memcached --configurations NoDG,LargeEUPS
+    python -m repro fleet     -c NoDG,LargeEUPS --years 10
     python -m repro serve     --port 8321 --cache .cache
     python -m repro loadgen   --url http://127.0.0.1:8321 --duration 10
     python -m repro cache     .cache --max-bytes 100000000
     python -m repro selfcheck --fast
     python -m repro tco
 
-``availability``, ``rank``, ``whatif`` and ``sweep`` accept ``--json``:
-the canonical JSON payload printed is byte-identical to the ``result``
-field a running ``repro serve`` returns for the same query (see
-docs/SERVE.md for the protocol and the certification that enforces it).
+The analysis subcommands — ``availability``, ``rank``, ``sweep``,
+``whatif``, ``policy`` and ``fleet`` — are derived from the
+:data:`~repro.serve.analyses.ANALYSIS_SPECS` table, one per served
+analysis: a flag per parameter, the runner flags and ``--json``.  Each
+runs one path, ``parse_request`` -> ``evaluate_request`` -> the
+analysis' table, or with ``--json`` the canonical JSON payload,
+byte-identical to the ``result`` field a running ``repro serve`` returns
+for the same query (see docs/SERVE.md for the protocol and the
+certification that enforces it).  Bad input is the protocol's one-line
+``error: param ...`` (exit 2) either way.  ``fleet --contingency`` is
+the one subcommand-specific extra.
 
-The ``availability``, ``rank`` and ``reproduce`` subcommands run on the
+The analysis subcommands, ``selfcheck`` and ``reproduce`` run on the
 :mod:`repro.runner` subsystem and accept ``--jobs N`` (worker processes;
 results are bit-identical at every worker count), ``--cache DIR`` (an
 on-disk result cache — reruns skip already-computed jobs and report the
-hits), ``--seed S`` (root of the per-job RNG tree), ``--retries N``
-(re-run transiently failed jobs with deterministic backoff),
-``--checkpoint FILE`` (crash-safe JSONL progress manifest) and
-``--resume`` (skip work the checkpoint records, served from the cache).
-Each prints a ``[runner] ...`` telemetry line after its table and exits
-non-zero if any job ultimately failed.
+hits), ``--retries N`` (re-run transiently failed jobs with deterministic
+backoff), ``--checkpoint FILE`` (crash-safe JSONL progress manifest) and
+``--resume`` (skip work the checkpoint records, served from the cache);
+those with a stochastic stage, and ``rank``, take ``--seed S`` (root of
+the per-job RNG tree).  Each prints a ``[runner] ...`` telemetry line
+after its table and exits non-zero if any job ultimately failed.
 
 ``evaluate`` and ``availability`` accept ``--faults SPEC`` — a comma list
 like ``dg_start=0.01,dg_mtbf_h=100,batt_fade=0.2,ats_fail=0.01`` injecting
@@ -54,16 +63,25 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis.availability import AvailabilityAnalyzer
 from repro.analysis.report import format_table
 from repro.core.configurations import PAPER_CONFIGURATIONS, get_configuration
 from repro.core.performability import evaluate_point
 from repro.core.planner import ProvisioningPlanner
-from repro.core.selection import rank_techniques
 from repro.core.tco import TCOModel
 from repro.errors import InfeasibleError, ReproError, RunnerError
 from repro.faults import FaultInjector, FaultPlan
 from repro.runner import ResultCache, RetryPolicy, SweepCheckpoint, make_executor
+from repro.serve.analyses import (
+    ANALYSIS_SPECS,
+    CONFIGURATION,
+    FAULTS,
+    SEED,
+    TECHNIQUE,
+    WORKLOAD,
+    evaluate_request,
+)
+from repro.serve.protocol import PROTOCOL_VERSION, canonical_json, parse_request
+from repro.serve.spec import REQUIRED, Param
 from repro.techniques.registry import get_technique, technique_names
 from repro.units import minutes, to_minutes
 from repro.workloads.registry import get_workload, workload_names
@@ -183,19 +201,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _seed(text: str) -> int:
-    """``--seed``: an integer ``SeedSequence`` accepts, as the protocol bounds it."""
-    try:
-        value = int(text)
-        if 0 <= value <= 2**63 - 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"must be an integer in [0, {2**63 - 1}], got {text!r}"
-    )
-
-
 def _make_executor(args: argparse.Namespace):
     """Build the runner executor the ``--jobs/--cache/--retries/--checkpoint``
     flags describe."""
@@ -250,120 +255,36 @@ def _runner_exit(executor, code: int = 0) -> int:
     return code
 
 
-def _emit_canonical(
-    args: argparse.Namespace, analysis: str, params: dict
-) -> int:
-    """Evaluate through the serve protocol and print the canonical payload.
-
-    This is the CLI half of the bit-identical contract: the body is
-    validated by the same ``parse_request``, evaluated by the same job
-    builders, and serialised by the same ``canonical_json`` as an HTTP
-    response's ``result`` field — so diffing the two is a pure string
-    comparison (the serve-smoke certification does exactly that).
-    """
-    from repro.serve.analyses import evaluate_request
-    from repro.serve.protocol import PROTOCOL_VERSION, canonical_json, parse_request
-
+def _cmd_analysis(args: argparse.Namespace) -> int:
+    """Every analysis subcommand: the flags become a protocol request,
+    evaluated exactly as ``repro serve`` evaluates it, then printed as the
+    analysis' table — or, with ``--json``, as the canonical payload
+    byte-identical to the HTTP response's ``result`` field."""
+    spec = ANALYSIS_SPECS[args.analysis]
     request = parse_request(
         {
             "v": PROTOCOL_VERSION,
-            "analysis": analysis,
-            "params": {k: v for k, v in params.items() if v is not None},
+            "analysis": spec.name,
+            "params": {
+                p.name: getattr(args, p.name)
+                for p in spec.params
+                if getattr(args, p.name) is not None
+            },
         }
     )
     executor = _make_executor(args)
-    result = evaluate_request(request, executor=executor)
-    print(canonical_json(result))
-    return _runner_exit(executor)
-
-
-def _cmd_rank(args: argparse.Namespace) -> int:
-    technique_list = (
-        args.techniques.split(",") if getattr(args, "techniques", None) else None
-    )
-    if getattr(args, "json", False):
-        return _emit_canonical(
-            args,
-            "rank",
-            {
-                "workload": args.workload,
-                "outage_minutes": args.outage_minutes,
-                "servers": args.servers,
-                "techniques": technique_list,
-            },
-        )
-    executor = _make_executor(args)
-    rank_kwargs = {}
-    if technique_list is not None:
-        rank_kwargs["technique_names"] = technique_list
-    ranking = rank_techniques(
-        get_workload(args.workload),
-        minutes(args.outage_minutes),
-        num_servers=args.servers,
-        executor=executor,
-        engine=getattr(args, "engine", "scalar"),
-        **rank_kwargs,
-    )
-    rows = [
-        (
-            sized.point.technique_name,
-            sized.normalized_cost,
-            sized.point.performance,
-            sized.point.downtime_minutes,
-        )
-        for sized in ranking
-    ]
-    print(
-        format_table(
-            ("technique", "cost", "perf", "down (min)"),
-            rows,
-            title=f"{args.workload}, {args.outage_minutes} min outage "
-            "(each at its lowest-cost UPS)",
-        )
-    )
+    payload = evaluate_request(request, executor=executor)
+    if args.json:
+        print(canonical_json(payload))
+        return _runner_exit(executor)
+    print(spec.render(request.params, payload))
     _print_run_stats(executor)
-    return _runner_exit(executor)
-
-
-def _cmd_availability(args: argparse.Namespace) -> int:
-    if getattr(args, "json", False):
-        return _emit_canonical(
-            args,
-            "availability",
-            {
-                "workload": args.workload,
-                "configuration": args.configuration,
-                "technique": args.technique,
-                "years": args.years,
-                "servers": args.servers,
-                "seed": args.seed,
-                "faults": getattr(args, "faults", None),
-            },
-        )
-    analyzer = AvailabilityAnalyzer(
-        get_workload(args.workload), num_servers=args.servers, seed=args.seed
-    )
-    executor = _make_executor(args)
-    report = analyzer.analyze(
-        get_configuration(args.configuration),
-        get_technique(args.technique),
-        years=args.years,
-        executor=executor,
-        faults=_parse_faults(args),
-    )
-    rows = [
-        ("years simulated", report.years_simulated),
-        ("outages simulated", report.outages_simulated),
-        ("mean down (min/yr)", report.mean_downtime_minutes_per_year),
-        ("p95 down (min/yr)", report.p95_downtime_minutes_per_year),
-        ("availability", report.availability),
-        ("nines", report.nines),
-        ("crash fraction", report.crash_fraction),
-        ("expected loss ($/KW/yr)", report.expected_loss_dollars_per_kw_year),
-    ]
-    print(format_table(("quantity", "value"), rows, title="availability"))
-    _print_run_stats(executor)
-    return _runner_exit(executor)
+    code = _runner_exit(executor)
+    failure = spec.failure(payload) if spec.failure is not None else None
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
+        return code or 1
+    return code
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
@@ -563,273 +484,48 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_whatif(args: argparse.Namespace) -> int:
-    params = {
-        "workload": args.workload,
-        "configuration": args.configuration,
-        "technique": args.technique,
-        "nodes_per_bucket": args.nodes_per_bucket,
-        "servers": args.servers,
-    }
-    if args.json:
-        return _emit_canonical(args, "whatif", params)
-    from repro.serve.analyses import evaluate_request
-    from repro.serve.protocol import PROTOCOL_VERSION, parse_request
-
-    executor = _make_executor(args)
-    record = evaluate_request(
-        parse_request(
-            {"v": PROTOCOL_VERSION, "analysis": "whatif", "params": params}
-        ),
-        executor=executor,
-    )
-    rows = [
-        ("configuration", record["configuration_name"]),
-        ("technique", record["technique_name"]),
-        ("E[downtime] (min)", record["expected_downtime_minutes"]),
-        ("E[performance]", record["expected_performance"]),
-        ("P[crash]", record["crash_probability"]),
-        ("E[UPS charge]", record["expected_ups_charge"]),
-        ("quadrature nodes", len(record["nodes"])),
-    ]
-    print(
-        format_table(
-            ("quantity", "value"),
-            rows,
-            title="expected per-outage behaviour (Figure 1(b) weighting)",
-        )
-    )
-    _print_run_stats(executor)
-    return _runner_exit(executor)
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    params = {
-        "workload": args.workload,
-        "kind": args.kind,
-        "rows": args.rows.split(",") if args.rows else None,
-        "outage_minutes": args.outage_minutes,
-        "servers": args.servers,
-    }
-    if args.json:
-        return _emit_canonical(args, "sweep", params)
-    from repro.serve.analyses import evaluate_request
-    from repro.serve.protocol import PROTOCOL_VERSION, parse_request
-
-    executor = _make_executor(args)
-    records = evaluate_request(
-        parse_request(
-            {
-                "v": PROTOCOL_VERSION,
-                "analysis": "sweep",
-                "params": {k: v for k, v in params.items() if v is not None},
-            }
-        ),
-        executor=executor,
-    )
-    rows = [
-        (
-            record["row_key"],
-            record["outage_seconds"] / 60.0,
-            record["normalized_cost"],
-            record["performance"],
-            record["downtime_minutes"],
-        )
-        for record in records
-    ]
-    print(
-        format_table(
-            ("row", "outage (min)", "cost", "perf", "down (min)"),
-            rows,
-            title=f"{args.workload} {args.kind} sweep",
-        )
-    )
-    _print_run_stats(executor)
-    return _runner_exit(executor)
-
-
-def _cmd_policy(args: argparse.Namespace) -> int:
-    params = {
-        "workload": args.workload,
-        "configurations": (
-            args.configurations.split(",") if args.configurations else None
-        ),
-        "policies": args.policies if args.policies else None,
-        "nodes_per_bucket": args.nodes_per_bucket,
-        "servers": args.servers,
-    }
-    if args.json:
-        return _emit_canonical(args, "policy_frontier", params)
-    from repro.serve.analyses import evaluate_request
-    from repro.serve.protocol import PROTOCOL_VERSION, parse_request
-
-    executor = _make_executor(args)
-    payload = evaluate_request(
-        parse_request(
-            {
-                "v": PROTOCOL_VERSION,
-                "analysis": "policy_frontier",
-                "params": {k: v for k, v in params.items() if v is not None},
-            }
-        ),
-        executor=executor,
-    )
-    rows = [
-        (
-            point["configuration"],
-            point["policy"],
-            point["normalized_cost"],
-            point["expected_score"] if point["feasible"] else "-",
-            point["expected_performance"] if point["feasible"] else "-",
-            (
-                point["expected_downtime_seconds"] / 60.0
-                if point["feasible"]
-                else "inf"
-            ),
-            "*" if point["on_frontier"] else "",
-        )
-        for point in payload["points"]
-    ]
-    print(
-        format_table(
-            (
-                "configuration",
-                "policy",
-                "cost",
-                "E[score]",
-                "E[perf]",
-                "E[down] (min)",
-                "frontier",
-            ),
-            rows,
-            title=f"{args.workload} policy frontier "
-            "(Figure 1(b) duration weighting)",
-        )
-    )
-    bound = payload["hindsight_is_upper_bound"]
-    dominations = payload["adaptive_dominations"]
-    print(f"hindsight upper bound holds: {'yes' if bound else 'NO'}")
-    print(f"adaptive-over-static dominations: {len(dominations)}")
-    _print_run_stats(executor)
-    if not bound:
-        print(
-            "error: an online policy outscored the hindsight baseline",
-            file=sys.stderr,
-        )
-        return _runner_exit(executor) or 1
-    return _runner_exit(executor)
-
-
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    if args.contingency:
-        from repro.fleet.contingency import contingency_report
-        from repro.fleet.spec import get_fleet
+    """``fleet``: the ``fleet_frontier`` analysis, or with ``--contingency``
+    the deterministic N-1/N-2 table."""
+    if not args.contingency:
+        return _cmd_analysis(args)
+    from repro.fleet.contingency import contingency_report
+    from repro.fleet.spec import DEFAULT_FLEET, get_fleet
 
-        report = contingency_report(get_fleet(args.fleet), depth=args.depth)
-        if args.json:
-            from repro.runner.jobs import canonical_json
-
-            print(canonical_json(report))
-            return 0
-        rows = [
-            (
-                f"N-{s['order']}",
-                "+".join(s["lost_sites"]),
-                s["displaced_load"],
-                s["absorbed_load"],
-                s["delivered_fraction"],
-                "+".join(s["degraded_sites"]) or "-",
-                "yes" if s["fully_served"] else "NO",
-            )
-            for s in report["scenarios"]
-        ]
-        print(
-            format_table(
-                ("loss", "sites", "displaced", "absorbed", "delivered",
-                 "degraded", "served"),
-                rows,
-                title=f"{args.fleet} contingency analysis",
-            )
-        )
-        for order in range(1, report["depth"] + 1):
-            safe = report[f"n{order}_safe"]
-            print(f"N-{order} safe: {'yes' if safe else 'NO'}")
-        worst = report["worst"]
-        print(
-            f"worst case: lose {'+'.join(worst['lost_sites'])} -> "
-            f"{worst['delivered_fraction']:.3f} of demand served"
-        )
-        return 0
-
-    params = {
-        "fleet": args.fleet,
-        "configurations": (
-            args.configurations.split(",") if args.configurations else None
-        ),
-        "technique": args.technique,
-        "years": args.years,
-        "seed": args.seed,
-    }
+    fleet = args.fleet or DEFAULT_FLEET
+    report = contingency_report(get_fleet(fleet), depth=args.depth)
     if args.json:
-        return _emit_canonical(args, "fleet_frontier", params)
-    from repro.serve.analyses import evaluate_request
-    from repro.serve.protocol import PROTOCOL_VERSION, parse_request
-
-    executor = _make_executor(args)
-    payload = evaluate_request(
-        parse_request(
-            {
-                "v": PROTOCOL_VERSION,
-                "analysis": "fleet_frontier",
-                "params": {k: v for k, v in params.items() if v is not None},
-            }
-        ),
-        executor=executor,
-    )
-    frontier_keys = {
-        (point["configuration"], point["routing"])
-        for point in payload["frontier"]
-    }
+        print(canonical_json(report))
+        return 0
     rows = [
         (
-            cell["configuration"],
-            "fleet" if cell["routing"] else "solo",
-            cell["normalized_cost"],
-            cell["performability"],
-            cell["availability"],
-            cell["multi_site_outage_probability"],
-            "*"
-            if (cell["configuration"], cell["routing"]) in frontier_keys
-            else "",
+            f"N-{s['order']}",
+            "+".join(s["lost_sites"]),
+            s["displaced_load"],
+            s["absorbed_load"],
+            s["delivered_fraction"],
+            "+".join(s["degraded_sites"]) or "-",
+            "yes" if s["fully_served"] else "NO",
         )
-        for cell in payload["cells"]
+        for s in report["scenarios"]
     ]
     print(
         format_table(
-            ("configuration", "mode", "cost", "performability",
-             "availability", "P(multi-site)", "frontier"),
+            ("loss", "sites", "displaced", "absorbed", "delivered",
+             "degraded", "served"),
             rows,
-            title=f"{args.fleet} fleet frontier ({args.years} years/cell, "
-            f"technique {args.technique})",
+            title=f"{fleet} contingency analysis",
         )
     )
-    dominations = [d for d in payload["dominations"] if d["cost_saving"] > 0]
-    print(f"routed-over-solo dominations: {len(dominations)}")
-    for d in dominations:
-        print(
-            f"  fleet {d['routed']['configuration']} "
-            f"(cost {d['routed']['normalized_cost']:.2f}) dominates "
-            f"solo {d['single_site']['configuration']} "
-            f"(cost {d['single_site']['normalized_cost']:.2f}), "
-            f"saving {d['cost_saving']:.2f}"
-        )
-    verdict = payload["fleet_dominates_single_site"]
+    for order in range(1, report["depth"] + 1):
+        safe = report[f"n{order}_safe"]
+        print(f"N-{order} safe: {'yes' if safe else 'NO'}")
+    worst = report["worst"]
     print(
-        "fleet provisioning dominates the single-site frontier: "
-        f"{'yes' if verdict else 'no'}"
+        f"worst case: lose {'+'.join(worst['lost_sites'])} -> "
+        f"{worst['delivered_fraction']:.3f} of demand served"
     )
-    _print_run_stats(executor)
-    return _runner_exit(executor)
+    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -958,6 +654,30 @@ def _cmd_tco(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _comma_list(text: str) -> Optional[List[str]]:
+    return text.split(",") if text else None
+
+
+def _add_param(parser: argparse.ArgumentParser, param: Param) -> None:
+    """The CLI flag of one analysis parameter.  Unset flags stay ``None``
+    and the protocol fills the parameter's default."""
+    kwargs = {"dest": param.name, "help": param.help, "metavar": param.metavar}
+    if param.default is REQUIRED:
+        kwargs["required"] = True
+    if param.type is not list:
+        kwargs["type"] = param.cli_type or param.type
+        if param.choices is not None:
+            kwargs["choices"] = param.choices()
+    elif param.item is float:
+        kwargs.update(type=float, nargs="+")
+    elif param.repeat:
+        kwargs["action"] = "append"
+    else:
+        kwargs["type"] = _comma_list
+    flags = param.flags or ("--" + param.name.replace("_", "-"),)
+    parser.add_argument(*flags, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
 
@@ -980,35 +700,22 @@ def build_parser() -> argparse.ArgumentParser:
         func=_cmd_workloads
     )
 
-    def add_common(p: argparse.ArgumentParser, needs_config=False, needs_tech=False):
-        p.add_argument("-w", "--workload", required=True, choices=workload_names())
-        if needs_config:
-            p.add_argument("-c", "--configuration", required=True)
-        if needs_tech:
-            p.add_argument("-t", "--technique", required=True)
+    def add_common(p: argparse.ArgumentParser):
+        _add_param(p, WORKLOAD)
         p.add_argument("-m", "--outage-minutes", type=float, default=30.0)
         p.add_argument("--servers", type=int, default=16)
 
-    def add_fault_flags(p: argparse.ArgumentParser, with_fault_seed=False):
-        p.add_argument(
-            "--faults",
-            default=None,
-            metavar="SPEC",
-            help="inject backup-power faults, e.g. "
-            "'dg_start=0.05,dg_mtbf_h=100,batt_fade=0.2,ats_fail=0.01,"
-            "ats_delay=30,psu=0.001' (see docs/FAULTS.md)",
-        )
-        if with_fault_seed:
-            p.add_argument(
-                "--fault-seed",
-                type=int,
-                default=0,
-                help="seed for the single fault draw applied to this point",
-            )
-
     p_eval = sub.add_parser("evaluate", help="evaluate one operating point")
-    add_common(p_eval, needs_config=True, needs_tech=True)
-    add_fault_flags(p_eval, with_fault_seed=True)
+    add_common(p_eval)
+    _add_param(p_eval, CONFIGURATION)
+    _add_param(p_eval, TECHNIQUE)
+    _add_param(p_eval, FAULTS)
+    p_eval.add_argument(
+        "--fault-seed",
+        type=int,
+        default=0,
+        help="seed for the single fault draw applied to this point",
+    )
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_plan = sub.add_parser("plan", help="cheapest backup for targets")
@@ -1032,13 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="on-disk result cache directory (reruns skip computed jobs)",
         )
         if with_seed:
-            p.add_argument(
-                "--seed",
-                type=_seed,
-                default=0,
-                help="root RNG seed for stochastic stages (deterministic "
-                "analyses ignore it)",
-            )
+            p.add_argument("--seed", type=SEED.cli_type, default=0, help=SEED.help)
         p.add_argument(
             "--retries",
             type=int,
@@ -1060,125 +761,22 @@ def build_parser() -> argparse.ArgumentParser:
             "resumed sweeps are bit-identical to uninterrupted ones",
         )
 
-    def add_json_flag(p: argparse.ArgumentParser):
+    for spec in ANALYSIS_SPECS.values():
+        if spec.command is None:
+            continue
+        p = sub.add_parser(spec.command, help=spec.help)
+        for param in spec.params:
+            _add_param(p, param)
+        add_runner_flags(p, with_seed=spec.seed_flag)
         p.add_argument(
             "--json",
             action="store_true",
             help="print the canonical JSON payload (byte-identical to the "
             "`repro serve` response body's `result` field for the same query)",
         )
+        p.set_defaults(func=_cmd_analysis, analysis=spec.name)
 
-    p_rank = sub.add_parser("rank", help="rank techniques by sized cost")
-    add_common(p_rank)
-    p_rank.add_argument(
-        "--techniques",
-        default=None,
-        metavar="A,B",
-        help="comma-separated technique names to rank (default: the paper "
-        "roster; add geo-failover/cloud-burst to pit the fleet against "
-        "local techniques)",
-    )
-    add_runner_flags(p_rank)
-    add_json_flag(p_rank)
-    p_rank.add_argument(
-        "--engine",
-        choices=("scalar", "batch"),
-        default="scalar",
-        help="simulation engine: per-outage scalar loop or the "
-        "vectorized repro.vsim kernel (bit-identical results; "
-        "see docs/BATCH.md)",
-    )
-    p_rank.set_defaults(func=_cmd_rank)
-
-    p_avail = sub.add_parser("availability", help="Monte-Carlo yearly study")
-    add_common(p_avail, needs_config=True, needs_tech=True)
-    p_avail.add_argument("--years", type=int, default=100)
-    add_runner_flags(p_avail)
-    add_fault_flags(p_avail)
-    add_json_flag(p_avail)
-    p_avail.set_defaults(func=_cmd_availability)
-
-    p_whatif = sub.add_parser(
-        "whatif", help="expected per-outage behaviour (duration-weighted)"
-    )
-    add_common(p_whatif, needs_config=True, needs_tech=True)
-    p_whatif.add_argument(
-        "--nodes-per-bucket",
-        type=int,
-        default=3,
-        help="quadrature nodes per duration bucket",
-    )
-    add_runner_flags(p_whatif, with_seed=False)
-    add_json_flag(p_whatif)
-    p_whatif.set_defaults(func=_cmd_whatif)
-
-    p_policy = sub.add_parser(
-        "policy",
-        help="online-policy cost/performability frontier vs. static plans",
-    )
-    p_policy.add_argument(
-        "-w", "--workload", required=True, choices=workload_names()
-    )
-    p_policy.add_argument(
-        "--configurations",
-        default=None,
-        metavar="A,B",
-        help="comma-separated Table 3 configurations (default: all nine)",
-    )
-    p_policy.add_argument(
-        "--policy",
-        action="append",
-        default=None,
-        dest="policies",
-        metavar="SPEC",
-        help="policy spec, repeatable: static:<technique>, "
-        "greedy[:serve=..,save=..,floor=..,margin=..], "
-        "lyapunov[:v=..,epoch=..,floor=..,horizon=..], hindsight "
-        "(default: the standard roster, see docs/POLICY.md)",
-    )
-    p_policy.add_argument(
-        "--nodes-per-bucket",
-        type=int,
-        default=2,
-        help="quadrature nodes per duration bucket",
-    )
-    p_policy.add_argument("--servers", type=int, default=16)
-    add_runner_flags(p_policy, with_seed=False)
-    add_json_flag(p_policy)
-    p_policy.set_defaults(func=_cmd_policy)
-
-    p_fleet = sub.add_parser(
-        "fleet",
-        help="multi-site fleet frontier and N-1/N-2 contingency analysis",
-    )
-    from repro.fleet.spec import DEFAULT_FLEET, fleet_names
-
-    p_fleet.add_argument(
-        "--fleet",
-        default=DEFAULT_FLEET,
-        choices=fleet_names(),
-        help="named fleet scenario",
-    )
-    p_fleet.add_argument(
-        "-c",
-        "--configurations",
-        default=None,
-        metavar="A,B",
-        help="comma-separated Table 3 configurations applied uniformly to "
-        "every site (default: all nine)",
-    )
-    p_fleet.add_argument(
-        "-t",
-        "--technique",
-        default="full-service",
-        help="local outage technique at every site",
-    )
-    p_fleet.add_argument(
-        "--years",
-        type=int,
-        default=40,
-        help="Monte-Carlo fleet years per frontier cell",
-    )
+    p_fleet = sub.choices["fleet"]
     p_fleet.add_argument(
         "--contingency",
         action="store_true",
@@ -1191,40 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         help="contingency order (1 = N-1 only, 2 = N-1 and N-2)",
     )
-    add_runner_flags(p_fleet)
-    add_json_flag(p_fleet)
     p_fleet.set_defaults(func=_cmd_fleet)
-
-    p_sweep = sub.add_parser(
-        "sweep", help="technique or configuration grid over outage durations"
-    )
-    p_sweep.add_argument(
-        "-w", "--workload", required=True, choices=workload_names()
-    )
-    p_sweep.add_argument(
-        "--kind",
-        choices=("techniques", "configurations"),
-        default="techniques",
-        help="what the grid rows are",
-    )
-    p_sweep.add_argument(
-        "--rows",
-        default=None,
-        metavar="A,B,...",
-        help="comma list of technique/configuration names (default: paper set)",
-    )
-    p_sweep.add_argument(
-        "-m",
-        "--outage-minutes",
-        type=float,
-        nargs="+",
-        default=[5.0, 30.0, 60.0],
-        help="outage durations (minutes) forming the grid columns",
-    )
-    p_sweep.add_argument("--servers", type=int, default=16)
-    add_runner_flags(p_sweep, with_seed=False)
-    add_json_flag(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
 
     p_check = sub.add_parser(
         "selfcheck",
@@ -1374,7 +939,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="scratch dir for cache/checkpoint/markers (default: a tempdir)",
     )
-    add_fault_flags(p_chaos)
+    _add_param(p_chaos, FAULTS)
     p_chaos.set_defaults(func=_cmd_chaos)
 
     p_serve = sub.add_parser(

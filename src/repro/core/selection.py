@@ -48,22 +48,6 @@ _POWER_FRACTION_GRID = tuple(i / 20.0 for i in range(1, 21))  # 0.05 .. 1.00
 _RUNTIME_TOLERANCE = 5.0
 
 
-def _point_evaluator(engine: str):
-    """Resolve an engine name to an ``evaluate_point``-compatible callable.
-
-    ``"scalar"`` is the per-outage simulator; ``"batch"`` runs each point
-    on a cached :class:`repro.vsim.kernel.PlanKernel` — bit-identical
-    points (see docs/BATCH.md), faster sizing searches.
-    """
-    if engine == "scalar":
-        return evaluate_point
-    if engine == "batch":
-        from repro.vsim.select import evaluate_point_batch
-
-        return evaluate_point_batch
-    raise ValueError(f"unknown engine {engine!r}; use scalar or batch")
-
-
 def best_technique(
     configuration: BackupConfiguration,
     workload: WorkloadSpec,
@@ -71,13 +55,11 @@ def best_technique(
     candidates: Optional[Iterable[str]] = None,
     num_servers: int = DEFAULT_NUM_SERVERS,
     server: ServerSpec = PAPER_SERVER,
-    engine: str = "scalar",
 ) -> PerformabilityPoint:
     """The winning technique's point for a configuration (Figure 5 rule)."""
     names = list(candidates) if candidates is not None else list(DEFAULT_CANDIDATES)
-    evaluator = _point_evaluator(engine)
     points = [
-        evaluator(
+        evaluate_point(
             configuration,
             get_technique(name),
             workload,
@@ -116,7 +98,6 @@ def lowest_cost_backup(
     cost_model: Optional[BackupCostModel] = None,
     power_fractions: Sequence[float] = _POWER_FRACTION_GRID,
     max_runtime_seconds: Optional[float] = None,
-    engine: str = "scalar",
 ) -> SizedBackup:
     """Cheapest DG-less UPS under which ``technique`` survives the outage.
 
@@ -126,7 +107,6 @@ def lowest_cost_backup(
     works — e.g. Throttling against a multi-hour outage.
     """
     model = cost_model if cost_model is not None else BackupCostModel()
-    evaluator = _point_evaluator(engine)
     if max_runtime_seconds is None:
         # Enough headroom for save phases that stretch past the outage.
         max_runtime_seconds = 4.0 * outage_seconds + 7200.0
@@ -141,7 +121,6 @@ def lowest_cost_backup(
             num_servers,
             server,
             max_runtime_seconds,
-            evaluator=evaluator,
         )
         if runtime is None:
             continue
@@ -151,7 +130,7 @@ def lowest_cost_backup(
             ups_power_fraction=fraction,
             ups_runtime_seconds=runtime,
         )
-        point = evaluator(
+        point = evaluate_point(
             config,
             technique,
             workload,
@@ -183,14 +162,11 @@ def _minimal_runtime(
     num_servers: int,
     server: ServerSpec,
     max_runtime_seconds: float,
-    evaluator=evaluate_point,
 ) -> Optional[float]:
     """Binary-search the smallest battery runtime avoiding a crash.
 
     Feasibility is monotone in runtime (more energy at every load level),
     so a standard bisection applies once any feasible upper bound exists.
-    ``evaluator`` is any ``evaluate_point``-compatible callable (see
-    :func:`_point_evaluator`).
     """
 
     def survives(runtime_seconds: float) -> bool:
@@ -201,7 +177,7 @@ def _minimal_runtime(
             ups_runtime_seconds=runtime_seconds,
         )
         try:
-            point = evaluator(
+            point = evaluate_point(
                 config,
                 technique,
                 workload,
@@ -242,7 +218,6 @@ def _rank_job(spec, seed) -> Optional["SizedBackup"]:
             spec["outage_seconds"],
             num_servers=spec["num_servers"],
             server=spec["server"],
-            engine=spec.get("engine", "scalar"),
         )
     except InfeasibleError:
         return None
@@ -254,31 +229,24 @@ def rank_jobs(
     technique_names: Iterable[str] = PAPER_TECHNIQUES,
     num_servers: int = DEFAULT_NUM_SERVERS,
     server: ServerSpec = PAPER_SERVER,
-    engine: str = "scalar",
 ) -> List["Job"]:
     """The ranking's runner job list — one sizing search per technique.
 
     Deterministic (no seeds), so the fingerprints key an on-disk cache
     across CLI runs and the evaluation service alike.  Reduce the values
-    with :func:`reduce_rank`.  The ``engine`` knob enters each spec only
-    when non-default, so scalar fingerprints (and cache entries) are
-    unchanged; batch jobs fingerprint separately even though their values
-    are bit-identical.
+    with :func:`reduce_rank`.
     """
-    _point_evaluator(engine)  # validate the name before building jobs
     names = list(technique_names)
-    specs: List[dict] = []
-    for name in names:
-        spec = {
+    specs = [
+        {
             "technique": name,
             "workload": workload,
             "outage_seconds": outage_seconds,
             "num_servers": num_servers,
             "server": server,
         }
-        if engine != "scalar":
-            spec["engine"] = engine
-        specs.append(spec)
+        for name in names
+    ]
     from repro.runner.jobs import make_jobs
 
     return make_jobs(_rank_job, specs, labels=names)
@@ -298,7 +266,6 @@ def rank_techniques(
     num_servers: int = DEFAULT_NUM_SERVERS,
     server: ServerSpec = PAPER_SERVER,
     executor: Optional["BaseExecutor"] = None,
-    engine: str = "scalar",
 ) -> List[SizedBackup]:
     """Every technique's lowest-cost sizing, sorted cheapest-first; the
     Figure 6-9 bar-chart generator.  Infeasible techniques are omitted.
@@ -307,8 +274,6 @@ def rank_techniques(
         executor: Optional :class:`repro.runner.BaseExecutor` — the
             per-technique sizing searches run as independent jobs on it
             (parallel and/or cached); ``None`` keeps the in-process loop.
-        engine: ``"scalar"`` or ``"batch"`` (kernel-backed point
-            evaluation; identical rankings — see docs/BATCH.md).
     """
     if executor is None:
         from repro.runner.executor import SerialExecutor
@@ -321,7 +286,6 @@ def rank_techniques(
             technique_names=technique_names,
             num_servers=num_servers,
             server=server,
-            engine=engine,
         )
     )
     return reduce_rank(report.values)

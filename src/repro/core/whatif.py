@@ -30,6 +30,7 @@ from repro.outages.distributions import (
 from repro.servers.server import PAPER_SERVER, ServerSpec
 from repro.sim.outage_sim import simulate_outage
 from repro.techniques.base import OutageTechnique, TechniqueContext
+from repro.units import ordered_sum
 from repro.workloads.base import WorkloadSpec
 
 #: Where the unbounded tail bucket is truncated for quadrature (the paper
@@ -133,7 +134,7 @@ class ExpectedOutageAnalyzer:
             ) from exc
 
         nodes = self.quadrature_nodes()
-        total_weight = sum(weight for _, weight in nodes)
+        total_weight = ordered_sum(weight for _, weight in nodes)
         downtime = 0.0
         performance = 0.0
         crash = 0.0

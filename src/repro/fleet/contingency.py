@@ -21,6 +21,7 @@ from typing import Any, Dict, List
 from repro.errors import ConfigurationError
 from repro.fleet.routing import SiteState, serve_instant
 from repro.fleet.spec import FleetSpec
+from repro.units import ordered_sum
 
 #: Delivered-fraction slack below which a scenario counts as fully served.
 _FULLY_SERVED_EPS = 1e-9
@@ -55,7 +56,7 @@ def contingency_scenarios(
                 for site in fleet.sites
             ]
             instant = serve_instant(states, routing=True)
-            displaced = sum(site.load for site in lost)
+            displaced = ordered_sum(site.load for site in lost)
             delivered_fraction = (
                 instant.served / instant.demand if instant.demand > 0 else 1.0
             )

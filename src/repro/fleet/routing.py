@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.geo.replication import LATENCY_PENALTY_PER_100MS
+from repro.units import ordered_sum
 
 #: Utilization above which an absorbing survivor serves failover traffic
 #: in degraded mode (its own overload controls engage).
@@ -201,7 +202,7 @@ def serve_instant(
         served=local + remote,
         local_served=local,
         remote_served=remote,
-        absorbed_load=sum(absorbed.values()),
+        absorbed_load=ordered_sum(absorbed.values()),
         per_site_absorption=absorbed,
         degraded_sites=degraded,
     )

@@ -51,7 +51,7 @@ from repro.runner.cache import ResultCache
 from repro.runner.executor import BaseExecutor, make_executor
 from repro.runner.jobs import Job, make_jobs
 from repro.runner.progress import ProgressListener
-from repro.units import SECONDS_PER_YEAR, to_minutes
+from repro.units import SECONDS_PER_YEAR, ordered_sum, to_minutes
 from repro.vsim.kernel import PlanKernel
 from repro.vsim.yearly import draw_dg_starts, run_years
 
@@ -261,9 +261,9 @@ def reduce_fleet_years(
     if not values:
         raise RunnerError("cannot reduce zero fleet years")
     years = len(values)
-    demand = sum(v["fleet"]["demand"] for v in values)
-    served = sum(v["fleet"]["served"] for v in values)
-    remote = sum(v["fleet"]["remote_served"] for v in values)
+    demand = ordered_sum(v["fleet"]["demand"] for v in values)
+    served = ordered_sum(v["fleet"]["served"] for v in values)
+    remote = ordered_sum(v["fleet"]["remote_served"] for v in values)
     total_load = fleet.total_load
     unserved_eq = np.array(
         [

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import ConfigurationError
 from repro.geo.replication import DEFAULT_REDIRECT_SECONDS, GeoReplicationModel
 from repro.geo.site import Site
+from repro.units import ordered_sum
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ class FleetSpec:
 
     @property
     def total_load(self) -> float:
-        return sum(site.load for site in self.sites)
+        return ordered_sum(site.load for site in self.sites)
 
     @property
     def total_capacity(self) -> float:

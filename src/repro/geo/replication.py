@@ -20,6 +20,7 @@ from typing import Dict, List, Sequence
 
 from repro.errors import ConfigurationError
 from repro.geo.site import Site
+from repro.units import ordered_sum
 
 #: Traffic-shift convergence time (DNS TTLs / anycast withdrawal).
 DEFAULT_REDIRECT_SECONDS = 90.0
@@ -100,7 +101,7 @@ class GeoReplicationModel:
         survivors = self.survivors_for(failed)
         displaced = failed.load
 
-        total_spare = sum(site.spare_capacity for site in survivors)
+        total_spare = ordered_sum(site.spare_capacity for site in survivors)
         absorbed = min(displaced, total_spare)
         per_site: Dict[str, float] = {}
         if total_spare > 0:
@@ -126,10 +127,10 @@ class GeoReplicationModel:
         per_site: Dict[str, float],
     ) -> float:
         """Throughput factor from added WAN RTT, absorption-weighted."""
-        total = sum(per_site.values())
+        total = ordered_sum(per_site.values())
         if total <= 0:
             return 1.0
-        weighted_extra_rtt = sum(
+        weighted_extra_rtt = ordered_sum(
             max(0.0, site.rtt_seconds - failed.rtt_seconds) * per_site[site.name]
             for site in survivors
             if site.name in per_site
@@ -145,7 +146,7 @@ class GeoReplicationModel:
         knob Section 7 raises."""
         failed = self.site(failed_site_name)
         survivors = self.survivors_for(failed)
-        total_capacity = sum(site.capacity for site in survivors)
+        total_capacity = ordered_sum(site.capacity for site in survivors)
         if total_capacity < failed.load:
             # Even fully emptied survivors cannot hold the load.
             return float("inf")

@@ -25,7 +25,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.units import hours, minutes, seconds
+from repro.units import hours, minutes, ordered_sum, seconds
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ class EmpiricalDistribution:
 
     def mean_seconds(self) -> float:
         """Expected duration using geometric bucket midpoints."""
-        return sum(b.probability * b.midpoint_seconds() for b in self._buckets)
+        return ordered_sum(b.probability * b.midpoint_seconds() for b in self._buckets)
 
     def draw_buckets(self, rng: np.random.Generator, size=None):
         """Bucket indices drawn by mass (an int when ``size`` is None).

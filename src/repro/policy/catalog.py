@@ -23,6 +23,7 @@ from typing import Dict, Mapping, Optional, Tuple
 from repro.errors import PolicyError, TechniqueError
 from repro.sim.datacenter import Datacenter
 from repro.techniques.base import PlanPhase, TechniqueContext
+from repro.units import ordered_sum
 
 #: mode name -> technique registry name compiled for it.
 MODE_TECHNIQUES: Mapping[str, str] = {
@@ -65,7 +66,7 @@ class PolicyMode:
 
     @property
     def entry_seconds(self) -> float:
-        return sum(float(p.duration_seconds) for p in self.entry_phases)
+        return ordered_sum(float(p.duration_seconds) for p in self.entry_phases)
 
     def program(self) -> Tuple[PlanPhase, ...]:
         """The mode's full phase program (entry transient + steady)."""

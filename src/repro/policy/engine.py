@@ -49,6 +49,7 @@ from repro.sim.datacenter import Datacenter
 from repro.sim.metrics import OutageOutcome, SourceKind
 from repro.sim.outage_sim import _EPS, _OutageRun
 from repro.techniques.base import OutagePlan, PlanPhase
+from repro.units import ordered_sum
 
 #: Absolute slack on state-of-charge comparisons (review thresholds).
 _SOC_EPS = 1e-9
@@ -129,7 +130,7 @@ class _PolicyRun(_OutageRun):
         views: Dict[str, ModeView] = {}
         for mode in self.catalog:
             steady = mode.steady_phase
-            entry_cost = sum(
+            entry_cost = ordered_sum(
                 self._drain_rate(p.power_watts, p.active_servers)
                 * float(p.duration_seconds)
                 for p in mode.entry_phases

@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Mapping, Sequence, Tuple
 from repro.analysis.frontier import dominates, pareto_frontier
 from repro.errors import PolicyError, TechniqueError
 from repro.runner.jobs import Job, make_jobs
+from repro.units import ordered_sum
 
 #: Score slack for the hindsight-bound check: rollouts replay the same
 #: closed-form arithmetic, so the only admissible gap is float noise.
@@ -83,7 +84,7 @@ def policy_cell(spec: Mapping[str, Any], seed: Any) -> Dict[str, Any]:
         num_servers=spec["servers"],
     )
     nodes = analyzer.quadrature_nodes()
-    total_weight = sum(weight for _, weight in nodes)
+    total_weight = ordered_sum(weight for _, weight in nodes)
     score = performance = downtime = crash = 0.0
     try:
         catalog = ModeCatalog.compile(datacenter)

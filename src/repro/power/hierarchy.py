@@ -20,6 +20,7 @@ from repro.power.ats import AutomaticTransferSwitch
 from repro.power.generator import DieselGeneratorSpec
 from repro.power.psu import PowerSupplySpec
 from repro.power.ups import UPSSpec
+from repro.units import ordered_sum
 
 
 @dataclass(frozen=True)
@@ -75,15 +76,15 @@ class PowerHierarchy:
 
     @property
     def facility_peak_watts(self) -> float:
-        return sum(rack.peak_load_watts for rack in self.racks)
+        return ordered_sum(rack.peak_load_watts for rack in self.racks)
 
     @property
     def total_ups_power_watts(self) -> float:
-        return sum(rack.ups.power_capacity_watts for rack in self.racks)
+        return ordered_sum(rack.ups.power_capacity_watts for rack in self.racks)
 
     @property
     def total_ups_energy_joules(self) -> float:
-        return sum(rack.ups.rated_energy_joules for rack in self.racks)
+        return ordered_sum(rack.ups.rated_energy_joules for rack in self.racks)
 
     @property
     def aggregate_ups(self) -> UPSSpec:

@@ -8,10 +8,13 @@ certification (the serve-smoke diff).  See ``docs/SERVE.md``.
 
 Layers, bottom up:
 
-* :mod:`repro.serve.protocol` — versioned, validated JSON requests;
-  canonical serialisation; request fingerprints.
-* :mod:`repro.serve.analyses` — request -> ``(jobs, finish)``; the
-  unbatched reference evaluator the CLI shares.
+* :mod:`repro.serve.spec` — the declaration vocabulary: typed
+  ``Param``s, ``AnalysisSpec``, canonical serialisation.
+* :mod:`repro.serve.analyses` — every analysis declared once (params,
+  build, render, brownout class, CLI subcommand); request ->
+  ``(jobs, finish)``; the unbatched reference evaluator the CLI shares.
+* :mod:`repro.serve.protocol` — versioned, validated JSON requests
+  against those declarations; request fingerprints.
 * :mod:`repro.serve.batcher` — bounded admission queue, duplicate
   coalescing, micro-batched dispatch, deadline propagation.
 * :mod:`repro.serve.supervisor` — the supervised worker-process pool:

@@ -37,11 +37,15 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ServeError
 from repro.obs.metrics import MetricsRegistry
+from repro.serve.analyses import ANALYSIS_SPECS
 
-#: Analyses refused first under brownout: their job fan-out is one to
-#: two orders of magnitude above a point query (a sweep is a whole
-#: grid), so refusing them frees the most capacity per refusal.
-EXPENSIVE_ANALYSES = frozenset({"sweep", "policy_frontier", "fleet_frontier"})
+#: Analyses refused first under brownout — each spec declaring itself
+#: ``expensive``: their job fan-out is one to two orders of magnitude
+#: above a point query (a sweep is a whole grid), so refusing them frees
+#: the most capacity per refusal.
+EXPENSIVE_ANALYSES = frozenset(
+    name for name, spec in ANALYSIS_SPECS.items() if spec.expensive
+)
 
 
 class Tier(enum.IntEnum):

@@ -45,6 +45,7 @@ from repro.sim.datacenter import Datacenter
 from repro.sim.metrics import OutageOutcome, SourceKind
 from repro.sim.trace import PowerTrace
 from repro.techniques.base import OutagePlan, PlanPhase
+from repro.units import ordered_sum
 
 #: Relative slack on the adaptive-phase reservation so float accumulation
 #: never crashes a plan the solver deemed exactly feasible.
@@ -574,11 +575,11 @@ class _OutageRun:
         soc = self.ups.state_of_charge * (1.0 - _RESERVE_SLACK)
         rate_hold = self._drain_rate(phase.power_watts, phase.active_servers)
         rate_save = self._drain_rate(terminal.power_watts, terminal.active_servers)
-        committed_soc = sum(
+        committed_soc = ordered_sum(
             self._drain_rate(p.power_watts, p.active_servers) * float(p.duration_seconds)
             for p in fixed
         )
-        committed_time = sum(float(p.duration_seconds) for p in fixed)
+        committed_time = ordered_sum(float(p.duration_seconds) for p in fixed)
         return solve_hold_time(
             soc,
             rate_hold,

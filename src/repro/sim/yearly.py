@@ -30,6 +30,7 @@ from repro.sim.datacenter import Datacenter
 from repro.sim.metrics import OutageOutcome
 from repro.sim.outage_sim import simulate_outage
 from repro.techniques.base import OutagePlan
+from repro.units import ordered_sum
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class YearlyResult:
 
     @property
     def total_downtime_seconds(self) -> float:
-        return sum(outcome.downtime_seconds for outcome in self.outcomes)
+        return ordered_sum(outcome.downtime_seconds for outcome in self.outcomes)
 
     @property
     def crashes(self) -> int:

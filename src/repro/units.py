@@ -17,6 +17,8 @@ self-documenting: ``minutes(2)`` instead of ``120``.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 # ---------------------------------------------------------------------------
 # Time.
 # ---------------------------------------------------------------------------
@@ -181,3 +183,22 @@ def clamp(value: float, low: float, high: float) -> float:
     if low > high:
         raise ValueError(f"clamp range is inverted: [{low}, {high}]")
     return max(low, min(high, value))
+
+
+# ---------------------------------------------------------------------------
+# Reductions.
+# ---------------------------------------------------------------------------
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Add ``values`` left to right, starting from ``0``.
+
+    Builtin ``sum`` does exactly this up to Python 3.11; from 3.12 it
+    compensates float additions, which can move a total's last bit.
+    Every float reduce that feeds a payload uses this instead, so
+    payloads are bit-identical on every Python.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total

@@ -13,13 +13,17 @@ The scalar simulator (:mod:`repro.sim.outage_sim`) plays one
   cross-outage SoC and DG-start state exactly as
   :class:`~repro.sim.yearly.YearlyRunner` does, with the same
   SeedSequence spawn discipline as the runner's per-year jobs; every
-  fault-free availability study runs on it.
-* :mod:`~repro.vsim.select` — kernel-backed ``evaluate_point`` used to
-  accelerate the sweep/rank searches behind an ``engine="batch"`` flag.
+  fault-free availability study and every ``fleet_frontier`` cell runs
+  on it.
 * :mod:`~repro.vsim.equivalence` / :mod:`~repro.vsim.fuzz` — the
   certification harness: grid equivalence over every registered
   technique and the Table-3 configurations, plus a differential
   scalar-vs-batch fuzzer (``make batch-smoke``).
+
+The kernel is the year-block and fleet engine.  Point evaluation
+(``evaluate``, ``rank``, ``sweep``, ``whatif``) stays on the scalar
+simulator: one point is a one-lane batch that would pay a kernel
+compile and win nothing.
 """
 
 from repro.vsim.kernel import BatchOutcomes, PlanKernel, simulate_outages_batch

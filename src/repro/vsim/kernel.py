@@ -48,6 +48,7 @@ from repro.sim.outage_sim import (
 )
 from repro.sim.trace import PowerTrace
 from repro.techniques.base import OutagePlan
+from repro.units import ordered_sum
 
 #: Source codes used internally by the lockstep loop.
 _SRC_NONE = 0
@@ -279,7 +280,7 @@ class PlanKernel:
                 if terminal.power_watts > 0
                 else 0.0
             )
-            committed_soc = sum(
+            committed_soc = ordered_sum(
                 (
                     store.drain_rate(p.power_watts, p.active_servers)
                     if p.power_watts > 0
@@ -288,7 +289,7 @@ class PlanKernel:
                 * float(p.duration_seconds)
                 for p in fixed
             )
-            committed_time = sum(float(p.duration_seconds) for p in fixed)
+            committed_time = ordered_sum(float(p.duration_seconds) for p in fixed)
             self.adaptive_consts[a] = (
                 rate_hold,
                 rate_save,

@@ -116,3 +116,60 @@ class TestTiers:
         code, out, _ = run(capsys, "tiers")
         assert code == 0
         assert "Tier IV" in out and "2N" in out
+
+
+class TestTablePathsValidateLikeTheProtocol:
+    """Table output goes through the same ``parse_request`` as ``--json``
+    and HTTP, so bad input is the protocol's one-line usage error."""
+
+    AVAIL = ("availability", "-w", "memcached", "-c", "NoDG", "-t", "sleep-l")
+
+    @pytest.mark.parametrize("argv, message", [
+        ((*AVAIL, "--years", "0"), "param 'years' must be in [1, 10000]"),
+        ((*AVAIL, "--years", "20000"), "param 'years' must be in [1, 10000]"),
+        (("rank", "-w", "memcached", "--servers", "0"),
+         "param 'servers' must be in [1, 1000000]"),
+        (("rank", "-w", "memcached", "-m", "-5"),
+         "param 'outage_minutes' must be a positive finite number"),
+    ], ids=["years-0", "years-20000", "servers-0", "negative-minutes"])
+    def test_bad_input_exits_2_with_the_protocol_message(
+        self, capsys, argv, message
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
+class TestRemovedFlags:
+    @pytest.mark.parametrize("argv", [
+        ("rank", "-w", "memcached", "--engine", "batch"),
+        ("availability", "-w", "memcached", "-c", "NoDG", "-t", "sleep-l",
+         "-m", "5"),
+        ("whatif", "-w", "memcached", "-c", "NoDG", "-t", "sleep-l",
+         "-m", "5"),
+    ], ids=["rank-engine", "availability-minutes", "whatif-minutes"])
+    def test_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestFleetContingency:
+    def test_json_prints_the_canonical_report(self, capsys):
+        import json
+
+        from repro.serve.protocol import canonical_json
+
+        code, out, _ = run(capsys, "fleet", "--contingency", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["fleet"] == "us-triad"
+        assert out.strip() == canonical_json(report)
+
+    def test_table_names_the_default_fleet(self, capsys):
+        code, out, _ = run(capsys, "fleet", "--contingency", "--depth", "1")
+        assert code == 0
+        assert out.startswith("us-triad contingency analysis")
+        assert "N-2" not in out

@@ -2,11 +2,14 @@
 
 Three gates, in order:
 
-1. **Bit-identical serving.**  For availability, rank, and whatif, run
-   the query through the CLI (``--json --cache DIR``) and through a live
-   server sharing the same cache directory; the CLI's stdout must equal
-   the canonical encoding of the HTTP response's ``result`` field
-   *byte for byte*.
+1. **Bit-identical serving, in both serve modes.**  For availability,
+   rank, and whatif, run the query through the CLI (``--json --cache
+   DIR``) and through a live server sharing the same cache directory;
+   the CLI's stdout must equal the canonical encoding of the HTTP
+   response's ``result`` field *byte for byte*.  The gate runs against
+   the in-process server and again against a one-worker pool
+   (``workers=1``) on the same cache, so both callers of the shared
+   batch evaluation function are certified.
 2. **Coalescing.**  Concurrent duplicate requests must collapse to one
    evaluation (``serve.coalesced`` > 0, riders reported in meta).
 3. **Loadgen under capacity.**  A short closed-loop mixed workload at
@@ -85,7 +88,7 @@ def run_cli(argv: list, cache_dir: str) -> str:
     return result.stdout.strip()
 
 
-def gate_bit_identical(url: str, cache_dir: str) -> None:
+def gate_bit_identical(url: str, cache_dir: str, mode: str) -> None:
     for name, argv, body in QUERIES:
         cli_text = run_cli(argv, cache_dir)
         status, payload = post_request(url, body)
@@ -99,7 +102,7 @@ def gate_bit_identical(url: str, cache_dir: str) -> None:
                 f"  HTTP: {http_text[:160]}..."
             )
         print(
-            f"[smoke] {name}: byte-identical ({len(http_text)} B, "
+            f"[smoke] {mode} {name}: byte-identical ({len(http_text)} B, "
             f"cache_hits={payload['meta']['cache_hits']})"
         )
 
@@ -192,22 +195,35 @@ def main() -> int:
             ServeConfig(port=0, cache_dir=cache_dir, queue_bound=64)
         ).start()
         try:
-            gate_bit_identical(server.base_url, cache_dir)
+            gate_bit_identical(server.base_url, cache_dir, "in-process")
             gate_coalescing(server.base_url)
             bench = gate_loadgen(server.base_url)
             serve_stats = server.stats()
         finally:
             server.close(drain=True, timeout=30)
+        pool = EvalServer(
+            ServeConfig(port=0, cache_dir=cache_dir, workers=1)
+        ).start()
+        try:
+            gate_bit_identical(pool.base_url, cache_dir, "pool")
+        finally:
+            pool.close(drain=True, timeout=30)
     shed_proof = gate_backpressure()
     bench["certification"] = {
-        "bit_identical": [name for name, _, _ in QUERIES],
+        "bit_identical": {
+            mode: [name for name, _, _ in QUERIES]
+            for mode in ("in_process", "pool")
+        },
         "coalesced": serve_stats["coalesced"],
         "sheds_under_capacity": 0,
         "backpressure": shed_proof,
     }
     OUTPUT.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
     print(f"[smoke] wrote {OUTPUT}")
-    print("serve-smoke: OK (bit-identical, coalescing, backpressure certified)")
+    print(
+        "serve-smoke: OK (bit-identical in both modes, coalescing, "
+        "backpressure certified)"
+    )
     return 0
 
 

@@ -10,10 +10,12 @@ one more entry here.
 A builder returns ``(jobs, finish)`` without running anything, which is
 what lets the batcher concatenate the job lists of many requests into
 **one** executor submission and still hand each caller exactly the
-payload a dedicated run would have produced.  :func:`evaluate_request`
-is the unbatched reference path every CLI analysis subcommand takes;
-the serve-smoke certification diffs its payloads against the HTTP ones
-byte-for-byte.
+payload a dedicated run would have produced.  :func:`evaluate_batch`
+is that batched path — the one function that evaluates a served batch,
+whether the in-process dispatcher or a pool worker runs it — and
+:func:`evaluate_request` is the unbatched reference path every CLI
+analysis subcommand takes; the serve-smoke certification diffs its
+payloads against the HTTP ones byte-for-byte.
 
 The policy and fleet modules are imported only when a request needs
 them, so they stay out of the server's start-up.
@@ -35,7 +37,7 @@ from repro.analysis.sweep import configuration_sweep_jobs, technique_sweep_jobs
 from repro.core.configurations import configuration_names, get_configuration
 from repro.core.selection import rank_jobs, reduce_rank
 from repro.core.whatif import whatif_cell
-from repro.errors import ProtocolError, ReproError
+from repro.errors import ProtocolError, ReproError, ServeError
 from repro.faults import FaultPlan
 from repro.runner.executor import BaseExecutor, SerialExecutor
 from repro.runner.jobs import Job, make_jobs
@@ -596,6 +598,74 @@ ANALYSIS_SPECS: Dict[str, AnalysisSpec] = {
 def build(request: "Request") -> Built:
     """The request's ``(jobs, finish)`` pair, nothing executed yet."""
     return ANALYSIS_SPECS[request.analysis].build(request.params)
+
+
+def evaluate_batch(
+    requests: Sequence["Request"], executor: BaseExecutor
+) -> List[Dict[str, Any]]:
+    """Evaluate a served batch: build, concatenate, run once, reduce.
+
+    The one evaluation path of ``repro serve``, wherever the batch runs
+    (the in-process dispatcher, or a pool worker).  Every request's
+    jobs go into **one** ``executor.run``; each job keeps its own seed
+    and fingerprint, so a batched payload is bit-identical to
+    :func:`evaluate_request` on the same request.  A build, job or
+    reduce failure fails that request alone.
+
+    Returns one outcome dict per request, in order: ``ok`` plus
+    ``payload`` or ``error`` (the exception); and, for every request
+    whose jobs ran, ``jobs``, ``batch_size`` (requests in the
+    submission), ``cache_hits`` (the submission's), and the stage
+    timings ``execute`` and ``reduce`` as ``(wall start, seconds)``.
+    """
+    outcomes: List[Dict[str, Any]] = [{} for _ in requests]
+    jobs: List[Job] = []
+    ranges = []  # (outcome, finish, start, end)
+    for outcome, request in zip(outcomes, requests):
+        try:
+            request_jobs, finish = build(request)
+        except Exception as exc:  # noqa: BLE001 - per-request isolation
+            outcome.update(ok=False, error=exc)
+            continue
+        start = len(jobs)
+        # Index is presentation-only (not in seeds or fingerprints), so
+        # renumbering keeps the concatenated list's indices unique and
+        # changes no result.
+        jobs.extend(
+            replace(job, index=start + i) for i, job in enumerate(request_jobs)
+        )
+        ranges.append((outcome, finish, start, len(jobs)))
+    if not ranges:
+        return outcomes
+    started, started_unix = time.perf_counter(), time.time()
+    try:
+        report = executor.run(jobs, strict=False)
+    except Exception as exc:  # noqa: BLE001 - executor-level failure
+        for outcome, _, _, _ in ranges:
+            outcome.update(ok=False, error=exc)
+        return outcomes
+    execute = (started_unix, time.perf_counter() - started)
+    failed = {f.index: f for f in report.failures}
+    for outcome, finish, start, end in ranges:
+        outcome.update(
+            jobs=end - start,
+            batch_size=len(ranges),
+            cache_hits=report.stats.cache_hits,
+            execute=execute,
+        )
+        reduce_started, reduce_unix = time.perf_counter(), time.time()
+        failures = [failed[i] for i in range(start, end) if i in failed]
+        try:
+            if failures:
+                raise ServeError(
+                    f"{len(failures)} of {end - start} jobs failed; "
+                    f"first: {failures[0].label}: {failures[0].error}"
+                )
+            outcome.update(ok=True, payload=finish(report.values[start:end]))
+        except Exception as exc:  # noqa: BLE001 - per-request isolation
+            outcome.update(ok=False, error=exc)
+        outcome["reduce"] = (reduce_unix, time.perf_counter() - reduce_started)
+    return outcomes
 
 
 def evaluate_request(

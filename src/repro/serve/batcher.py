@@ -16,6 +16,13 @@ with, and the same two amortisations apply:
   seeds and fingerprints, so batched results are bit-identical to
   dedicated runs (and hit the same cache entries).
 
+One function evaluates a batch wherever it runs:
+:func:`repro.serve.analyses.evaluate_batch`, called here in-process or
+by a pool worker (:mod:`repro.serve.supervisor`) on its shard group.
+One method, :meth:`Batcher._complete`, resolves every dispatched entry
+from its outcome in both modes — failure accounting, ``meta``, and the
+``queued → execute → reduce`` spans.
+
 Backpressure is explicit: the queue is bounded, and an arrival that
 finds it full is shed with :class:`~repro.errors.QueueFullError` (the
 HTTP layer turns that into 429 + ``Retry-After``) instead of growing
@@ -37,7 +44,6 @@ from repro.errors import DeadlineError, QueueFullError, ServeError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import RequestTrace, Telemetry
 from repro.runner.executor import BaseExecutor, SerialExecutor
-from repro.runner.jobs import Job
 from repro.serve import analyses
 from repro.serve.protocol import Request
 from repro.serve.supervisor import Supervisor, WorkItem
@@ -324,121 +330,22 @@ class Batcher:
         if self._pool is not None:
             self._dispatch_pool(live, now)
             return
-
-        # Build each request's jobs; a build failure fails that request
-        # alone, not the batch.
-        jobs: List[Job] = []
-        ranges: List[Any] = []  # (entry, finish, start, end)
-        for entry in live:
-            try:
-                entry_jobs, finish = analyses.build(entry.request)
-            except Exception as exc:  # noqa: BLE001 - per-request isolation
-                with self._lock:
-                    self.failures += 1
-                    self._count("serve.failures")
-                    self._analysis_stat(entry.request.analysis)["failures"] += 1
-                    self._resolve_error(entry, exc)
-                continue
-            start = len(jobs)
-            jobs.extend(self._reindexed(entry_jobs, start))
-            ranges.append((entry, finish, start, len(jobs)))
-        if not jobs:
-            return
-
+        self._count_analysis_batches(live)
         deadlines = [
-            e.deadline_at - now
-            for e, _, _, _ in ranges
-            if e.deadline_at is not None
+            e.deadline_at - now for e in live if e.deadline_at is not None
         ]
-        timeout = min(deadlines) if deadlines else None
-        started = time.monotonic()
-        started_unix = time.time()
         try:
-            executor = self._executor_factory(timeout)
-            report = executor.run(jobs, strict=False)
+            executor = self._executor_factory(
+                min(deadlines) if deadlines else None
+            )
         except Exception as exc:  # noqa: BLE001 - executor-level failure
-            with self._lock:
-                for entry, _, _, _ in ranges:
-                    self._resolve_error(entry, exc)
-            return
-        elapsed = time.monotonic() - started
-        with self._lock:
-            self.jobs_run += len(jobs)
-            self._count("serve.jobs", len(jobs))
-            self._observe("serve.batch_seconds", elapsed)
-            batched_analyses = set()
-            for entry, _, start, end in ranges:
-                analysis = entry.request.analysis
-                self._analysis_stat(analysis)["jobs"] += end - start
-                batched_analyses.add(analysis)
-            for analysis in batched_analyses:
-                self._analysis_stat(analysis)["batches"] += 1
-
-        failed_by_index = {f.index: f for f in report.failures}
-        for entry, finish, start, end in ranges:
-            failures = [
-                failed_by_index[i]
-                for i in range(start, end)
-                if i in failed_by_index
-            ]
-            if failures:
-                first = failures[0]
-                with self._lock:
-                    self.failures += 1
-                    self._count("serve.failures")
-                    self._analysis_stat(entry.request.analysis)["failures"] += 1
-                    self._resolve_error(
-                        entry,
-                        ServeError(
-                            f"{len(failures)} of {end - start} jobs failed; "
-                            f"first: {first.label}: {first.error}"
-                        ),
-                    )
-                continue
-            reduce_started = time.perf_counter()
-            reduce_started_unix = time.time()
-            try:
-                payload = finish(report.values[start:end])
-            except Exception as exc:  # noqa: BLE001 - per-request isolation
-                with self._lock:
-                    self.failures += 1
-                    self._count("serve.failures")
-                    self._analysis_stat(entry.request.analysis)["failures"] += 1
-                    self._resolve_error(entry, exc)
-                continue
-            meta = {
-                "batch_size": len(ranges),
-                "jobs": end - start,
-                "coalesced_riders": entry.riders - 1,
-                "queue_wait_s": round(now - entry.enqueued_at, 6),
-                "batch_seconds": round(elapsed, 6),
-                "cache_hits": report.stats.cache_hits,
-            }
-            if entry.trace is not None:
-                entry.trace.add_span(
-                    "queued",
-                    ts=entry.enqueued_unix,
-                    dur=now - entry.enqueued_at,
-                )
-                execute_id = entry.trace.add_span(
-                    "execute",
-                    ts=started_unix,
-                    dur=elapsed,
-                    jobs=end - start,
-                    batch_size=len(ranges),
-                    cache_hits=report.stats.cache_hits,
-                )
-                entry.trace.add_span(
-                    "reduce",
-                    ts=reduce_started_unix,
-                    dur=time.perf_counter() - reduce_started,
-                    parent_id=execute_id,
-                )
-                entry.trace.set_root(riders=entry.riders - 1)
-            with self._lock:
-                self._pending.pop(entry.request.fingerprint, None)
-            self._finish_traces(entry, "ok")
-            entry.future.set_result({"result": payload, "meta": meta})
+            outcomes = [{"ok": False, "error": exc} for _ in live]
+        else:
+            outcomes = analyses.evaluate_batch(
+                [entry.request for entry in live], executor
+            )
+        for entry, outcome in zip(live, outcomes):
+            self._complete(entry, outcome, now)
 
     # -- pool routing ----------------------------------------------------------
 
@@ -450,21 +357,15 @@ class Batcher:
         groups keep the micro-batching amortisation — each group is one
         work item, one executor submission on its worker.
         """
-        now_unix = time.time()
         groups: Dict[int, List[_Entry]] = {}
         for entry in live:
             shard = self._pool.shard_of(entry.request.fingerprint)
             groups.setdefault(shard, []).append(entry)
-        with self._lock:
-            self._count("serve.pool.groups", len(groups))
-            for entries in groups.values():
-                analyses_in_group = set()
-                for entry in entries:
-                    analyses_in_group.add(entry.request.analysis)
-                for analysis in analyses_in_group:
-                    self._analysis_stat(analysis)["batches"] += 1
+        self._count("serve.pool.groups", len(groups))
+        for entries in groups.values():
+            self._count_analysis_batches(entries)
         items = [
-            WorkItem(request=entry.request, context=(entry, now, now_unix))
+            WorkItem(request=entry.request, context=(entry, now))
             for entry in live
         ]
         try:
@@ -475,44 +376,65 @@ class Batcher:
                     self._resolve_error(entry, exc)
 
     def pool_done(self, item: WorkItem, outcome: Any) -> None:
-        """Supervisor completion callback: resolve one entry's future.
+        """Supervisor completion callback (runs on a receiver thread)."""
+        entry, dispatched_at = item.context
+        self._complete(entry, outcome, dispatched_at)
 
-        ``outcome`` is the worker's outcome dict, or an exception
-        (worker-death replays exhausted into poison quarantine, or
-        shutdown).  Runs on a receiver thread, so everything shared
-        takes the batcher lock.
+    # -- completion ------------------------------------------------------------
+
+    def _complete(
+        self, entry: _Entry, outcome: Any, dispatched_at: float
+    ) -> None:
+        """Resolve one dispatched entry — the one completion path of both
+        modes.
+
+        ``outcome`` is an :func:`~repro.serve.analyses.evaluate_batch`
+        outcome (a pool worker's carries ``worker``/``attempts`` too, and
+        its ``error`` is the ``"Type: message"`` string the pipe carried,
+        failed here as :class:`ServeError`), or an exception when the
+        pool gave up on the entry (poison quarantine, shutdown) — that is
+        not an evaluation failure and is not counted as one.  Stage
+        timings come from the process that did the work.  May run on a
+        receiver thread, so everything shared takes the batcher lock.
         """
-        entry, dispatched_at, dispatched_unix = item.context
         if isinstance(outcome, BaseException):
             with self._lock:
                 self._resolve_error(entry, outcome)
             return
-        if not outcome.get("ok"):
-            with self._lock:
-                self.failures += 1
-                self._count("serve.failures")
-                self._analysis_stat(entry.request.analysis)["failures"] += 1
-                self._resolve_error(
-                    entry, ServeError(str(outcome.get("error", "unknown")))
-                )
-            return
-        jobs = int(outcome.get("jobs", 0))
+        analysis = entry.request.analysis
+        jobs = outcome.get("jobs", 0)
         with self._lock:
             self.jobs_run += jobs
             self._count("serve.jobs", jobs)
-            self._observe(
-                "serve.batch_seconds", outcome.get("batch_seconds", 0.0)
-            )
-            self._analysis_stat(entry.request.analysis)["jobs"] += jobs
-        meta = {
-            "batch_size": outcome.get("shard_batch", 1),
+            self._analysis_stat(analysis)["jobs"] += jobs
+            if not outcome["ok"]:
+                error = outcome["error"]
+                self.failures += 1
+                self._count("serve.failures")
+                self._analysis_stat(analysis)["failures"] += 1
+                self._resolve_error(
+                    entry,
+                    error
+                    if isinstance(error, BaseException)
+                    else ServeError(str(error)),
+                )
+                return
+            self._pending.pop(entry.request.fingerprint, None)
+            execute_at, execute_s = outcome["execute"]
+            self._observe("serve.batch_seconds", execute_s)
+        reduce_at, reduce_s = outcome["reduce"]
+        attrs = {
             "jobs": jobs,
+            "batch_size": outcome["batch_size"],
+            "cache_hits": outcome["cache_hits"],
+            # Pool mode only.
+            **{k: outcome[k] for k in ("worker", "attempts") if k in outcome},
+        }
+        meta = {
+            **attrs,
             "coalesced_riders": entry.riders - 1,
             "queue_wait_s": round(dispatched_at - entry.enqueued_at, 6),
-            "batch_seconds": outcome.get("batch_seconds", 0.0),
-            "cache_hits": outcome.get("cache_hits", 0),
-            "worker": outcome.get("worker"),
-            "attempts": outcome.get("attempts", 1),
+            "batch_seconds": round(execute_s, 6),
         }
         if entry.trace is not None:
             entry.trace.add_span(
@@ -520,37 +442,15 @@ class Batcher:
                 ts=entry.enqueued_unix,
                 dur=dispatched_at - entry.enqueued_at,
             )
+            execute_id = entry.trace.add_span(
+                "execute", ts=execute_at, dur=execute_s, **attrs
+            )
             entry.trace.add_span(
-                "execute",
-                ts=dispatched_unix,
-                dur=time.monotonic() - dispatched_at,
-                jobs=jobs,
-                batch_size=outcome.get("shard_batch", 1),
-                cache_hits=outcome.get("cache_hits", 0),
-                worker=outcome.get("worker"),
-                attempts=outcome.get("attempts", 1),
+                "reduce", ts=reduce_at, dur=reduce_s, parent_id=execute_id
             )
             entry.trace.set_root(riders=entry.riders - 1)
-        with self._lock:
-            self._pending.pop(entry.request.fingerprint, None)
         self._finish_traces(entry, "ok")
-        entry.future.set_result(
-            {"result": outcome["payload"], "meta": meta}
-        )
-
-    @staticmethod
-    def _reindexed(jobs: List[Job], offset: int) -> List[Job]:
-        """Shift job indices so concatenated lists stay unique.
-
-        Index is presentation-only — it is *not* part of the
-        fingerprint — so reindexing changes nothing about seeds, cache
-        keys, or results."""
-        import dataclasses
-
-        return [
-            dataclasses.replace(job, index=offset + i)
-            for i, job in enumerate(jobs)
-        ]
+        entry.future.set_result({"result": outcome["payload"], "meta": meta})
 
     def _resolve_error(self, entry: _Entry, exc: BaseException) -> None:
         """Fail an entry's future; caller holds the lock."""
@@ -587,6 +487,13 @@ class Batcher:
             }
             self.by_analysis[analysis] = row
         return row
+
+    def _count_analysis_batches(self, entries: List[_Entry]) -> None:
+        """One batch for each analysis among ``entries`` (one executor
+        submission)."""
+        with self._lock:
+            for analysis in {entry.request.analysis for entry in entries}:
+                self._analysis_stat(analysis)["batches"] += 1
 
     def _count(self, name: str, n: float = 1) -> None:
         if self._metrics is not None:

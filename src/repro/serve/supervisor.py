@@ -10,13 +10,13 @@ dispatcher stops *executing* batches and starts *routing* them:
   worker computing the entry a first one already owns.  A batch cut by
   the dispatcher is regrouped per shard and each shard group is sent as
   *one* work item, keeping the micro-batching amortisation.
-* **Bit-identical execution.**  A worker rebuilds the same jobs from the
-  same :class:`~repro.serve.protocol.Request` via
-  :func:`repro.serve.analyses.build`, runs them on a
-  :class:`~repro.runner.SerialExecutor`, and reduces with the same
-  finish function — every job still carries its own seed tree, so the
-  response payload is byte-for-byte what the in-process path (or the
-  CLI) produces.  Workers share one on-disk cache through
+* **Bit-identical execution.**  A worker evaluates its shard group with
+  :func:`repro.serve.analyses.evaluate_batch` on a
+  :class:`~repro.runner.SerialExecutor` — the one function that
+  evaluates a served batch, which the in-process dispatcher calls too —
+  so every job still carries its own seed tree and the response payload
+  is byte-for-byte what the in-process path (or the CLI) produces.
+  Workers share one on-disk cache through
   :class:`~repro.runner.cache.SingleFlightCache`, so concurrent misses
   on one fingerprint compute once.
 * **Supervision.**  A worker death (crash, OOM-kill, SIGKILL) is
@@ -53,7 +53,6 @@ from repro.errors import PoisonedRequestError, ServeError
 from repro.obs.metrics import MetricsRegistry
 from repro.runner.cache import SingleFlightCache
 from repro.runner.executor import SerialExecutor
-from repro.runner.jobs import Job
 from repro.serve import analyses
 from repro.serve.protocol import Request
 from repro.serve.resilience import PoisonRegistry
@@ -66,100 +65,6 @@ DoneCallback = Callable[["WorkItem", Any], None]
 # Worker side (runs in the child process; everything top-level and
 # picklable so both fork and spawn start methods work).
 # --------------------------------------------------------------------------
-
-
-def _reindexed(jobs: List[Job], offset: int) -> List[Job]:
-    """Shift job indices so concatenated lists stay unique (index is
-    presentation-only — not part of the fingerprint, seeds, or cache
-    keys)."""
-    import dataclasses
-
-    return [
-        dataclasses.replace(job, index=offset + i)
-        for i, job in enumerate(jobs)
-    ]
-
-
-def _evaluate_requests(
-    requests: Sequence[Request], cache: Optional[SingleFlightCache]
-) -> List[Dict[str, Any]]:
-    """One shard batch: build, concatenate, run once, reduce per request.
-
-    Mirrors the in-process dispatcher exactly — per-request isolation
-    for build/reduce failures, one executor submission for the whole
-    group — so pooled responses stay bit-identical to unpooled ones.
-    """
-    outcomes: List[Optional[Dict[str, Any]]] = [None] * len(requests)
-    jobs: List[Job] = []
-    ranges: List[Any] = []  # (outcome slot, finish, start, end)
-    for slot, request in enumerate(requests):
-        try:
-            entry_jobs, finish = analyses.build(request)
-        except Exception as exc:  # noqa: BLE001 - per-request isolation
-            outcomes[slot] = {
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-            continue
-        start = len(jobs)
-        jobs.extend(_reindexed(entry_jobs, start))
-        ranges.append((slot, finish, start, len(jobs)))
-    if jobs:
-        started = time.monotonic()
-        executor = SerialExecutor(cache=cache)
-        try:
-            report = executor.run(jobs, strict=False)
-        except Exception as exc:  # noqa: BLE001 - executor-level failure
-            for slot, _, _, _ in ranges:
-                outcomes[slot] = {
-                    "ok": False,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            ranges = []
-            report = None
-        finally:
-            if cache is not None:
-                cache.release_all()
-        elapsed = time.monotonic() - started
-        if report is not None:
-            failed_by_index = {f.index: f for f in report.failures}
-            for slot, finish, start, end in ranges:
-                failures = [
-                    failed_by_index[i]
-                    for i in range(start, end)
-                    if i in failed_by_index
-                ]
-                if failures:
-                    first = failures[0]
-                    outcomes[slot] = {
-                        "ok": False,
-                        "error": (
-                            f"{len(failures)} of {end - start} jobs failed; "
-                            f"first: {first.label}: {first.error}"
-                        ),
-                    }
-                    continue
-                try:
-                    payload = finish(report.values[start:end])
-                except Exception as exc:  # noqa: BLE001 - per-request
-                    outcomes[slot] = {
-                        "ok": False,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-                    continue
-                outcomes[slot] = {
-                    "ok": True,
-                    "payload": payload,
-                    "jobs": end - start,
-                    "cache_hits": report.stats.cache_hits,
-                    "batch_seconds": round(elapsed, 6),
-                }
-    return [
-        outcome
-        if outcome is not None
-        else {"ok": False, "error": "request produced no jobs"}
-        for outcome in outcomes
-    ]
 
 
 def _worker_main(
@@ -205,12 +110,20 @@ def _worker_main(
         if injected_latency_s > 0:
             time.sleep(injected_latency_s)
         try:
-            outcomes = _evaluate_requests(requests, cache)
+            outcomes = analyses.evaluate_batch(
+                requests, SerialExecutor(cache=cache)
+            )
         except BaseException as exc:  # noqa: BLE001 - keep the loop alive
-            outcomes = [
-                {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-                for _ in requests
-            ]
+            outcomes = [{"ok": False, "error": exc} for _ in requests]
+        finally:
+            if cache is not None:
+                cache.release_all()
+        for outcome in outcomes:
+            if not outcome["ok"]:
+                # Exceptions need not pickle; the pipe carries the
+                # "Type: message" string.
+                error = outcome["error"]
+                outcome["error"] = f"{type(error).__name__}: {error}"
         try:
             conn.send(("result", task_id, outcomes))
         except (OSError, ValueError, BrokenPipeError):
@@ -505,7 +418,6 @@ class Supervisor:
                         )
                     outcome.setdefault("worker", shard.id)
                     outcome["attempts"] = item.attempts + 1
-                    outcome["shard_batch"] = len(task.items)
                 self._done(item, outcome)
         with shard.lock:
             stale = shard.proc is not proc

@@ -115,6 +115,35 @@ class TestServeInstant:
             0.4 * SURVIVOR_DEGRADED_FACTOR
         )
 
+    def test_more_spare_on_one_survivor_can_serve_less(self):
+        # Characterization of the degraded-host cliff (docs/FLEET.md §3):
+        # served load is not monotone in one survivor's spare.  Raising
+        # b's capacity gives it a 0.8 * 0.2/1.1 share of the failover,
+        # which lifts it past DEGRADED_UTILIZATION, so everything it
+        # absorbs drops to SURVIVOR_DEGRADED_FACTOR.
+        def fleet(b_capacity):
+            return serve_instant(
+                [
+                    state("a", load=0.8, performance=0.0, in_outage=True),
+                    state("b", load=1.0, capacity=b_capacity),
+                    state("c", load=0.1, capacity=1.0),
+                ]
+            )
+
+        tight, roomier = fleet(1.0), fleet(1.2)
+        assert tight.served == pytest.approx(1.9)
+        assert tight.degraded_sites == ()
+        share = 0.8 * 0.2 / 1.1
+        assert roomier.per_site_absorption["b"] == pytest.approx(share)
+        assert (1.0 + share) / 1.2 == pytest.approx(0.954, abs=1e-3)
+        assert (1.0 + share) / 1.2 > DEGRADED_UTILIZATION
+        assert roomier.degraded_sites == ("b",)
+        assert roomier.served == pytest.approx(
+            1.1 + share * SURVIVOR_DEGRADED_FACTOR + (0.8 - share)
+        )
+        assert roomier.served == pytest.approx(1.878, abs=1e-3)
+        assert roomier.served < tight.served
+
     def test_partial_local_service_reduces_displacement(self):
         # a throttled site (perf 0.5) displaces only half its load
         instant = serve_instant(

@@ -164,6 +164,26 @@ class TestFailureIsolation:
         with pytest.raises(RuntimeError, match="boom"):
             bad.result(timeout=10)
 
+    def test_executor_failure_fails_and_counts_the_request(self):
+        class BrokenExecutor:
+            def run(self, jobs, strict=True):
+                raise RuntimeError("executor down")
+
+        broken = Batcher(
+            executor_factory=lambda timeout: BrokenExecutor(),
+            queue_bound=8, max_batch=8, max_wait_s=0.0,
+        )
+        try:
+            future = broken.submit(echo_request("doomed"))
+            broken.start()
+            with pytest.raises(RuntimeError, match="executor down"):
+                future.result(timeout=10)
+            stats = broken.stats()
+            assert stats["failures"] == 1
+            assert stats["analyses"]["echo"]["failures"] == 1
+        finally:
+            broken.close(drain=False, timeout=5)
+
 
 class TestShutdown:
     def test_drain_completes_queued_work(self):

@@ -9,7 +9,7 @@ import pytest
 
 from repro.obs.prom import PROMETHEUS_CONTENT_TYPE, validate_prometheus_text
 from repro.obs.telemetry import REQUEST_ID_HEADER
-from repro.serve import EvalServer, ServeConfig, post_request_full
+from repro.serve import EvalServer, ServeConfig, canonical_json, post_request_full
 
 
 @pytest.fixture(scope="module")
@@ -179,3 +179,57 @@ class TestTelemetryOff:
             assert "shed_rate" not in body
         finally:
             quiet.close(drain=True, timeout=10)
+
+
+class TestModeParity:
+    """In-process and pool mode evaluate through one function and resolve
+    through one completion method: same payloads, same meta keys (pool
+    adds ``worker``/``attempts``), same stage spans."""
+
+    BODIES = (
+        {"analysis": "echo", "params": {"payload": "parity"}},
+        {"analysis": "rank",
+         "params": {"workload": "specjbb", "outage_minutes": 30}},
+    )
+
+    @staticmethod
+    def serve(workers):
+        server = EvalServer(
+            ServeConfig(port=0, workers=workers, telemetry=True)
+        ).start()
+        try:
+            seen = []
+            for body in TestModeParity.BODIES:
+                status, headers, envelope = post_request_full(
+                    server.base_url, body
+                )
+                assert status == 200, envelope
+                _, _, raw = get_json(
+                    server.base_url + "/trace/" + headers[REQUEST_ID_HEADER]
+                )
+                seen.append((envelope, json.loads(raw)))
+            return seen
+        finally:
+            server.close(drain=True, timeout=30)
+
+    def test_payloads_meta_and_spans_agree_across_modes(self):
+        in_process, pooled = self.serve(0), self.serve(1)
+        for (local, local_trace), (pool, pool_trace) in zip(
+            in_process, pooled
+        ):
+            assert canonical_json(local["result"]) == canonical_json(
+                pool["result"]
+            )
+            assert set(pool["meta"]) == set(local["meta"]) | {
+                "worker", "attempts",
+            }
+            for trace in (local_trace, pool_trace):
+                spans = trace["spans"]
+                assert [s["name"] for s in spans] == [
+                    "request", "queued", "execute", "reduce",
+                ]
+                by_name = {s["name"]: s for s in spans}
+                assert (
+                    by_name["reduce"]["parent_id"]
+                    == by_name["execute"]["span_id"]
+                )

@@ -14,10 +14,8 @@ from conftest import run_once
 from repro.analysis.report import format_table
 from repro.core.configurations import get_configuration
 from repro.core.performability import evaluate_point
-from repro.geo.economics import GeoEconomics
-from repro.geo.failover import GeoFailoverTechnique
-from repro.geo.replication import GeoReplicationModel
-from repro.geo.site import Site
+from repro.fleet.failover import GeoEconomics, GeoFailoverTechnique
+from repro.fleet.spec import FleetSpec, SiteSpec
 from repro.techniques.registry import get_technique
 from repro.units import hours, minutes
 from repro.workloads.websearch import websearch
@@ -26,12 +24,13 @@ DURATIONS = (minutes(30), hours(2), hours(4), hours(8))
 
 
 def build_fleet():
-    return GeoReplicationModel(
-        [
-            Site("west", 100, 70, power_region="west", rtt_seconds=0.05),
-            Site("east", 100, 70, power_region="east", rtt_seconds=0.12),
-            Site("eu", 100, 70, power_region="eu", rtt_seconds=0.15),
-        ]
+    return FleetSpec(
+        name="three-sites",
+        sites=tuple(
+            SiteSpec(name=name, capacity=100, load=70, power_region=name,
+                     rtt_seconds=rtt)
+            for name, rtt in (("west", 0.05), ("east", 0.12), ("eu", 0.15))
+        ),
     )
 
 

@@ -17,24 +17,33 @@ Run:  python examples/geo_failover.py
 """
 
 from repro import evaluate_point, get_configuration, get_technique, get_workload
-from repro.geo import (
+from repro.fleet import (
     CloudBurstTechnique,
+    FleetSpec,
     GeoEconomics,
     GeoFailoverTechnique,
-    GeoReplicationModel,
-    Site,
+    SiteSpec,
+    fail_over,
 )
 from repro.units import hours, minutes
 
 
-def build_fleet(spare_fraction: float) -> GeoReplicationModel:
+def site(name: str, capacity: float, load: float, rtt: float = 0.05) -> SiteSpec:
+    return SiteSpec(
+        name=name, capacity=capacity, load=load, power_region=name,
+        rtt_seconds=rtt,
+    )
+
+
+def build_fleet(spare_fraction: float) -> FleetSpec:
     sites = [
-        Site("west", 100, 100, power_region="west", rtt_seconds=0.05),
-        Site("east", 100, 100, power_region="east", rtt_seconds=0.12),
-        Site("eu", 100, 100, power_region="eu", rtt_seconds=0.15),
+        site("west", 100, 100, rtt=0.05),
+        site("east", 100, 100, rtt=0.12),
+        site("eu", 100, 100, rtt=0.15),
     ]
-    return GeoReplicationModel(
-        [site.with_spare_fraction(spare_fraction) for site in sites]
+    return FleetSpec(
+        name="three-sites",
+        sites=tuple(s.with_spare_fraction(spare_fraction) for s in sites),
     )
 
 
@@ -63,11 +72,9 @@ def spare_sweep() -> None:
     print(f"{'spare':>6s} {'absorbed':>9s} {'perf':>6s}")
     for spare in (0.1, 0.2, 0.35, 0.5):
         fleet = build_fleet(spare_fraction=spare)
-        outcome = fleet.fail_over("west")
-        print(
-            f"{spare:6.0%} {outcome.absorbed_load:9.1f} "
-            f"{outcome.performance:6.2f}"
-        )
+        absorbed = fail_over(fleet, "west").absorbed_load
+        performance = GeoFailoverTechnique(fleet, "west").performance
+        print(f"{spare:6.0%} {absorbed:9.1f} {performance:6.2f}")
     print()
 
 
@@ -79,14 +86,12 @@ def economics() -> None:
     from repro import BackupCostModel
 
     local = BackupCostModel().baseline_cost(1000.0)
-    print(f"dedicated geo spare (full perf)  : {spare:8.0f}")
+    print(f"dedicated geo spare (whole load) : {spare:8.0f}")
     print(f"local MaxPerf backup (DG + UPS)  : {local:8.0f}")
     burst = CloudBurstTechnique(
-        GeoReplicationModel(
-            [
-                Site("own", 100, 70, power_region="own"),
-                Site("cloud", 1000, 0, power_region="cloud", rtt_seconds=0.08),
-            ]
+        FleetSpec(
+            name="own-plus-cloud",
+            sites=(site("own", 100, 70), site("cloud", 1000, 0, rtt=0.08)),
         ),
         "own",
         dollars_per_server_hour=0.50,

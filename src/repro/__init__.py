@@ -60,10 +60,6 @@ from repro.errors import (
     TechniqueError,
     WorkloadError,
 )
-from repro.geo.economics import GeoEconomics
-from repro.geo.failover import CloudBurstTechnique, GeoFailoverTechnique
-from repro.geo.replication import FailoverOutcome, GeoReplicationModel
-from repro.geo.site import Site
 from repro.outages.distributions import (
     OUTAGE_DURATION_DISTRIBUTION,
     OUTAGE_FREQUENCY_DISTRIBUTION,
@@ -84,6 +80,15 @@ from repro.runner import (
     make_executor,
     make_jobs,
 )
+
+# repro.fleet reaches repro.analysis, whose availability module and
+# repro.runner.chaos import each other: load repro.runner first.
+from repro.fleet.failover import (
+    CloudBurstTechnique,
+    GeoEconomics,
+    GeoFailoverTechnique,
+)
+
 from repro.servers.cluster import Cluster
 from repro.servers.server import PAPER_SERVER, ServerSpec
 from repro.sim.datacenter import Datacenter
@@ -99,14 +104,11 @@ __version__ = "1.0.0"
 __all__ = [
     "AdaptivePolicy",
     "CloudBurstTechnique",
-    "FailoverOutcome",
     "GeoEconomics",
     "GeoFailoverTechnique",
-    "GeoReplicationModel",
     "HeterogeneousPlan",
     "HeterogeneousPlanner",
     "SectionRequirement",
-    "Site",
     "BackupConfiguration",
     "BackupCostModel",
     "Battery",

@@ -11,12 +11,23 @@ Modules:
     correlation: seeded regional-shock sampler and schedule merging.
     routing: instant pricing and yearly integration of geo-failover.
     sim: the per-year Monte-Carlo job and :class:`FleetAnalyzer`.
-    contingency: deterministic N-1/N-2 analysis.
+    contingency: :func:`fail_over` (N-k pricing) and N-1/N-2 analysis.
+    failover: geo-failover and cloud-burst techniques, and their economics.
     frontier: the ``fleet_frontier`` sweep and its domination verdict.
 """
 
-from repro.fleet.contingency import contingency_report, contingency_scenarios
+from repro.fleet.contingency import (
+    contingency_report,
+    contingency_scenarios,
+    fail_over,
+)
 from repro.fleet.correlation import RegionalShockSampler, merge_outage_events
+from repro.fleet.failover import (
+    CloudBurstTechnique,
+    GeoEconomics,
+    GeoFailoverTechnique,
+    required_spare_fraction,
+)
 from repro.fleet.frontier import (
     DEFAULT_FLEET_YEARS,
     fleet_cell,
@@ -27,6 +38,7 @@ from repro.fleet.frontier import (
 )
 from repro.fleet.routing import (
     DEGRADED_UTILIZATION,
+    LATENCY_PENALTY_PER_100MS,
     SURVIVOR_DEGRADED_FACTOR,
     InstantService,
     OutageWindow,
@@ -46,6 +58,7 @@ from repro.fleet.sim import (
 )
 from repro.fleet.spec import (
     DEFAULT_FLEET,
+    DEFAULT_REDIRECT_SECONDS,
     FleetSpec,
     SiteSpec,
     fleet_names,
@@ -55,10 +68,15 @@ from repro.fleet.spec import (
 __all__ = [
     "DEFAULT_FLEET",
     "DEFAULT_FLEET_YEARS",
+    "DEFAULT_REDIRECT_SECONDS",
     "DEGRADED_UTILIZATION",
+    "LATENCY_PENALTY_PER_100MS",
     "SURVIVOR_DEGRADED_FACTOR",
+    "CloudBurstTechnique",
     "FleetAnalyzer",
     "FleetSpec",
+    "GeoEconomics",
+    "GeoFailoverTechnique",
     "InstantService",
     "OutageWindow",
     "RegionalShockSampler",
@@ -68,6 +86,7 @@ __all__ = [
     "SiteWindows",
     "contingency_report",
     "contingency_scenarios",
+    "fail_over",
     "fleet_cell",
     "fleet_frontier",
     "fleet_frontier_jobs",
@@ -78,6 +97,7 @@ __all__ = [
     "prepare_fleet_frontier",
     "reduce_fleet_frontier",
     "reduce_fleet_years",
+    "required_spare_fraction",
     "route_fleet_year",
     "route_fleet_years",
     "serve_instant",

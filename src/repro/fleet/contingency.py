@@ -1,12 +1,13 @@
-"""Deterministic N-1/N-2 contingency analysis for a fleet.
+"""Deterministic N-k failover pricing and N-1/N-2 contingency analysis.
 
 Power-systems planning asks the contingency question before the
 Monte-Carlo one: *if any one site (N-1) or any pair of sites (N-2) goes
 completely dark, can the survivors carry the displaced load?*  The
 answer is a pure function of the fleet geometry — loads, spares, power
-regions, RTTs — evaluated through the same :func:`serve_instant`
-pricing the Monte-Carlo routing layer uses, so the two layers can never
-disagree about what a blackout costs.
+regions, RTTs — evaluated by :func:`fail_over` through the same
+:func:`serve_instant` pricing the Monte-Carlo routing layer uses, so the
+contingency verdicts, the geo-failover techniques and the Monte-Carlo
+years can never disagree about what a blackout costs.
 
 Dark sites are modeled at performance 0 with the redirect window
 already elapsed: contingency analysis rates the steady state, not the
@@ -16,15 +17,43 @@ transient.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterable, List, Union
 
 from repro.errors import ConfigurationError
-from repro.fleet.routing import SiteState, serve_instant
+from repro.fleet.routing import InstantService, SiteState, serve_instant
 from repro.fleet.spec import FleetSpec
 from repro.units import ordered_sum
 
 #: Delivered-fraction slack below which a scenario counts as fully served.
 _FULLY_SERVED_EPS = 1e-9
+
+
+def fail_over(
+    fleet: FleetSpec, lost: Union[str, Iterable[str]]
+) -> InstantService:
+    """Price the fleet once ``lost`` (one site name, or several) is dark.
+
+    Lost sites serve nothing locally and their redirect window has
+    elapsed, so their whole load routes to survivors in other power
+    regions.
+    """
+    lost = {lost} if isinstance(lost, str) else set(lost)
+    for name in lost:
+        fleet.site(name)  # unknown names raise ConfigurationError
+    return serve_instant(
+        [
+            SiteState(
+                name=site.name,
+                capacity=site.capacity,
+                load=site.load,
+                power_region=site.power_region,
+                rtt_seconds=site.rtt_seconds,
+                performance=0.0 if site.name in lost else 1.0,
+                in_outage=site.name in lost,
+            )
+            for site in fleet.sites
+        ]
+    )
 
 
 def contingency_scenarios(
@@ -42,20 +71,7 @@ def contingency_scenarios(
     for order in range(1, depth + 1):
         for lost in combinations(fleet.sites, order):
             lost_names = {site.name for site in lost}
-            states = [
-                SiteState(
-                    name=site.name,
-                    capacity=site.capacity,
-                    load=site.load,
-                    power_region=site.power_region,
-                    rtt_seconds=site.rtt_seconds,
-                    performance=0.0 if site.name in lost_names else 1.0,
-                    in_outage=site.name in lost_names,
-                    remote_ready=True,
-                )
-                for site in fleet.sites
-            ]
-            instant = serve_instant(states, routing=True)
+            instant = fail_over(fleet, lost_names)
             displaced = ordered_sum(site.load for site in lost)
             delivered_fraction = (
                 instant.served / instant.demand if instant.demand > 0 else 1.0

@@ -1,13 +1,12 @@
 """Traffic routing during outages: where dark sites' load goes, minute by minute.
 
-The static :meth:`~repro.geo.replication.GeoReplicationModel.fail_over`
-answers "if this one site died, who absorbs it?".  A Monte-Carlo fleet
-year needs the *dynamic* version: several sites can be dark at once (a
-regional shock), survivors serve their own load first, failover traffic
-pays a redirect delay before it lands, and a survivor pushed near its
-capacity ceiling enters a degraded mode — the paper's warning that
-"power outages can cause load increase at failed-over site" made into a
-timeline model.
+Several sites can be dark at once (a regional shock), survivors serve
+their own load first, failover traffic pays a redirect delay before it
+lands, and a survivor pushed near its capacity ceiling enters a degraded
+mode — the paper's warning that "power outages can cause load increase
+at failed-over site" made into a timeline model.  The steady-state
+"these sites died, who absorbs them?" question
+(:func:`repro.fleet.contingency.fail_over`) is one instant of it.
 
 :func:`serve_instant` prices one instant of the fleet:
 
@@ -41,8 +40,12 @@ from typing import Any, Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.geo.replication import LATENCY_PENALTY_PER_100MS
 from repro.units import ordered_sum
+
+#: Throughput penalty per 100 ms of extra client RTT for the
+#: latency-constrained services of Table 7 (they measure throughput under a
+#: high-percentile latency SLO, so added WAN latency eats SLO headroom).
+LATENCY_PENALTY_PER_100MS = 0.15
 
 #: Utilization above which an absorbing survivor serves failover traffic
 #: in degraded mode (its own overload controls engage).

@@ -8,10 +8,8 @@ frozen dataclass of primitives, so a spec drops straight into
 :func:`repro.runner.jobs.canonical_encode` — fleet jobs fingerprint and
 cache exactly like single-site jobs do.
 
-Capacity and load are in *server-equivalents of delivered work*, the same
-normalisation :mod:`repro.geo.site` uses, so a :class:`FleetSpec` lowers
-onto a :class:`~repro.geo.replication.GeoReplicationModel` without unit
-conversion (see :meth:`FleetSpec.replication_model`).
+Capacity and load are in *server-equivalents of delivered work*, so they
+compose with the cluster/performance normalisation used everywhere else.
 
 A small registry of named fleets gives the CLI/serve layers stable,
 fingerprintable handles (``us-triad``, ``coastal-pair``, ``regional-quad``,
@@ -24,9 +22,10 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.geo.replication import DEFAULT_REDIRECT_SECONDS, GeoReplicationModel
-from repro.geo.site import Site
 from repro.units import ordered_sum
+
+#: Traffic-shift convergence time (DNS TTLs / anycast withdrawal).
+DEFAULT_REDIRECT_SECONDS = 90.0
 
 
 @dataclass(frozen=True)
@@ -76,15 +75,11 @@ class SiteSpec:
     def spare_capacity(self) -> float:
         return self.capacity - self.load
 
-    def to_site(self) -> Site:
-        """The :mod:`repro.geo` view of this spec (capacity geometry only)."""
-        return Site(
-            name=self.name,
-            capacity=self.capacity,
-            load=self.load,
-            power_region=self.power_region,
-            rtt_seconds=self.rtt_seconds,
-        )
+    def with_spare_fraction(self, spare_fraction: float) -> "SiteSpec":
+        """This site re-loaded to keep ``spare_fraction`` of capacity free."""
+        if not 0 <= spare_fraction <= 1:
+            raise ConfigurationError("spare_fraction must be in [0, 1]")
+        return replace(self, load=self.capacity * (1 - spare_fraction))
 
 
 @dataclass(frozen=True)
@@ -133,10 +128,6 @@ class FleetSpec:
         return ordered_sum(site.load for site in self.sites)
 
     @property
-    def total_capacity(self) -> float:
-        return sum(site.capacity for site in self.sites)
-
-    @property
     def power_regions(self) -> Tuple[str, ...]:
         """Distinct power regions, first-appearance order (seeded shock
         epicenter draws index into this tuple, so order must be stable)."""
@@ -151,13 +142,6 @@ class FleetSpec:
             if candidate.name == name:
                 return candidate
         raise ConfigurationError(f"unknown site {name!r} in fleet {self.name!r}")
-
-    def replication_model(self) -> GeoReplicationModel:
-        """Lower to the :mod:`repro.geo` static failover model."""
-        return GeoReplicationModel(
-            [site.to_site() for site in self.sites],
-            redirect_seconds=self.redirect_seconds,
-        )
 
     # -- derivation helpers ---------------------------------------------------
 

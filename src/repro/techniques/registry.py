@@ -72,20 +72,19 @@ def _geo_failover() -> OutageTechnique:
     per-site plans, so the fleet-backed techniques must not import it at
     module load.
     """
-    from repro.geo.failover import GeoFailoverTechnique
+    from repro.fleet.failover import GeoFailoverTechnique
     from repro.fleet.spec import get_fleet
 
     fleet = get_fleet("us-triad")
-    return GeoFailoverTechnique(fleet.replication_model(), fleet.sites[0].name)
+    return GeoFailoverTechnique(fleet, fleet.sites[0].name)
 
 
 def _cloud_burst() -> OutageTechnique:
     """Cloud burst on the reference ``cloud-hybrid`` fleet."""
-    from repro.geo.failover import CloudBurstTechnique
+    from repro.fleet.failover import CloudBurstTechnique
     from repro.fleet.spec import get_fleet
 
-    fleet = get_fleet("cloud-hybrid")
-    return CloudBurstTechnique(fleet.replication_model(), "onprem")
+    return CloudBurstTechnique(get_fleet("cloud-hybrid"), "onprem")
 
 _PSTATE_SUFFIX = re.compile(
     r"^(throttling|migration|proactive-migration)-p(\d+)(?:t(\d+))?$"

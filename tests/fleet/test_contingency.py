@@ -1,10 +1,44 @@
-"""N-1/N-2 contingency analysis: deterministic geometry verdicts."""
+"""fail_over and N-1/N-2 contingency analysis: deterministic geometry verdicts."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fleet.contingency import contingency_report, contingency_scenarios
+from repro.fleet.contingency import (
+    contingency_report,
+    contingency_scenarios,
+    fail_over,
+)
 from repro.fleet.spec import get_fleet
+
+
+class TestFailOver:
+    def test_one_site_by_name(self):
+        instant = fail_over(get_fleet("coastal-pair"), "virginia")
+        assert instant.demand == pytest.approx(1.0)
+        assert instant.local_served == pytest.approx(0.5)
+        assert instant.absorbed_load == pytest.approx(0.5)
+        assert instant.per_site_absorption == {"oregon": 0.5}
+        # oregon ends at utilization 1.0: degraded, and 50 ms further out.
+        assert instant.degraded_sites == ("oregon",)
+        assert instant.remote_served == pytest.approx(0.5 * 0.925 * 0.85)
+
+    def test_name_or_names(self):
+        fleet = get_fleet("regional-quad")
+        assert fail_over(fleet, "houston") == fail_over(fleet, ["houston"])
+        both = fail_over(fleet, ("houston", "dallas"))
+        assert both.local_served == pytest.approx(1.1)
+        assert set(both.per_site_absorption) == {"atlanta", "denver"}
+
+    def test_unknown_site(self):
+        with pytest.raises(ConfigurationError):
+            fail_over(get_fleet("us-triad"), ["east", "mars"])
+
+    def test_scenarios_price_with_fail_over(self):
+        fleet = get_fleet("regional-quad")
+        for record in contingency_scenarios(fleet, depth=2):
+            instant = fail_over(fleet, record["lost_sites"])
+            assert record["absorbed_load"] == instant.absorbed_load
+            assert record["remote_served"] == instant.remote_served
 
 
 class TestScenarios:

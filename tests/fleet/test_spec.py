@@ -33,17 +33,6 @@ class TestSiteSpec:
         with pytest.raises(ConfigurationError):
             SiteSpec(name="a", rtt_seconds=-0.1)
 
-    def test_to_site_mirrors_geometry(self):
-        site = SiteSpec(
-            name="a", capacity=2.0, load=1.5, power_region="pjm",
-            rtt_seconds=0.07,
-        ).to_site()
-        assert site.name == "a"
-        assert site.capacity == 2.0
-        assert site.load == 1.5
-        assert site.power_region == "pjm"
-        assert site.rtt_seconds == 0.07
-
 
 class TestFleetSpec:
     def test_validation(self):
@@ -67,7 +56,6 @@ class TestFleetSpec:
     def test_totals_and_lookup(self):
         fleet = get_fleet("us-triad")
         assert fleet.total_load == pytest.approx(1.8)
-        assert fleet.total_capacity == pytest.approx(3.0)
         assert fleet.site("east").power_region == "pjm"
         with pytest.raises(ConfigurationError):
             fleet.site("nowhere")
@@ -93,12 +81,6 @@ class TestFleetSpec:
         fleet = get_fleet("us-triad").with_shocks(6.0, 0.5)
         assert fleet.shock_rate_per_year == 6.0
         assert fleet.correlation == 0.5
-
-    def test_replication_model_lowering(self):
-        model = get_fleet("coastal-pair").replication_model()
-        outcome = model.fail_over("virginia")
-        assert outcome.displaced_load == pytest.approx(0.5)
-        assert outcome.absorbed_load == pytest.approx(0.5)
 
 
 class TestRegistry:

@@ -5,19 +5,18 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.geo.economics import GeoEconomics
-from repro.geo.replication import GeoReplicationModel
-from repro.geo.site import Site
+from repro.fleet.failover import GeoEconomics
+from repro.fleet.spec import FleetSpec, SiteSpec
 from repro.units import SECONDS_PER_YEAR, to_kilowatts
 
 
 def fleet():
-    return GeoReplicationModel(
-        [
-            Site("west", 100.0, 70.0, power_region="wecc"),
-            Site("east", 100.0, 70.0, power_region="pjm"),
-            Site("eu", 100.0, 70.0, power_region="eu"),
-        ]
+    return FleetSpec(
+        name="test",
+        sites=tuple(
+            SiteSpec(name=name, capacity=100.0, load=70.0, power_region=region)
+            for name, region in (("west", "wecc"), ("east", "pjm"), ("eu", "eu"))
+        ),
     )
 
 
@@ -53,11 +52,14 @@ class TestSpareCapacityCost:
         ) == pytest.approx(yearly / protected_kw)
 
     def test_infeasible_fleet_is_infinite(self):
-        model = GeoReplicationModel(
-            [
-                Site("dark", 100.0, 90.0, power_region="r0"),
-                Site("tiny", 50.0, 0.0, power_region="r1"),
-            ]
+        model = FleetSpec(
+            name="test",
+            sites=(
+                SiteSpec(name="dark", capacity=100.0, load=90.0,
+                         power_region="r0"),
+                SiteSpec(name="tiny", capacity=50.0, load=0.0,
+                         power_region="r1"),
+            ),
         )
         assert math.isinf(
             GeoEconomics().spare_capacity_cost_per_kw_year(model, "dark")

@@ -1,60 +1,55 @@
-"""Site invariants: construction guards and capacity geometry."""
+"""SiteSpec geometry: construction guards and the spare-fraction knob."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.geo.site import Site
+from repro.fleet.spec import SiteSpec
+
+
+def site(capacity, load, **kwargs):
+    return SiteSpec(name="a", capacity=capacity, load=load, **kwargs)
 
 
 class TestSiteValidation:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ConfigurationError):
-            Site("a", capacity=0.0, load=0.0)
+            site(capacity=0.0, load=0.0)
         with pytest.raises(ConfigurationError):
-            Site("a", capacity=-1.0, load=0.0)
+            site(capacity=-1.0, load=0.0)
 
     def test_load_bounded_by_capacity(self):
         with pytest.raises(ConfigurationError):
-            Site("a", capacity=10.0, load=10.5)
+            site(capacity=10.0, load=10.5)
         with pytest.raises(ConfigurationError):
-            Site("a", capacity=10.0, load=-0.1)
+            site(capacity=10.0, load=-0.1)
         # boundary values are legal
-        assert Site("a", capacity=10.0, load=10.0).spare_capacity == 0.0
-        assert Site("a", capacity=10.0, load=0.0).spare_capacity == 10.0
+        assert site(capacity=10.0, load=10.0).spare_capacity == 0.0
+        assert site(capacity=10.0, load=0.0).spare_capacity == 10.0
 
     def test_rtt_must_be_nonnegative(self):
         with pytest.raises(ConfigurationError):
-            Site("a", capacity=1.0, load=0.5, rtt_seconds=-0.01)
+            site(capacity=1.0, load=0.5, rtt_seconds=-0.01)
 
 
 class TestSiteGeometry:
     def test_spare_and_utilization(self):
-        site = Site("a", capacity=100.0, load=60.0)
-        assert site.spare_capacity == pytest.approx(40.0)
-        assert site.utilization == pytest.approx(0.6)
-
-    def test_with_load_replaces_only_load(self):
-        site = Site("a", capacity=100.0, load=60.0, power_region="pjm")
-        moved = site.with_load(80.0)
-        assert moved.load == 80.0
-        assert moved.capacity == site.capacity
-        assert moved.power_region == "pjm"
-        assert site.load == 60.0  # frozen original untouched
-
-    def test_with_load_revalidates(self):
-        with pytest.raises(ConfigurationError):
-            Site("a", capacity=100.0, load=60.0).with_load(101.0)
+        assert site(capacity=100.0, load=60.0).spare_capacity == pytest.approx(
+            40.0
+        )
 
     def test_with_spare_fraction(self):
-        site = Site("a", capacity=100.0, load=90.0).with_spare_fraction(0.25)
-        assert site.load == pytest.approx(75.0)
-        assert site.spare_capacity == pytest.approx(25.0)
+        moved = site(capacity=100.0, load=90.0, power_region="pjm")
+        moved = moved.with_spare_fraction(0.25)
+        assert moved.load == pytest.approx(75.0)
+        assert moved.spare_capacity == pytest.approx(25.0)
+        assert moved.power_region == "pjm"
 
     def test_with_spare_fraction_bounds(self):
-        site = Site("a", capacity=100.0, load=90.0)
+        original = site(capacity=100.0, load=90.0)
         with pytest.raises(ConfigurationError):
-            site.with_spare_fraction(1.5)
+            original.with_spare_fraction(1.5)
         with pytest.raises(ConfigurationError):
-            site.with_spare_fraction(-0.1)
-        assert site.with_spare_fraction(1.0).load == 0.0
-        assert site.with_spare_fraction(0.0).load == pytest.approx(100.0)
+            original.with_spare_fraction(-0.1)
+        assert original.with_spare_fraction(1.0).load == 0.0
+        assert original.with_spare_fraction(0.0).load == pytest.approx(100.0)
+        assert original.load == 90.0  # frozen original untouched

@@ -12,9 +12,8 @@ from repro.core.performability import (
     plan_power_budget_watts,
 )
 from repro.experiments import figure5
-from repro.geo.failover import GeoFailoverTechnique
-from repro.geo.replication import GeoReplicationModel
-from repro.geo.site import Site
+from repro.fleet.failover import GeoFailoverTechnique
+from repro.fleet.spec import FleetSpec, SiteSpec
 from repro.power.placement import UPSPlacement
 from repro.sim.outage_sim import simulate_outage
 from repro.techniques.base import TechniqueContext
@@ -25,12 +24,13 @@ from repro.workloads.websearch import websearch
 
 
 def fleet():
-    return GeoReplicationModel(
-        [
-            Site("west", 100, 70, power_region="west", rtt_seconds=0.05),
-            Site("east", 100, 70, power_region="east", rtt_seconds=0.12),
-            Site("eu", 100, 70, power_region="eu", rtt_seconds=0.15),
-        ]
+    return FleetSpec(
+        name="three",
+        sites=tuple(
+            SiteSpec(name=name, capacity=100, load=70, power_region=name,
+                     rtt_seconds=rtt)
+            for name, rtt in (("west", 0.05), ("east", 0.12), ("eu", 0.15))
+        ),
     )
 
 

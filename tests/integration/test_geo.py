@@ -1,4 +1,4 @@
-"""Geo-replication: sites, failover model, technique, and economics."""
+"""Geo-failover on fleet types: sites, fail_over, technique, and economics."""
 
 import math
 
@@ -7,10 +7,14 @@ import pytest
 from repro.core.configurations import get_configuration
 from repro.core.performability import evaluate_point
 from repro.errors import ConfigurationError, TechniqueError
-from repro.geo.economics import GeoEconomics
-from repro.geo.failover import CloudBurstTechnique, GeoFailoverTechnique
-from repro.geo.replication import GeoReplicationModel
-from repro.geo.site import Site
+from repro.fleet.contingency import fail_over
+from repro.fleet.failover import (
+    CloudBurstTechnique,
+    GeoEconomics,
+    GeoFailoverTechnique,
+    required_spare_fraction,
+)
+from repro.fleet.spec import FleetSpec, SiteSpec
 from repro.techniques.base import TechniqueContext
 from repro.techniques.registry import get_technique
 from repro.units import hours, minutes
@@ -19,102 +23,98 @@ from repro.workloads.specjbb import specjbb
 from repro.workloads.websearch import websearch
 
 
+def site(name, capacity, load, region=None, rtt=0.05):
+    return SiteSpec(
+        name=name,
+        capacity=capacity,
+        load=load,
+        power_region=region or name,
+        rtt_seconds=rtt,
+    )
+
+
+def make_fleet(*sites):
+    return FleetSpec(name="test", sites=sites)
+
+
 def three_site_fleet(load=70.0, capacity=100.0):
-    return GeoReplicationModel(
-        [
-            Site("west", capacity, load, power_region="west", rtt_seconds=0.05),
-            Site("east", capacity, load, power_region="east", rtt_seconds=0.12),
-            Site("eu", capacity, load, power_region="eu", rtt_seconds=0.15),
-        ]
+    return make_fleet(
+        site("west", capacity, load, rtt=0.05),
+        site("east", capacity, load, rtt=0.12),
+        site("eu", capacity, load, rtt=0.15),
     )
 
 
 class TestSite:
     def test_spare_capacity(self):
-        site = Site("a", 100, 60)
-        assert site.spare_capacity == 40
-        assert site.utilization == pytest.approx(0.6)
+        assert site("a", 100, 60).spare_capacity == 40
 
     def test_with_spare_fraction(self):
-        site = Site("a", 100, 60).with_spare_fraction(0.5)
-        assert site.load == 50
+        assert site("a", 100, 60).with_spare_fraction(0.5).load == 50
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            Site("a", 0, 0)
+            site("a", 0, 0)
         with pytest.raises(ConfigurationError):
-            Site("a", 100, 150)
+            site("a", 100, 150)
         with pytest.raises(ConfigurationError):
-            Site("a", 100, 50).with_spare_fraction(1.5)
+            site("a", 100, 50).with_spare_fraction(1.5)
 
 
 class TestReplicationModel:
     def test_survivors_exclude_same_power_region(self):
-        fleet = GeoReplicationModel(
-            [
-                Site("a1", 100, 50, power_region="a"),
-                Site("a2", 100, 50, power_region="a"),
-                Site("b", 100, 50, power_region="b"),
-            ]
+        fleet = make_fleet(
+            site("a1", 100, 50, region="a"),
+            site("a2", 100, 50, region="a"),
+            site("b", 100, 50, region="b"),
         )
-        survivors = fleet.survivors_for(fleet.site("a1"))
-        assert [s.name for s in survivors] == ["b"]
+        assert list(fail_over(fleet, "a1").per_site_absorption) == ["b"]
 
     def test_full_absorption_at_high_spare(self):
         fleet = three_site_fleet(load=40.0)
-        outcome = fleet.fail_over("west")
-        assert outcome.absorbed_load == pytest.approx(40.0)
+        assert fail_over(fleet, "west").absorbed_load == pytest.approx(40.0)
         # Latency penalty still applies even with full absorption.
-        assert 0.8 < outcome.performance < 1.0
+        assert 0.8 < GeoFailoverTechnique(fleet, "west").performance < 1.0
 
     def test_overload_at_low_spare(self):
         fleet = three_site_fleet(load=90.0)
-        outcome = fleet.fail_over("west")
-        assert outcome.absorbed_load == pytest.approx(20.0)
-        assert outcome.performance < 0.25
+        assert fail_over(fleet, "west").absorbed_load == pytest.approx(20.0)
+        assert GeoFailoverTechnique(fleet, "west").performance < 0.25
 
     def test_absorption_proportional_to_spare(self):
-        fleet = GeoReplicationModel(
-            [
-                Site("a", 100, 80, power_region="a"),
-                Site("b", 100, 40, power_region="b"),  # spare 60
-                Site("c", 100, 70, power_region="c"),  # spare 30
-            ]
+        fleet = make_fleet(
+            site("a", 100, 80),
+            site("b", 100, 40),  # spare 60
+            site("c", 100, 70),  # spare 30
         )
-        outcome = fleet.fail_over("a")
-        assert outcome.per_site_absorption["b"] == pytest.approx(
-            2 * outcome.per_site_absorption["c"]
-        )
+        absorbed = fail_over(fleet, "a").per_site_absorption
+        assert absorbed["b"] == pytest.approx(2 * absorbed["c"])
 
     def test_no_survivors_means_nothing_absorbed(self):
-        fleet = GeoReplicationModel(
-            [
-                Site("a1", 100, 50, power_region="a"),
-                Site("a2", 100, 50, power_region="a"),
-            ]
+        fleet = make_fleet(
+            site("a1", 100, 50, region="a"),
+            site("a2", 100, 50, region="a"),
         )
-        outcome = fleet.fail_over("a1")
-        assert outcome.absorbed_load == 0.0
-        assert outcome.performance == 0.0
+        assert fail_over(fleet, "a1").absorbed_load == 0.0
+        assert GeoFailoverTechnique(fleet, "a1").performance == 0.0
 
     def test_required_spare_fraction(self):
-        fleet = three_site_fleet(load=70.0)
-        fraction = fleet.required_spare_fraction_for_full_performance("west")
+        fraction = required_spare_fraction(three_site_fleet(load=70.0), "west")
         assert fraction == pytest.approx(70.0 / 200.0)
 
     def test_required_spare_infinite_without_survivors(self):
-        fleet = GeoReplicationModel([Site("only", 100, 50)])
-        assert math.isinf(
-            fleet.required_spare_fraction_for_full_performance("only")
-        )
+        fleet = make_fleet(site("only", 100, 50))
+        assert math.isinf(required_spare_fraction(fleet, "only"))
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ConfigurationError):
-            GeoReplicationModel([Site("x", 1, 0), Site("x", 1, 0)])
+            make_fleet(site("x", 1, 0), site("x", 1, 0))
 
     def test_unknown_site_rejected(self):
         with pytest.raises(ConfigurationError):
-            three_site_fleet().fail_over("mars")
+            fail_over(three_site_fleet(), "mars")
+        with pytest.raises(ConfigurationError):
+            GeoFailoverTechnique(three_site_fleet(), "mars")
 
 
 class TestGeoFailoverTechnique:
@@ -170,11 +170,9 @@ class TestGeoFailoverTechnique:
 
 class TestCloudBurst:
     def test_burst_cost_scales_with_duration(self):
-        fleet = GeoReplicationModel(
-            [
-                Site("own", 100, 70, power_region="own"),
-                Site("cloud", 1000, 0, power_region="cloud", rtt_seconds=0.08),
-            ]
+        fleet = make_fleet(
+            site("own", 100, 70),
+            site("cloud", 1000, 0, rtt=0.08),
         )
         tech = CloudBurstTechnique(fleet, "own", dollars_per_server_hour=0.5)
         from repro.servers.cluster import Cluster

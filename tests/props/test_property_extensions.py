@@ -1,15 +1,17 @@
 """Property-based tests for the extension substrates: server-level battery
-banks, the geo-replication model, and redundancy arithmetic."""
+banks, single-site geo-failover, and redundancy arithmetic."""
 
 import math
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pytest
 
-from repro.geo.replication import GeoReplicationModel
-from repro.geo.site import Site
+from repro.fleet.contingency import fail_over
+from repro.fleet.failover import GeoFailoverTechnique, required_spare_fraction
+from repro.fleet.spec import FleetSpec, SiteSpec
 from repro.power.battery import BatterySpec
 from repro.power.placement import ServerLevelBatteryBank
 from repro.power.redundancy import RedundancyScheme
@@ -99,7 +101,7 @@ sites_strategy = st.lists(
 class TestGeoProperties:
     def _fleet(self, raw):
         sites = [
-            Site(
+            SiteSpec(
                 name=f"s{i}",
                 capacity=capacity,
                 load=capacity * utilisation,
@@ -108,15 +110,26 @@ class TestGeoProperties:
             )
             for i, (capacity, utilisation, rtt) in enumerate(raw)
         ]
-        return GeoReplicationModel(sites)
+        return FleetSpec(name="props", sites=tuple(sites))
+
+    def _with_sites(self, fleet, change):
+        return replace(
+            fleet,
+            sites=tuple(
+                site if site.name == "s0" else change(site)
+                for site in fleet.sites
+            ),
+        )
 
     @given(raw=sites_strategy)
     @settings(max_examples=100)
     def test_failover_invariants(self, raw):
         fleet = self._fleet(raw)
-        outcome = fleet.fail_over("s0")
-        assert 0.0 <= outcome.performance <= 1.0
-        assert 0.0 <= outcome.absorbed_load <= outcome.displaced_load + 1e-9
+        outcome = fail_over(fleet, "s0")
+        performance = GeoFailoverTechnique(fleet, "s0").performance
+        assert 0.0 <= performance <= 1.0
+        displaced = fleet.site("s0").load
+        assert 0.0 <= outcome.absorbed_load <= displaced + 1e-9
         total_absorbed = sum(outcome.per_site_absorption.values())
         assert total_absorbed == pytest.approx(outcome.absorbed_load, abs=1e-6)
         assert "s0" not in outcome.per_site_absorption
@@ -128,33 +141,26 @@ class TestGeoProperties:
         reduce *performance* by shifting absorption toward higher-RTT spare
         — a genuine, latency-weighted behaviour of the model.)"""
         fleet = self._fleet(raw)
-        base = fleet.fail_over("s0").absorbed_load
-        lighter = GeoReplicationModel(
-            [
-                site if site.name == "s0" else site.with_load(site.load * 0.5)
-                for site in fleet.sites
-            ]
+        base = fail_over(fleet, "s0").absorbed_load
+        lighter = self._with_sites(
+            fleet, lambda site: replace(site, load=site.load * 0.5)
         )
-        assert lighter.fail_over("s0").absorbed_load >= base - 1e-9
+        assert fail_over(lighter, "s0").absorbed_load >= base - 1e-9
 
     @given(raw=sites_strategy)
     @settings(max_examples=60)
     def test_required_spare_fraction_suffices(self, raw):
         fleet = self._fleet(raw)
-        fraction = fleet.required_spare_fraction_for_full_performance("s0")
+        fraction = required_spare_fraction(fleet, "s0")
         if math.isinf(fraction):
             return
-        provisioned = GeoReplicationModel(
-            [
-                site
-                if site.name == "s0"
-                else site.with_spare_fraction(min(1.0, fraction + 1e-9))
-                for site in fleet.sites
-            ]
+        provisioned = self._with_sites(
+            fleet,
+            lambda site: site.with_spare_fraction(min(1.0, fraction + 1e-9)),
         )
-        outcome = provisioned.fail_over("s0")
+        outcome = fail_over(provisioned, "s0")
         assert outcome.absorbed_load == pytest.approx(
-            outcome.displaced_load, rel=1e-6
+            provisioned.site("s0").load, rel=1e-6
         )
 
 

@@ -1,6 +1,9 @@
 """Repository-level sanity: docs exist, exports resolve, errors behave."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -47,6 +50,22 @@ class TestDocs:
             }
             assert "main" in names, example.name
 
+    @pytest.mark.parametrize(
+        "example",
+        sorted(p.name for p in (REPO_ROOT / "examples").glob("*.py")),
+    )
+    def test_example_runs(self, example):
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        result = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "examples" / example)],
+            cwd=REPO_ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+
 
 class TestPublicAPI:
     def test_all_exports_resolve(self):
@@ -58,14 +77,14 @@ class TestPublicAPI:
 
     def test_subpackage_exports_resolve(self):
         import repro.analysis
-        import repro.geo
+        import repro.fleet
         import repro.power
         import repro.sim
         import repro.techniques
         import repro.workloads
 
         for module in (
-            repro.analysis, repro.geo, repro.power,
+            repro.analysis, repro.fleet, repro.power,
             repro.sim, repro.techniques, repro.workloads,
         ):
             for name in module.__all__:

@@ -25,10 +25,13 @@ bench:
 # One cached-vs-uncached sweep through repro.runner (cache gate), then
 # the same outage cells through both engines (scaling gate): the batch
 # kernel must be bit-identical to the scalar path and clear a 10x
-# cells/sec speedup.  Writes BENCH_sim.json; CI uploads it as an
-# artifact.
+# cells/sec speedup.  Writes BENCH_sim.json and gates it as the sim
+# ledger stream; CI uploads it as an artifact.  The smoke's timings are
+# short and noisy, so the gate runs at the loose smoke tolerance.
 bench-smoke:
 	$(PYTHON) benchmarks/bench_smoke.py
+	$(PYTHON) -m repro.cli bench record
+	$(PYTHON) -m repro.cli bench check --tolerance 0.5
 
 # Certify the vectorized engine: every registered technique over the
 # Table-3 grid, full Monte-Carlo years at a mid-study block split, and
@@ -90,12 +93,13 @@ telemetry-smoke:
 # request quarantined without crash-looping the pool, brownout tiers
 # entered in declared order and unwound, and a multi-worker scaling axis
 # that must beat the single-process baseline (see docs/RESILIENCE.md).
-# Writes drill-report.json + BENCH_serve.json and runs the bench-ledger
-# gate; CI uploads both as artifacts.  The drill's short closed loops
-# are noisy, so the gate runs at the loose smoke tolerance.
+# Writes drill-report.json + BENCH_drill.json (the serve-drill ledger
+# stream) and runs the bench-ledger gate; CI uploads both as artifacts.
+# The drill's short closed loops are noisy, so the gate runs at the
+# loose smoke tolerance.
 drill-smoke:
 	$(PYTHON) -m repro.cli drill --report drill-report.json \
-		--bench BENCH_serve.json
+		--bench BENCH_drill.json
 	$(PYTHON) -m repro.cli bench record
 	$(PYTHON) -m repro.cli bench check --tolerance 0.5
 
@@ -103,9 +107,12 @@ drill-smoke:
 # identical to the plan path, the hindsight baseline an upper bound on
 # every online policy, and at least one adaptive policy strictly
 # dominating a static Table-3 cell (see docs/POLICY.md).  Writes
-# BENCH_policy.json; CI uploads it as an artifact.
+# BENCH_policy.json and gates it as the policy ledger stream; CI uploads
+# it as an artifact.
 policy-smoke:
 	$(PYTHON) benchmarks/policy_smoke.py
+	$(PYTHON) -m repro.cli bench record
+	$(PYTHON) -m repro.cli bench check --tolerance 0.5
 
 # Certify the multi-site fleet subsystem: worker-count-invariant fleet
 # years, the uncorrelated-fleet == independent-single-sites bit-identical

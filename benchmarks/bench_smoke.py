@@ -15,13 +15,17 @@ Two gates:
    (`_simulate_year` vs `simulate_year_block`); that path is
    schedule-sampling-bound in both engines, so it is recorded without
    a floor.  The measurements land in ``BENCH_sim.json`` (the CI
-   artifact):
+   artifact), the ``sim`` stream of the bench ledger:
 
    .. code-block:: json
 
-      {"scalar": {"cells": N, "seconds": s, "cells_per_second": r},
+      {"bench": "sim",
+       "metrics": {"speedup": {"value": ratio, "unit": "x",
+                               "better": "higher"},
+                   "yearly_speedup": {...}},
+       "scalar": {"cells": N, "seconds": s, "cells_per_second": r},
        "batch":  {"cells": N, "seconds": s, "cells_per_second": r},
-       "speedup": ratio, "identical": true, ...}
+       "identical": true, ...}
 
 Exits nonzero if the cache misses, results drift between engines, or
 the speedup falls below the floor.
@@ -29,7 +33,6 @@ the speedup falls below the floor.
 
 from __future__ import annotations
 
-import json
 import sys
 import tempfile
 import time
@@ -41,6 +44,7 @@ from repro.analysis.availability import _simulate_year
 from repro.analysis.sweep import sweep_configurations
 from repro.core.configurations import get_configuration
 from repro.core.performability import make_datacenter, plan_power_budget_watts
+from repro.obs.bench import emit, metric
 from repro.power.ups import DEFAULT_RECHARGE_SECONDS
 from repro.runner import ResultCache
 from repro.techniques.registry import get_technique
@@ -195,33 +199,39 @@ def _engine_gate() -> int:
     batch_year_seconds = time.perf_counter() - started
     years_identical = scalar_years == batch_years
 
-    payload = {
-        "benchmark": "scalar-vs-batch engine",
-        "workload": "specjbb",
-        "configuration": "DG-SmallPUPS",
-        "technique": "sleep-l",
-        "scalar": {
+    emit(
+        str(OUTPUT),
+        "sim",
+        {
+            "speedup": metric(round(speedup, 3), "x", "higher"),
+            "yearly_speedup": metric(
+                round(scalar_year_seconds / batch_year_seconds, 3),
+                "x",
+                "higher",
+            ),
+        },
+        workload="specjbb",
+        configuration="DG-SmallPUPS",
+        technique="sleep-l",
+        scalar={
             "cells": BENCH_CELLS,
             "seconds": round(scalar_seconds, 6),
             "cells_per_second": round(scalar_rate, 3),
         },
-        "batch": {
+        batch={
             "cells": BENCH_CELLS,
             "seconds": round(batch_seconds, 6),
             "cells_per_second": round(batch_rate, 3),
         },
-        "speedup": round(speedup, 3),
-        "speedup_floor": SPEEDUP_FLOOR,
-        "identical": cells_identical,
-        "yearly": {
+        speedup_floor=SPEEDUP_FLOOR,
+        identical=cells_identical,
+        yearly={
             "years": BENCH_YEARS,
             "scalar_seconds": round(scalar_year_seconds, 6),
             "batch_seconds": round(batch_year_seconds, 6),
-            "speedup": round(scalar_year_seconds / batch_year_seconds, 3),
             "identical": years_identical,
         },
-    }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
+    )
 
     print(
         f"bench-smoke[engine]: {BENCH_CELLS} outage cells | "

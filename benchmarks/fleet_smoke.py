@@ -19,8 +19,8 @@ Four gates, in order:
    checked verdict, run over the serve-protocol reference path.
 
 The frontier payload plus wall time lands in ``BENCH_fleet.json`` (the
-CI artifact, ingested by ``repro bench record`` as its own ledger
-stream).  Run from the repo root::
+CI artifact), the ``fleet`` stream of the bench ledger.  Run from the
+repo root::
 
     PYTHONPATH=src python benchmarks/fleet_smoke.py
 
@@ -29,7 +29,6 @@ Exit code 0 = certified.  Used by ``make fleet-smoke`` and CI.
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from pathlib import Path
@@ -178,6 +177,8 @@ def run_frontier() -> dict:
 
 
 def main() -> int:
+    from repro.obs.bench import emit, metric
+
     started = time.perf_counter()
 
     determinism_years = check_determinism()
@@ -245,26 +246,29 @@ def main() -> int:
         f"({throughput['years_per_second']} years/s)"
     )
 
-    OUTPUT.write_text(
-        json.dumps(
-            {
-                "benchmark": "fleet-smoke",
-                "fleet": "us-triad",
-                "configurations": list(FRONTIER_CONFIGS),
-                "determinism_years": determinism_years,
-                "independence_pairs_checked": independence_pairs,
-                "correlation": correlation,
-                "dominations": dominations,
-                "fleet_dominates_single_site": verdict,
-                "frontier": payload["frontier"],
-                "single_site_frontier": payload["single_site_frontier"],
-                "throughput": throughput,
-                "wall_seconds": round(elapsed, 3),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+    emit(
+        str(OUTPUT),
+        "fleet",
+        {
+            "dominations": metric(len(dominations), "count", "higher"),
+            "multi_site_gap": metric(
+                correlation["gap"], "probability", "higher"
+            ),
+            "years_per_second": metric(
+                throughput["years_per_second"], "1/s", "higher"
+            ),
+        },
+        fleet="us-triad",
+        configurations=list(FRONTIER_CONFIGS),
+        determinism_years=determinism_years,
+        independence_pairs_checked=independence_pairs,
+        correlation=correlation,
+        dominations=dominations,
+        fleet_dominates_single_site=verdict,
+        frontier=payload["frontier"],
+        single_site_frontier=payload["single_site_frontier"],
+        throughput=throughput,
+        wall_seconds=round(elapsed, 3),
     )
     print(f"wrote {OUTPUT} ({elapsed:.1f}s)")
 

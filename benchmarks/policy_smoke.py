@@ -16,7 +16,8 @@ Three gates, in order:
    deciding during the outage beats committing before it.
 
 The frontier payload plus wall time lands in ``BENCH_policy.json`` (the
-CI artifact).  Run from the repo root::
+CI artifact), the ``policy`` stream of the bench ledger.  Run from the
+repo root::
 
     PYTHONPATH=src python benchmarks/policy_smoke.py
 
@@ -25,7 +26,6 @@ Exit code 0 = certified.  Used by ``make policy-smoke`` and CI.
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from pathlib import Path
@@ -124,6 +124,8 @@ def run_frontier() -> dict:
 
 
 def main() -> int:
+    from repro.obs.bench import emit, metric
+
     started = time.perf_counter()
     checked = check_equivalence()
     if checked < 0:
@@ -156,23 +158,18 @@ def main() -> int:
             f"(cost {s['normalized_cost']:.3f}, score {s['expected_score']:.4f})"
         )
 
-    OUTPUT.write_text(
-        json.dumps(
-            {
-                "benchmark": "policy-smoke",
-                "workload": "websearch",
-                "configurations": list(FRONTIER_CONFIGS),
-                "equivalence_pairs_checked": checked,
-                "hindsight_is_upper_bound": bound,
-                "dominations": dominations,
-                "frontier": payload["frontier"],
-                "points": payload["points"],
-                "wall_seconds": round(elapsed, 3),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+    emit(
+        str(OUTPUT),
+        "policy",
+        {"dominations": metric(len(dominations), "count", "higher")},
+        workload="websearch",
+        configurations=list(FRONTIER_CONFIGS),
+        equivalence_pairs_checked=checked,
+        hindsight_is_upper_bound=bound,
+        dominations=dominations,
+        frontier=payload["frontier"],
+        points=payload["points"],
+        wall_seconds=round(elapsed, 3),
     )
     print(f"wrote {OUTPUT} ({elapsed:.1f}s)")
 

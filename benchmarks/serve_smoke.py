@@ -14,7 +14,8 @@ Three gates, in order:
    evaluation (``serve.coalesced`` > 0, riders reported in meta).
 3. **Loadgen under capacity.**  A short closed-loop mixed workload at
    modest concurrency must complete with zero sheds and zero errors;
-   its report is written to ``BENCH_serve.json`` (the CI artifact).
+   its report is written to ``BENCH_serve.json`` (the CI artifact, the
+   ``serve`` stream of the bench ledger).
    A second, deliberately oversubscribed burst against a tiny queue
    must shed — proving backpressure actually engages.
 
@@ -27,13 +28,13 @@ Exit code 0 = certified.  Used by ``make serve-smoke`` and CI.
 
 from __future__ import annotations
 
-import json
 import subprocess
 import sys
 import tempfile
 import threading
 from pathlib import Path
 
+from repro.obs.bench import emit
 from repro.serve import (
     EvalServer,
     LoadgenConfig,
@@ -218,7 +219,7 @@ def main() -> int:
         "sheds_under_capacity": 0,
         "backpressure": shed_proof,
     }
-    OUTPUT.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
+    emit(str(OUTPUT), **bench)
     print(f"[smoke] wrote {OUTPUT}")
     print(
         "serve-smoke: OK (bit-identical in both modes, coalescing, "

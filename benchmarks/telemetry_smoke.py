@@ -135,9 +135,7 @@ def gate_rolling_slo(base: str) -> None:
     assert report.latency_by_shape, "per-shape percentiles missing"
     for shape, percentiles in report.latency_by_shape.items():
         assert {"p50", "p95", "p99"} <= set(percentiles), (shape, percentiles)
-    with open(BENCH_SERVE, "w") as handle:
-        json.dump(report.to_json(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    benchmod.emit(str(BENCH_SERVE), **report.to_json())
 
     health = json.loads(get(f"{base}/healthz")[2])
     assert "shed_rate" in health and "rolling_p99_ms" in health, health
@@ -195,10 +193,11 @@ def gate_bench_ledger() -> None:
         scratch_history = Path(scratch) / "BENCH_history.jsonl"
         shutil.copy(HISTORY, scratch_history)
         current = [e for e in entries if e["bench"] == "serve"][-1]
+        scale = {"throughput_rps": 0.4, "p99_ms": 5.0}
         bad = dict(current)
         bad["metrics"] = {
-            "throughput_rps": current["metrics"]["throughput_rps"] * 0.4,
-            "p99_ms": current["metrics"].get("p99_ms", 10.0) * 5.0,
+            name: {**metric, "value": metric["value"] * scale[name]}
+            for name, metric in current["metrics"].items()
         }
         with open(scratch_history, "a") as handle:
             handle.write(json.dumps(bad) + "\n")

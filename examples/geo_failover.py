@@ -86,7 +86,7 @@ def economics() -> None:
     from repro import BackupCostModel
 
     local = BackupCostModel().baseline_cost(1000.0)
-    print(f"dedicated geo spare (whole load) : {spare:8.0f}")
+    print(f"dedicated geo spare (full perf)  : {spare:8.0f}")
     print(f"local MaxPerf backup (DG + UPS)  : {local:8.0f}")
     burst = CloudBurstTechnique(
         FleetSpec(

@@ -60,6 +60,11 @@ from repro.errors import (
     TechniqueError,
     WorkloadError,
 )
+from repro.fleet.failover import (
+    CloudBurstTechnique,
+    GeoEconomics,
+    GeoFailoverTechnique,
+)
 from repro.outages.distributions import (
     OUTAGE_DURATION_DISTRIBUTION,
     OUTAGE_FREQUENCY_DISTRIBUTION,
@@ -80,15 +85,6 @@ from repro.runner import (
     make_executor,
     make_jobs,
 )
-
-# repro.fleet reaches repro.analysis, whose availability module and
-# repro.runner.chaos import each other: load repro.runner first.
-from repro.fleet.failover import (
-    CloudBurstTechnique,
-    GeoEconomics,
-    GeoFailoverTechnique,
-)
-
 from repro.servers.cluster import Cluster
 from repro.servers.server import PAPER_SERVER, ServerSpec
 from repro.sim.datacenter import Datacenter

@@ -35,8 +35,9 @@ from repro.core.performability import make_datacenter, plan_power_budget_watts
 from repro.errors import SimulationError, TechniqueError
 from repro.outages.events import OutageEvent, OutageSchedule
 from repro.runner import BaseExecutor, SerialExecutor, make_jobs
+from repro.sim.datacenter import Datacenter
 from repro.sim.yearly import YearlyRunner
-from repro.techniques.base import TechniqueContext
+from repro.techniques.base import OutagePlan, TechniqueContext
 from repro.techniques.registry import PAPER_TECHNIQUES, get_technique
 from repro.units import days, hours, minutes
 from repro.workloads.registry import workload_names, get_workload
@@ -141,52 +142,82 @@ def _shuffled_invalid_events(
     return [only, overlapping]
 
 
-def fuzz_case(spec: Mapping[str, Any], seed) -> Record:
-    """One fuzz case (runner job entry point): generate, run, assert."""
-    if seed is None:
-        seed = np.random.SeedSequence(int(spec["case"]))
-    rng = np.random.default_rng(seed)
-    violations: List[str] = []
+@dataclass(frozen=True)
+class FuzzCase:
+    """One drawn case: a random configuration, workload and technique,
+    compiled against the datacenter they describe.
 
+    Attributes:
+        technique: The drawn name, or ``"drawn->compiled"`` when the
+            drawn technique did not fit and a lighter one stood in.
+        plan: ``None`` when no technique fits the power budget.
+    """
+
+    configuration: BackupConfiguration
+    workload: str
+    technique: str
+    datacenter: Datacenter
+    plan: Optional[OutagePlan]
+
+    def record(self) -> Record:
+        """The case's identifying fields, as every fuzz record carries."""
+        config = self.configuration
+        return {
+            "configuration": (
+                config.dg_power_fraction,
+                config.ups_power_fraction,
+                config.ups_runtime_seconds,
+            ),
+            "workload": self.workload,
+            "technique": self.technique,
+            "skipped": self.plan is None,
+        }
+
+
+def draw_case(rng: np.random.Generator) -> FuzzCase:
+    """Draw one case; the invariant and differential fuzzers both start here.
+
+    The draws come in one fixed order — configuration, workload,
+    technique, server count — so a seed names the same case in both.
+    Infeasible pairings fall back to progressively lighter techniques so
+    nearly every case exercises the simulator (sleep-l fits almost any
+    power budget).
+    """
     configuration = random_configuration(rng)
     workload = get_workload(str(rng.choice(workload_names())))
-    technique_name = str(rng.choice(FUZZ_TECHNIQUES))
+    drawn = str(rng.choice(FUZZ_TECHNIQUES))
     num_servers = int(rng.choice([4, 8, 16]))
-    record: Record = {
-        "case": int(spec["case"]),
-        "configuration": (
-            configuration.dg_power_fraction,
-            configuration.ups_power_fraction,
-            configuration.ups_runtime_seconds,
-        ),
-        "workload": workload.name,
-        "technique": technique_name,
-        "events": 0,
-        "crashes": 0,
-        "skipped": False,
-        "violations": violations,
-    }
-
     datacenter = make_datacenter(workload, configuration, num_servers=num_servers)
     context = TechniqueContext(
         cluster=datacenter.cluster,
         workload=workload,
         power_budget_watts=plan_power_budget_watts(datacenter),
     )
-    # Infeasible pairings fall back to progressively lighter techniques so
-    # nearly every case exercises the simulator (sleep-l fits almost any
-    # power budget); a config no technique fits is recorded as skipped.
-    plan = None
-    for candidate in (technique_name, "throttle+sleep-l", "sleep-l", "full-service"):
+    for candidate in (drawn, "throttle+sleep-l", "sleep-l", "full-service"):
         try:
             plan = get_technique(candidate).compile_plan(context)
         except TechniqueError:
             continue
-        if candidate != technique_name:
-            record["technique"] = f"{technique_name}->{candidate}"
-        break
-    if plan is None:
-        record["skipped"] = True
+        label = drawn if candidate == drawn else f"{drawn}->{candidate}"
+        return FuzzCase(configuration, workload.name, label, datacenter, plan)
+    return FuzzCase(configuration, workload.name, drawn, datacenter, None)
+
+
+def fuzz_case(spec: Mapping[str, Any], seed) -> Record:
+    """One fuzz case (runner job entry point): generate, run, assert."""
+    if seed is None:
+        seed = np.random.SeedSequence(int(spec["case"]))
+    rng = np.random.default_rng(seed)
+    violations: List[str] = []
+    case = draw_case(rng)
+    datacenter, plan = case.datacenter, case.plan
+    record: Record = {
+        "case": int(spec["case"]),
+        **case.record(),
+        "events": 0,
+        "crashes": 0,
+        "violations": violations,
+    }
 
     if plan is not None:
         schedule = random_schedule(rng, horizon_seconds=days(30))
@@ -230,7 +261,7 @@ def fuzz_case(spec: Mapping[str, Any], seed) -> Record:
                 )
 
     # Battery-law probes, independent of the simulation outcome.
-    ups = configuration.ups_spec(10_000.0)
+    ups = case.configuration.ups_spec(10_000.0)
     if ups.is_provisioned:
         battery = ups.battery_spec
         for multiple in (0.0, 0.5, 1.0, float(rng.uniform(1.0, 20.0))):

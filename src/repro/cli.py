@@ -426,13 +426,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.bench_command == "record":
         entries = benchmod.record(root=args.root, history_path=history_path)
         if not entries:
-            print("[bench] no known BENCH_*.json artifacts found")
-            return 1
+            if not benchmod.artifact_paths(args.root):
+                print("[bench] no BENCH_*.json artifacts found")
+                return 1
+            print("[bench] every BENCH_*.json artifact is already recorded")
         for entry in entries:
             print(
                 f"[bench] recorded {entry['bench']} from {entry['source']}: "
                 + ", ".join(
-                    f"{k}={v:g}" for k, v in sorted(entry["metrics"].items())
+                    f"{name}={metric['value']:g}"
+                    for name, metric in sorted(entry["metrics"].items())
                 )
             )
         return 0
@@ -585,19 +588,13 @@ def _cmd_drill(args: argparse.Namespace) -> int:
             json.dump(report.to_json(), handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"[drill] wrote {args.report}")
-    if args.bench:
-        artifact = report.bench_artifact()
-        if artifact is not None:
-            with open(args.bench, "w") as handle:
-                json.dump(artifact, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"[drill] wrote {args.bench}")
+    if args.bench and report.emit_bench(args.bench):
+        print(f"[drill] wrote {args.bench}")
     return 0 if report.ok else 1
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    import json
-
+    from repro.obs.bench import emit
     from repro.serve.loadgen import LoadgenConfig, parse_mix, run_loadgen
 
     report = run_loadgen(
@@ -614,9 +611,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     )
     print(f"[loadgen] {report.summary()}")
     if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(report.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        emit(args.output, **report.to_json())
         print(f"[loadgen] wrote {args.output}")
     return 0 if report.errors == 0 else 1
 
@@ -1088,10 +1083,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_drill.add_argument(
         "--bench",
-        default="BENCH_serve.json",
+        default="BENCH_drill.json",
         metavar="FILE",
-        help="write the ledger-compatible workers-axis artifact here "
-        "('' disables)",
+        help="write the workers-axis artifact (ledger stream serve-drill) "
+        "here ('' disables)",
     )
     p_drill.set_defaults(func=_cmd_drill)
 

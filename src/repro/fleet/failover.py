@@ -36,6 +36,7 @@ from typing import Optional
 from repro.core.costs import BackupCostModel
 from repro.errors import ConfigurationError, TechniqueError
 from repro.fleet.contingency import fail_over
+from repro.fleet.routing import DEGRADED_UTILIZATION
 from repro.fleet.spec import FleetSpec
 from repro.techniques.base import (
     OutagePlan,
@@ -174,13 +175,24 @@ class CloudBurstTechnique(GeoFailoverTechnique):
 
 def required_spare_fraction(fleet: FleetSpec, site: str) -> float:
     """Uniform spare fraction every power-uncorrelated survivor must hold
-    for ``site``'s whole load to be placed — the capacity-planning knob
-    Section 7 raises (``inf`` when even emptied survivors are too small)."""
+    for ``site``'s whole load to be served at full performance — the
+    capacity-planning knob Section 7 raises.
+
+    Placing the displaced load ``D`` over survivor capacity ``S`` takes
+    ``D/S``; the further ``1 - DEGRADED_UTILIZATION`` keeps every
+    survivor at or below the utilization where it degrades.  ``inf``
+    when that exceeds the whole survivor capacity.
+    """
     failed = fleet.site(site)
+    if failed.load <= 0:
+        return 0.0
     capacity = _survivor_capacity(fleet, site)
-    if capacity < failed.load:
-        return float("inf")
-    return failed.load / capacity if failed.load > 0 else 0.0
+    fraction = (
+        failed.load / capacity + (1.0 - DEGRADED_UTILIZATION)
+        if capacity > 0
+        else float("inf")
+    )
+    return fraction if fraction <= 1.0 else float("inf")
 
 
 def _survivor_capacity(fleet: FleetSpec, site: str) -> float:

@@ -1,17 +1,23 @@
-"""Continuous-bench ledger: BENCH_*.json history and a regression gate.
+"""Continuous-bench ledger: one BENCH schema, its history, a regression gate.
 
-The repo's benchmarks each write a point-in-time artifact (BENCH_sim,
-BENCH_serve, BENCH_policy) and until now every run overwrote the last —
-the perf trajectory ROADMAP item 2 demands was never recorded.  This
-module is the memory:
+Every benchmark writes its point-in-time artifact through :func:`emit`,
+in one shape::
 
-* :func:`record` ingests the current BENCH_*.json artifacts, extracts a
-  small named-metric vector from each known shape, and appends one JSONL
-  entry per artifact to ``BENCH_history.jsonl``;
-* :func:`check` compares the newest entry per benchmark against a
-  baseline (median of the preceding entries) and fails when any metric
-  regresses past a tolerance *in its bad direction* — throughput only
-  fails by falling, latency only by rising.
+    {"bench": <stream>, "metrics": {<name>: {"value", "unit", "better"}},
+     ...detail}
+
+where ``better`` is ``"higher"`` or ``"lower"`` and the detail keys are
+whatever context the benchmark wants a reader of the artifact to see.
+The record names its own stream and each metric's direction, so this
+module needs no table of benchmark shapes:
+
+* :func:`record` ingests every ``BENCH_*.json`` under a root and appends
+  one JSONL entry per artifact to ``BENCH_history.jsonl``, skipping an
+  artifact whose bytes are unchanged since its stream's newest entry;
+* :func:`check` compares the newest entry per stream against a baseline
+  (median of the preceding entries) and fails when any metric regresses
+  past a tolerance *in its bad direction* — throughput only fails by
+  falling, latency only by rising.
 
 The gate is deliberately median-of-history, not previous-run: a single
 noisy run neither poisons the baseline nor slips a real regression
@@ -24,28 +30,26 @@ tolerates a torn final line (a crashed writer must not brick the gate).
 
 from __future__ import annotations
 
+import glob
+import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
 from statistics import median
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ObsError
 
-#: Ledger schema version.
-LEDGER_VERSION = 1
+#: Ledger schema version; entries of any other version are skipped.
+LEDGER_VERSION = 2
 
 #: Default ledger filename, at the repo root next to the BENCH artifacts.
 HISTORY_FILENAME = "BENCH_history.jsonl"
 
-#: Artifacts the ledger knows how to ingest.
-ARTIFACT_FILENAMES = (
-    "BENCH_sim.json",
-    "BENCH_serve.json",
-    "BENCH_policy.json",
-    "BENCH_fleet.json",
-)
+#: Which way a metric improves.
+DIRECTIONS = ("higher", "lower")
 
 #: Fractional tolerance before a bad-direction move counts as a regression.
 DEFAULT_TOLERANCE = 0.15
@@ -53,130 +57,72 @@ DEFAULT_TOLERANCE = 0.15
 #: How many trailing history entries feed the median baseline.
 BASELINE_DEPTH = 8
 
-
-@dataclass(frozen=True)
-class MetricSpec:
-    """One gated metric: where it lives and which direction is bad."""
-
-    name: str
-    direction: str  # "higher" or "lower" is better
-    extract: Callable[[Mapping[str, Any]], Optional[float]]
-
-    def __post_init__(self) -> None:
-        if self.direction not in ("higher", "lower"):
-            raise ObsError("direction must be 'higher' or 'lower'")
+Metrics = Dict[str, Dict[str, Any]]
 
 
-def _path(*keys: str) -> Callable[[Mapping[str, Any]], Optional[float]]:
-    def extract(payload: Mapping[str, Any]) -> Optional[float]:
-        node: Any = payload
-        for key in keys:
-            if not isinstance(node, Mapping) or key not in node:
-                return None
-            node = node[key]
-        try:
-            return float(node)
-        except (TypeError, ValueError):
-            return None
-
-    return extract
+def metric(value: float, unit: str, better: str) -> Dict[str, Any]:
+    """One entry of a record's ``metrics``."""
+    return {"value": value, "unit": unit, "better": better}
 
 
-def _dominations(payload: Mapping[str, Any]) -> Optional[float]:
-    doms = payload.get("dominations")
-    return float(len(doms)) if isinstance(doms, list) else None
+def _checked_metrics(bench: Any, metrics: Any) -> Metrics:
+    """``metrics`` with every value a finite float; raises on any flaw."""
+    if not isinstance(bench, str) or not bench:
+        raise ObsError(f"bench must be a non-empty string, got {bench!r}")
+    if not isinstance(metrics, Mapping) or not metrics:
+        raise ObsError(f"{bench}: metrics must be a non-empty mapping")
+    checked: Metrics = {}
+    for name, entry in metrics.items():
+        if not isinstance(entry, Mapping):
+            raise ObsError(f"{bench}.{name}: metric must be a mapping")
+        value, unit = entry.get("value"), entry.get("unit")
+        better = entry.get("better")
+        if better not in DIRECTIONS:
+            raise ObsError(f"{bench}.{name}: better must be 'higher' or "
+                           f"'lower', got {better!r}")
+        numeric = isinstance(value, (int, float)) and type(value) is not bool
+        if not (numeric and math.isfinite(value)):
+            raise ObsError(f"{bench}.{name}: value must be a finite number, "
+                           f"got {value!r}")
+        if not isinstance(unit, str):
+            raise ObsError(f"{bench}.{name}: unit must be a string")
+        checked[str(name)] = metric(float(value), unit, better)
+    return checked
 
 
-#: bench kind → (identifier predicate, metric roster).
-_KINDS: Dict[str, Tuple[Callable[[Mapping[str, Any]], bool], Tuple[MetricSpec, ...]]] = {
-    # The drill writes the same BENCH_serve.json file but measures a
-    # deliberately different workload (sleep-shaped requests isolating
-    # pool concurrency, plus chaos overhead), so it gates against its
-    # own history stream — never against loadgen numbers.
-    "serve-drill": (
-        lambda p: p.get("bench") == "serve" and p.get("source") == "drill",
-        (
-            MetricSpec("throughput_rps", "higher", _path("throughput_rps")),
-            MetricSpec("p99_ms", "lower", _path("latency_ms", "p99")),
-            MetricSpec(
-                "workers_speedup", "higher", _path("workers_speedup")
-            ),
-        ),
-    ),
-    "serve": (
-        lambda p: p.get("bench") == "serve" and p.get("source") != "drill",
-        (
-            MetricSpec("throughput_rps", "higher", _path("throughput_rps")),
-            MetricSpec("p99_ms", "lower", _path("latency_ms", "p99")),
-        ),
-    ),
-    "sim": (
-        lambda p: p.get("benchmark") == "scalar-vs-batch engine",
-        (
-            MetricSpec("speedup", "higher", _path("speedup")),
-            MetricSpec("yearly_speedup", "higher", _path("yearly", "speedup")),
-        ),
-    ),
-    "policy": (
-        lambda p: p.get("benchmark") == "policy-smoke",
-        (MetricSpec("dominations", "higher", _dominations),),
-    ),
-    "fleet": (
-        lambda p: p.get("benchmark") == "fleet-smoke",
-        (
-            MetricSpec("dominations", "higher", _dominations),
-            MetricSpec(
-                "multi_site_gap", "higher", _path("correlation", "gap")
-            ),
-            MetricSpec(
-                "years_per_second",
-                "higher",
-                _path("throughput", "years_per_second"),
-            ),
-        ),
-    ),
-}
+def emit(
+    path: str,
+    bench: str,
+    metrics: Mapping[str, Mapping[str, Any]],
+    **detail: Any,
+) -> None:
+    """Write one BENCH artifact as sorted, indented JSON.
+
+    ``metrics`` is ``{name: {"value", "unit", "better"}}``; a direction
+    other than ``"higher"``/``"lower"`` or a non-finite value raises
+    :class:`ObsError` before anything is written.
+    """
+    checked = _checked_metrics(bench, metrics)
+    payload = {**detail, "bench": bench, "metrics": checked}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def classify(payload: Mapping[str, Any]) -> Optional[str]:
-    """Which known benchmark shape a BENCH_*.json payload is, if any."""
-    for kind, (predicate, _) in _KINDS.items():
-        if predicate(payload):
-            return kind
-    return None
-
-
-def extract_metrics(payload: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
-    """``{"bench", "metrics": {name: value}}`` for a known payload."""
-    kind = classify(payload)
-    if kind is None:
-        return None
-    metrics: Dict[str, float] = {}
-    for spec in _KINDS[kind][1]:
-        value = spec.extract(payload)
-        if value is not None:
-            metrics[spec.name] = value
-    if not metrics:
-        return None
-    return {"bench": kind, "metrics": metrics}
-
-
-def metric_direction(bench: str, metric: str) -> str:
-    for spec in _KINDS.get(bench, (None, ()))[1]:
-        if spec.name == metric:
-            return spec.direction
-    return "higher"
+def artifact_paths(root: str) -> List[str]:
+    """Every ``BENCH_*.json`` under ``root``, sorted by name."""
+    return sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
 
 
 # -- ledger I/O ---------------------------------------------------------------
 
 
 def load_history(path: str) -> List[Dict[str, Any]]:
-    """All well-formed ledger entries, oldest first.
+    """All well-formed current-version ledger entries, oldest first.
 
     A torn final line (interrupted append) is skipped silently; torn
     lines elsewhere raise, since they indicate corruption rather than a
-    crashed writer.
+    crashed writer.  Entries of another :data:`LEDGER_VERSION` are
+    skipped: their metrics do not carry the current schema.
     """
     if not os.path.exists(path):
         return []
@@ -193,7 +139,7 @@ def load_history(path: str) -> List[Dict[str, Any]]:
             if i == len(lines) - 1:
                 continue
             raise ObsError(f"{path}:{i + 1}: corrupt ledger line")
-        if isinstance(entry, dict) and "bench" in entry and "metrics" in entry:
+        if isinstance(entry, dict) and entry.get("v") == LEDGER_VERSION:
             entries.append(entry)
     return entries
 
@@ -203,35 +149,47 @@ def record(
     history_path: Optional[str] = None,
     now: Optional[float] = None,
 ) -> List[Dict[str, Any]]:
-    """Ingest every known BENCH_*.json under ``root`` into the ledger.
+    """Ingest every BENCH_*.json under ``root`` into the ledger.
 
     Returns the entries appended (possibly empty).  Each entry:
-    ``{"v", "bench", "source", "recorded_unix", "metrics"}``.
+    ``{"v", "bench", "source", "sha256", "recorded_unix", "metrics"}``.
+    An artifact whose bytes hash to its stream's newest entry was
+    already recorded and is skipped; one that is not a schema record
+    raises :class:`ObsError` naming the file.
     """
     history_path = history_path or os.path.join(root, HISTORY_FILENAME)
     stamp = time.time() if now is None else now
+    newest = {entry["bench"]: entry for entry in load_history(history_path)}
     appended: List[Dict[str, Any]] = []
-    for filename in ARTIFACT_FILENAMES:
-        path = os.path.join(root, filename)
-        if not os.path.exists(path):
-            continue
+    for path in artifact_paths(root):
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            payload = json.loads(raw)
+        except (OSError, ValueError) as exc:
             raise ObsError(f"unreadable bench artifact {path}: {exc}") from exc
-        extracted = extract_metrics(payload)
-        if extracted is None:
+        if not isinstance(payload, dict):
+            raise ObsError(f"{path}: not a BENCH record")
+        try:
+            metrics = _checked_metrics(
+                payload.get("bench"), payload.get("metrics")
+            )
+        except ObsError as exc:
+            raise ObsError(f"{path}: not a BENCH record: {exc}") from exc
+        digest = hashlib.sha256(raw).hexdigest()
+        bench = payload["bench"]
+        if newest.get(bench, {}).get("sha256") == digest:
             continue
-        appended.append(
-            {
-                "v": LEDGER_VERSION,
-                "bench": extracted["bench"],
-                "source": filename,
-                "recorded_unix": round(stamp, 3),
-                "metrics": extracted["metrics"],
-            }
-        )
+        entry = {
+            "v": LEDGER_VERSION,
+            "bench": bench,
+            "source": os.path.basename(path),
+            "sha256": digest,
+            "recorded_unix": round(stamp, 3),
+            "metrics": metrics,
+        }
+        newest[bench] = entry
+        appended.append(entry)
     if appended:
         with open(history_path, "a", encoding="utf-8") as fh:
             for entry in appended:
@@ -290,11 +248,12 @@ def check(
     tolerance: float = DEFAULT_TOLERANCE,
     baseline_depth: int = BASELINE_DEPTH,
 ) -> CheckReport:
-    """Gate the newest entry per benchmark against its history median.
+    """Gate the newest entry per stream against its history median.
 
-    For each benchmark present, the newest entry is "current" and the
+    For each stream present, the newest entry is "current" and the
     baseline per metric is the median of that metric over the preceding
-    ``baseline_depth`` entries.  A metric regresses when it moves past
+    ``baseline_depth`` entries; the metric's direction is the one the
+    current entry records.  A metric regresses when it moves past
     ``tolerance`` (fractional) in its bad direction; good-direction
     moves of any size pass.  A metric with no prior history passes as
     ``no-baseline`` — the first recorded run seeds the trajectory.
@@ -309,17 +268,17 @@ def check(
         history = by_bench[bench]
         current = history[-1]
         prior = history[:-1][-baseline_depth:]
-        for metric, value in sorted(current["metrics"].items()):
-            direction = metric_direction(bench, metric)
+        for metric, latest in sorted(current["metrics"].items()):
+            value, direction = float(latest["value"]), latest["better"]
             prior_values = [
-                float(e["metrics"][metric])
+                float(e["metrics"][metric]["value"])
                 for e in prior
-                if metric in e.get("metrics", {})
+                if metric in e["metrics"]
             ]
             if not prior_values:
                 report.verdicts.append(
                     MetricVerdict(
-                        bench, metric, direction, float(value),
+                        bench, metric, direction, value,
                         None, None, "no-baseline",
                     )
                 )
@@ -328,12 +287,12 @@ def check(
             if baseline == 0:
                 delta = 0.0
             else:
-                delta = (float(value) - baseline) / abs(baseline)
+                delta = (value - baseline) / abs(baseline)
             bad = -delta if direction == "higher" else delta
             status = "regression" if bad > tolerance else "ok"
             report.verdicts.append(
                 MetricVerdict(
-                    bench, metric, direction, float(value),
+                    bench, metric, direction, value,
                     baseline, round(delta, 6), status,
                 )
             )

@@ -22,7 +22,8 @@ that a first-class service:
   JSONL manifest of finished work enabling ``--resume``;
 * :mod:`repro.runner.chaos` — :func:`run_chaos`: kills workers and
   corrupts cache entries mid-sweep, then certifies the results are
-  bit-identical to an undisturbed run.
+  bit-identical to an undisturbed run.  Import it from its module: it
+  drives :mod:`repro.analysis`, which itself runs on this package.
 
 Quickstart::
 
@@ -43,7 +44,6 @@ from repro.runner.cache import (
     ResultCache,
     default_cache_version,
 )
-from repro.runner.chaos import ChaosReport, run_chaos
 from repro.runner.checkpoint import SweepCheckpoint
 from repro.runner.executor import (
     BaseExecutor,
@@ -67,7 +67,6 @@ from repro.runner.retry import DEFAULT_RETRYABLE_ERRORS, RetryPolicy, classify_e
 __all__ = [
     "BaseExecutor",
     "CacheStats",
-    "ChaosReport",
     "CollectingProgress",
     "ConsoleProgress",
     "DEFAULT_RETRYABLE_ERRORS",
@@ -90,6 +89,5 @@ __all__ = [
     "default_cache_version",
     "make_executor",
     "make_jobs",
-    "run_chaos",
     "spawn_seeds",
 ]

@@ -23,9 +23,10 @@ fault injection*:
 A fifth pass benchmarks the pool itself: the same request corpus is
 replayed against ``workers ∈ {0, 2, 4, ...}`` and the report gates that
 the best multi-worker throughput strictly beats the in-process baseline
-— the whole point of the pool.  The axis feeds ``BENCH_serve.json`` (see
-:meth:`DrillReport.bench_artifact`) so ``repro bench record/check`` can
-gate the multi-worker trajectory like any other benchmark.
+— the whole point of the pool.  The axis feeds ``BENCH_drill.json``, the
+``serve-drill`` ledger stream (see :meth:`DrillReport.emit_bench`), so
+``repro bench record/check`` can gate the multi-worker trajectory like
+any other benchmark.
 
 Everything is seeded (``DrillConfig.seed``) and the harness runs the
 server in-process, so it can reach the supervisor's chaos hooks
@@ -46,6 +47,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.configurations import configuration_names
+# ``emit`` names the drill's progress callback throughout this module.
+from repro.obs.bench import emit as emit_artifact, metric
 from repro.serve.analyses import evaluate_request
 from repro.serve.app import EvalServer, ServeConfig
 from repro.serve.loadgen import post_request
@@ -123,30 +126,36 @@ class DrillReport:
             "bench": self.bench,
         }
 
-    def bench_artifact(self) -> Optional[Dict[str, Any]]:
-        """The ``BENCH_serve.json`` payload for this run's workers axis.
+    def emit_bench(self, path: str) -> bool:
+        """Write this run's workers axis as the ``serve-drill`` stream.
 
-        Shaped like the loadgen artifact (``bench: serve`` plus
-        ``throughput_rps`` / ``latency_ms.p99``) so the existing ledger
-        roster gates it unchanged; the headline numbers come from the
-        largest worker count (a stable choice run to run), and
-        ``workers_speedup`` adds the multi-vs-single trajectory.
+        The headline numbers come from the largest worker count (a
+        stable choice run to run), and ``workers_speedup`` adds the
+        multi-vs-single trajectory.  Writes nothing (returns ``False``)
+        when the run measured no axis.
         """
         axis = self.bench.get("workers_axis") or []
         if not axis:
-            return None
+            return False
         headline = axis[-1]
-        return {
-            "bench": "serve",
-            "source": "drill",
-            "seed": self.seed,
-            "throughput_rps": headline["rps"],
-            "latency_ms": {"p99": headline["p99_ms"]},
-            "workers_speedup": self.bench.get("speedup"),
-            "workers_axis": axis,
-            "chaos_ok": not [f for f in self.failures if f.startswith("chaos")],
-            "requests_per_point": self.bench.get("requests_per_point"),
+        metrics = {
+            "throughput_rps": metric(headline["rps"], "1/s", "higher"),
+            "p99_ms": metric(headline["p99_ms"], "ms", "lower"),
         }
+        if self.bench.get("speedup") is not None:
+            metrics["workers_speedup"] = metric(
+                self.bench["speedup"], "x", "higher"
+            )
+        emit_artifact(
+            path,
+            "serve-drill",
+            metrics,
+            seed=self.seed,
+            workers_axis=axis,
+            chaos_ok=not [f for f in self.failures if f.startswith("chaos")],
+            requests_per_point=self.bench.get("requests_per_point"),
+        )
+        return True
 
     def summary(self) -> str:
         lines = [f"drill seed={self.seed}: {'PASS' if self.ok else 'FAIL'}"]

@@ -10,8 +10,8 @@ The request mix is weighted sampling over named shapes (``whatif``,
 ``availability``, ``rank``, ``sweep``, ``echo``), drawn from a seeded
 RNG so two runs against the same server offer the same sequence.  The
 report carries throughput, latency percentiles, and the status/shed
-breakdown; ``repro loadgen`` writes it to ``BENCH_serve.json`` next to
-the other ``BENCH_*.json`` artifacts.
+breakdown; ``repro loadgen`` writes it to ``BENCH_serve.json``, the
+``serve`` stream of the bench ledger (see :mod:`repro.obs.bench`).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ServeError
+from repro.obs.bench import metric
 from repro.serve.protocol import PROTOCOL_VERSION, canonical_json
 
 #: The canned request shapes a mix can draw from.  Costs span three
@@ -173,8 +174,16 @@ class LoadgenReport:
     net_errors: int = 0
 
     def to_json(self) -> Dict[str, Any]:
+        """The ``serve`` stream's BENCH record: the arguments of
+        :func:`repro.obs.bench.emit`, so ``emit(path, **report.to_json())``
+        writes the artifact."""
+        throughput = round(self.throughput_rps, 3)
+        metrics = {"throughput_rps": metric(throughput, "1/s", "higher")}
+        if "p99" in self.latency_ms:
+            metrics["p99_ms"] = metric(self.latency_ms["p99"], "ms", "lower")
         return {
             "bench": "serve",
+            "metrics": metrics,
             "requests": self.requests,
             "ok": self.ok,
             "sheds": self.sheds,
@@ -182,7 +191,6 @@ class LoadgenReport:
             "retries": self.retries,
             "net_errors": self.net_errors,
             "duration_s": round(self.duration_s, 3),
-            "throughput_rps": round(self.throughput_rps, 3),
             "latency_ms": self.latency_ms,
             "status_counts": self.status_counts,
             "by_shape": self.by_shape,

@@ -24,18 +24,13 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.checks.fuzz import FUZZ_TECHNIQUES, random_configuration
-from repro.core.performability import make_datacenter, plan_power_budget_watts
-from repro.errors import TechniqueError
+from repro.checks.fuzz import draw_case
 from repro.runner import BaseExecutor, SerialExecutor, make_jobs
 from repro.sim.outage_sim import simulate_outage
-from repro.techniques.base import TechniqueContext
-from repro.techniques.registry import get_technique
 from repro.units import minutes
 from repro.vsim.equivalence import _field_diffs
 from repro.vsim.kernel import PlanKernel
 from repro.vsim.yearly import simulate_year_block
-from repro.workloads.registry import get_workload, workload_names
 
 Record = Dict[str, Any]
 
@@ -131,41 +126,15 @@ def differential_case(spec: Mapping[str, Any], seed=None) -> Record:
     )
     mismatches: List[str] = []
 
-    configuration = random_configuration(rng)
-    workload = get_workload(str(rng.choice(workload_names())))
-    technique_name = str(rng.choice(FUZZ_TECHNIQUES))
-    num_servers = int(rng.choice([4, 8, 16]))
+    case = draw_case(rng)
+    datacenter, plan = case.datacenter, case.plan
     record: Record = {
         "case": int(spec["case"]),
-        "configuration": (
-            configuration.dg_power_fraction,
-            configuration.ups_power_fraction,
-            configuration.ups_runtime_seconds,
-        ),
-        "workload": workload.name,
-        "technique": technique_name,
+        **case.record(),
         "cells": 0,
-        "skipped": False,
         "mismatches": mismatches,
     }
-
-    datacenter = make_datacenter(workload, configuration, num_servers=num_servers)
-    context = TechniqueContext(
-        cluster=datacenter.cluster,
-        workload=workload,
-        power_budget_watts=plan_power_budget_watts(datacenter),
-    )
-    plan = None
-    for candidate in (technique_name, "throttle+sleep-l", "sleep-l", "full-service"):
-        try:
-            plan = get_technique(candidate).compile_plan(context)
-        except TechniqueError:
-            continue
-        if candidate != technique_name:
-            record["technique"] = f"{technique_name}->{candidate}"
-        break
     if plan is None:
-        record["skipped"] = True
         return record
 
     kernel = PlanKernel(datacenter, plan)

@@ -42,9 +42,10 @@ class TestSpareCapacityCost:
     def test_closed_form(self):
         econ = GeoEconomics()
         model = fleet()
-        # spare fraction 70/200, spread over 200 survivor capacity ->
-        # exactly 70 spare servers held for 70 protected load-servers.
-        spare_servers = 200.0 * (70.0 / 200.0)
+        # spare fraction 70/200 + 0.05, spread over 200 survivor
+        # capacity -> 70 spare servers for 70 protected load-servers,
+        # plus 10 that keep the survivors below DEGRADED_UTILIZATION.
+        spare_servers = 200.0 * (70.0 / 200.0 + 0.05)
         yearly = spare_servers * econ.spare_server_dollars_per_year
         protected_kw = to_kilowatts(70.0 * econ.server_peak_watts)
         assert econ.spare_capacity_cost_per_kw_year(

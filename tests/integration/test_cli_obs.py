@@ -6,6 +6,7 @@ import pytest
 
 from repro import obs
 from repro.cli import main
+from repro.obs.bench import emit
 from repro.obs.export import read_events_jsonl, validate_chrome_trace
 from repro.obs.validate import main as validate_main
 
@@ -122,3 +123,25 @@ class TestValidatorCli:
 
     def test_usage(self, capsys):
         assert validate_main([]) == 2
+
+
+class TestBenchCli:
+    def test_record_check_and_rerecord(self, capsys, tmp_path):
+        root = str(tmp_path)
+        assert run(capsys, "bench", "record", "--root", root)[0] == 1
+        emit(
+            str(tmp_path / "BENCH_sim.json"), "sim",
+            {"speedup": {"value": 35.0, "unit": "x", "better": "higher"}},
+        )
+        code, out, _ = run(capsys, "bench", "record", "--root", root)
+        assert code == 0 and "recorded sim from BENCH_sim.json" in out
+        code, out, _ = run(capsys, "bench", "record", "--root", root)
+        assert code == 0 and "already recorded" in out
+        history = str(tmp_path / "BENCH_history.jsonl")
+        code, out, _ = run(capsys, "bench", "check", "--history", history)
+        assert code == 0 and "sim.speedup (higher better)" in out
+
+    def test_record_names_an_artifact_without_schema(self, capsys, tmp_path):
+        (tmp_path / "BENCH_serve.json").write_text('{"bench": "serve"}')
+        code, _, err = run(capsys, "bench", "record", "--root", str(tmp_path))
+        assert code == 2 and "BENCH_serve.json" in err

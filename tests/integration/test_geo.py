@@ -100,7 +100,47 @@ class TestReplicationModel:
 
     def test_required_spare_fraction(self):
         fraction = required_spare_fraction(three_site_fleet(load=70.0), "west")
-        assert fraction == pytest.approx(70.0 / 200.0)
+        # Placing 70 on 200 survivor capacity, plus the headroom that
+        # keeps each survivor at DEGRADED_UTILIZATION (0.95).
+        assert fraction == pytest.approx(70.0 / 200.0 + 0.05)
+
+    @pytest.mark.parametrize(
+        "fleet, lost",
+        [
+            (three_site_fleet(load=load), "west")
+            for load in (40.0, 70.0, 90.0)
+        ]
+        + [
+            (
+                make_fleet(
+                    site("a", 100, 80), site("b", 100, 40), site("c", 100, 70)
+                ),
+                "a",
+            ),
+            (
+                make_fleet(
+                    site("a1", 100, 50, region="a"),
+                    site("a2", 100, 50, region="a"),
+                    site("b", 100, 50, region="b"),
+                ),
+                "a1",
+            ),
+        ],
+    )
+    def test_required_spare_serves_without_degrading(self, fleet, lost):
+        fraction = required_spare_fraction(fleet, lost)
+        region = fleet.site(lost).power_region
+        provisioned = make_fleet(
+            *(
+                s.with_spare_fraction(fraction)
+                if s.power_region != region
+                else s
+                for s in fleet.sites
+            )
+        )
+        outcome = fail_over(provisioned, lost)
+        assert outcome.degraded_sites == ()
+        assert outcome.absorbed_load == pytest.approx(fleet.site(lost).load)
 
     def test_required_spare_infinite_without_survivors(self):
         fleet = make_fleet(site("only", 100, 50))

@@ -10,7 +10,9 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # Golden payloads: every request in the tests/golden/ corpora must
-# reproduce its committed SHA-256 (see tests/golden/test_golden.py).
+# reproduce its committed SHA-256 (see tests/golden/test_golden.py), and
+# the lowest-cost UPS search must match its bisecting reference loop on
+# every result and every probe (tests/golden/test_sizing_oracle.py).
 golden:
 	$(PYTHON) -m pytest -q tests/golden
 

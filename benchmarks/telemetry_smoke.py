@@ -14,11 +14,13 @@ Five gates, in order, against one live telemetry-enabled server:
    text/plain`` yields text that passes the exposition-grammar
    validator; the JSON snapshot stays the default and carries derived
    histogram summaries.
-5. **Bench ledger.**  The loadgen report (written to BENCH_serve.json)
-   records into ``BENCH_history.jsonl``; ``repro bench check`` passes on
-   the real trajectory and fails on an injected synthetic regression
-   (checked against a scratch copy of the ledger — the injection never
-   touches the real history).
+5. **Bench ledger.**  The loadgen report (written to
+   BENCH_telemetry.json as its own ``serve-telemetry`` stream, so it is
+   never gated against ``repro loadgen``/serve-smoke's different load
+   in the ``serve`` stream) records into ``BENCH_history.jsonl``;
+   ``repro bench check`` passes on the real trajectory and fails on an
+   injected synthetic regression (checked against a scratch copy of the
+   ledger — the injection never touches the real history).
 
 Run from the repo root::
 
@@ -50,7 +52,8 @@ from repro.serve import (
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_SERVE = REPO_ROOT / "BENCH_serve.json"
+BENCH_TELEMETRY = REPO_ROOT / "BENCH_telemetry.json"
+STREAM = "serve-telemetry"
 HISTORY = REPO_ROOT / "BENCH_history.jsonl"
 SMOKE_TOLERANCE = 0.5
 
@@ -135,7 +138,7 @@ def gate_rolling_slo(base: str) -> None:
     assert report.latency_by_shape, "per-shape percentiles missing"
     for shape, percentiles in report.latency_by_shape.items():
         assert {"p50", "p95", "p99"} <= set(percentiles), (shape, percentiles)
-    benchmod.emit(str(BENCH_SERVE), **report.to_json())
+    benchmod.emit(str(BENCH_TELEMETRY), **{**report.to_json(), "bench": STREAM})
 
     health = json.loads(get(f"{base}/healthz")[2])
     assert "shed_rate" in health and "rolling_p99_ms" in health, health
@@ -180,7 +183,7 @@ def gate_prometheus(base: str) -> None:
 
 def gate_bench_ledger() -> None:
     appended = benchmod.record(root=str(REPO_ROOT), history_path=str(HISTORY))
-    assert any(e["bench"] == "serve" for e in appended), appended
+    assert any(e["bench"] == STREAM for e in appended), appended
     entries = benchmod.load_history(str(HISTORY))
     # The smoke's loadgen samples only ~3 s, so run-to-run throughput
     # noise is large; gate at a loose 50% here.  The injected regression
@@ -192,7 +195,7 @@ def gate_bench_ledger() -> None:
     with tempfile.TemporaryDirectory() as scratch:
         scratch_history = Path(scratch) / "BENCH_history.jsonl"
         shutil.copy(HISTORY, scratch_history)
-        current = [e for e in entries if e["bench"] == "serve"][-1]
+        current = [e for e in entries if e["bench"] == STREAM][-1]
         scale = {"throughput_rps": 0.4, "p99_ms": 5.0}
         bad = dict(current)
         bad["metrics"] = {

@@ -17,7 +17,7 @@ Two searches recur throughout the evaluation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.configurations import BackupConfiguration
 from repro.core.costs import BackupCostModel
@@ -25,11 +25,16 @@ from repro.core.performability import (
     DEFAULT_NUM_SERVERS,
     PerformabilityPoint,
     evaluate_point,
+    make_datacenter,
+    plan_power_budget_watts,
 )
 from repro.errors import InfeasibleError, TechniqueError
+from repro.obs import MetricsRegistry, current_metrics
 from repro.power.ups import DEFAULT_FREE_RUNTIME_SECONDS
 from repro.servers.server import PAPER_SERVER, ServerSpec
-from repro.techniques.base import OutageTechnique
+from repro.sim.datacenter import Datacenter
+from repro.sim.outage_sim import simulate_outage
+from repro.techniques.base import OutagePlan, OutageTechnique, TechniqueContext
 from repro.techniques.registry import PAPER_TECHNIQUES, get_technique
 from repro.workloads.base import WorkloadSpec
 
@@ -46,6 +51,11 @@ _POWER_FRACTION_GRID = tuple(i / 20.0 for i in range(1, 21))  # 0.05 .. 1.00
 
 #: Resolution of the battery-runtime binary search (seconds).
 _RUNTIME_TOLERANCE = 5.0
+
+#: Probes within this relative distance of a solved runtime threshold are
+#: simulated rather than answered by comparison, so float noise in the
+#: solved threshold cannot flip a verdict.
+_THRESHOLD_GUARD = 1e-6
 
 
 def best_technique(
@@ -105,14 +115,29 @@ def lowest_cost_backup(
     simulation completes without a crash (state is either sustained or
     safely parked).  Raises :class:`InfeasibleError` when no grid point
     works — e.g. Throttling against a multi-hour outage.
+
+    A fraction whose cost at the shortest runtime the search can return
+    does not beat the cheapest sizing so far is skipped unsized: cost is
+    non-decreasing in runtime, so it could not win.  With an ambient
+    metrics registry the search counts ``selection.probes_simulated``,
+    ``selection.probes_solved`` and ``selection.fractions_pruned``.
     """
     model = cost_model if cost_model is not None else BackupCostModel()
     if max_runtime_seconds is None:
         # Enough headroom for save phases that stretch past the outage.
         max_runtime_seconds = 4.0 * outage_seconds + 7200.0
+    metrics = current_metrics()
+    # _minimal_runtime never returns less (see _search_runtime).
+    shortest = max(0.0, min(DEFAULT_FREE_RUNTIME_SECONDS, max_runtime_seconds))
 
     best: Optional[SizedBackup] = None
     for fraction in power_fractions:
+        if best is not None:
+            floor = _ups_only("floor", fraction, shortest).normalized_cost(model)
+            if floor >= best.normalized_cost:
+                if metrics is not None:
+                    metrics.counter("selection.fractions_pruned").inc()
+                continue
         runtime = _minimal_runtime(
             technique,
             workload,
@@ -121,15 +146,16 @@ def lowest_cost_backup(
             num_servers,
             server,
             max_runtime_seconds,
+            metrics,
         )
         if runtime is None:
             continue
-        config = BackupConfiguration(
-            name=f"ups-{fraction:.2f}p-{runtime / 60:.0f}min",
-            dg_power_fraction=0.0,
-            ups_power_fraction=fraction,
-            ups_runtime_seconds=runtime,
+        config = _ups_only(
+            f"ups-{fraction:.2f}p-{runtime / 60:.0f}min", fraction, runtime
         )
+        cost = config.normalized_cost(model)
+        if best is not None and not cost < best.normalized_cost:
+            continue
         point = evaluate_point(
             config,
             technique,
@@ -141,17 +167,72 @@ def lowest_cost_backup(
         )
         if not point.feasible or point.crashed:
             continue
-        cost = config.normalized_cost(model)
-        if best is None or cost < best.normalized_cost:
-            best = SizedBackup(
-                configuration=config, point=point, normalized_cost=cost
-            )
+        best = SizedBackup(configuration=config, point=point, normalized_cost=cost)
     if best is None:
         raise InfeasibleError(
             f"{technique.name} cannot survive a {outage_seconds / 60:.0f} min "
             "outage on any UPS-only backup in the search grid"
         )
     return best
+
+
+def _ups_only(
+    name: str, power_fraction: float, runtime_seconds: float
+) -> BackupConfiguration:
+    return BackupConfiguration(
+        name=name,
+        dg_power_fraction=0.0,
+        ups_power_fraction=power_fraction,
+        ups_runtime_seconds=runtime_seconds,
+    )
+
+
+def _compile_fraction(
+    technique: OutageTechnique,
+    workload: WorkloadSpec,
+    power_fraction: float,
+    num_servers: int,
+    server: ServerSpec,
+    runtime_seconds: float,
+) -> Tuple[Datacenter, Optional[OutagePlan]]:
+    """The datacenter at one battery runtime, and the technique's plan
+    for it (None when the plan overdraws the UPS rating).
+
+    The plan depends on the UPS *power* rating only, so it is the plan
+    for every runtime at this fraction.
+    """
+    config = _ups_only("probe", power_fraction, runtime_seconds)
+    datacenter = make_datacenter(workload, config, num_servers, server)
+    context = TechniqueContext(
+        cluster=datacenter.cluster,
+        workload=workload,
+        power_budget_watts=plan_power_budget_watts(datacenter),
+    )
+    try:
+        return datacenter, technique.compile_plan(context)
+    except TechniqueError:
+        return datacenter, None
+
+
+def _drain_threshold(
+    datacenter: Datacenter,
+    plan: OutagePlan,
+    outage_seconds: float,
+    runtime_seconds: float,
+) -> Optional[float]:
+    """The rated runtime R* a plan with no adaptive phase needs, solved
+    from one outage on ``datacenter`` (rated ``runtime_seconds``).
+
+    A fixed phase timeline drains ``duration / runtime_at(P)`` per
+    segment, and ``runtime_at`` is proportional to the rated runtime, so
+    the charge the whole outage uses is ``R* / rated``; the plan survives
+    exactly the runtimes ``>= R*``.  None when the run crashes, so no
+    shorter runtime survives either.
+    """
+    outcome = simulate_outage(datacenter, plan, outage_seconds)
+    if outcome.crashed:
+        return None
+    return (1.0 - outcome.ups_state_of_charge_end) * runtime_seconds
 
 
 def _minimal_runtime(
@@ -162,33 +243,68 @@ def _minimal_runtime(
     num_servers: int,
     server: ServerSpec,
     max_runtime_seconds: float,
+    metrics: Optional[MetricsRegistry] = None,
 ) -> Optional[float]:
-    """Binary-search the smallest battery runtime avoiding a crash.
+    """The smallest battery runtime avoiding a crash, to 5 s (None when
+    no runtime up to ``max_runtime_seconds`` survives).
 
-    Feasibility is monotone in runtime (more energy at every load level),
-    so a standard bisection applies once any feasible upper bound exists.
+    Feasibility is monotone in runtime (more energy at every load
+    level), so :func:`_search_runtime` bisects it.  The plan is compiled
+    once; a plan that overdraws the UPS rating fails every probe.  For a
+    plan with no adaptive phase each probe is answered by ``runtime >=
+    R*`` (:func:`_drain_threshold`), and simulated only when it lies
+    within ``_THRESHOLD_GUARD`` (relative) of R*, so the search returns
+    the runtime that simulating every probe would.  A hybrid's adaptive
+    phase stretches with the battery, so its probes are all simulated.
     """
+    widest = max(max_runtime_seconds, DEFAULT_FREE_RUNTIME_SECONDS)
+    reference, plan = _compile_fraction(
+        technique, workload, power_fraction, num_servers, server, widest
+    )
+    if plan is None:
+        return None
 
-    def survives(runtime_seconds: float) -> bool:
-        config = BackupConfiguration(
-            name="probe",
-            dg_power_fraction=0.0,
-            ups_power_fraction=power_fraction,
-            ups_runtime_seconds=runtime_seconds,
+    def simulated(runtime_seconds: float) -> bool:
+        if metrics is not None:
+            metrics.counter("selection.probes_simulated").inc()
+        datacenter = make_datacenter(
+            workload,
+            _ups_only("probe", power_fraction, runtime_seconds),
+            num_servers,
+            server,
         )
-        try:
-            point = evaluate_point(
-                config,
-                technique,
-                workload,
-                outage_seconds,
-                num_servers=num_servers,
-                server=server,
-            )
-        except TechniqueError:  # pragma: no cover - evaluate_point absorbs
-            return False
-        return point.feasible and not point.crashed
+        return not simulate_outage(datacenter, plan, outage_seconds).crashed
 
+    if any(phase.is_adaptive for phase in plan.phases):
+        return _search_runtime(simulated, max_runtime_seconds)
+
+    if metrics is not None:
+        metrics.counter("selection.probes_simulated").inc()
+    threshold = _drain_threshold(reference, plan, outage_seconds, widest)
+    if threshold is None:
+        return None
+
+    def solved(runtime_seconds: float) -> bool:
+        # Non-positive runtimes (only from a non-positive
+        # max_runtime_seconds) are simulated, errors and all.
+        if (
+            runtime_seconds <= 0
+            or abs(runtime_seconds - threshold) <= _THRESHOLD_GUARD * threshold
+        ):
+            return simulated(runtime_seconds)
+        if metrics is not None:
+            metrics.counter("selection.probes_solved").inc()
+        return runtime_seconds >= threshold
+
+    return _search_runtime(solved, max_runtime_seconds)
+
+
+def _search_runtime(
+    survives: Callable[[float], bool], max_runtime_seconds: float
+) -> Optional[float]:
+    """Bisect the smallest surviving runtime: the free runtime if it
+    survives, else double from 10 min to a surviving bound (or
+    ``max_runtime_seconds``), then halve the gap to 5 s."""
     low = DEFAULT_FREE_RUNTIME_SECONDS
     if survives(low):
         return low

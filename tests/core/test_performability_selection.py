@@ -197,3 +197,69 @@ class TestRankTechniques:
             technique_names=("throttling", "sleep-l"),
         )
         assert ranking[0].point.technique_name == "sleep-l"
+
+
+class TestSizingFastPath:
+    """The search's shortcuts (docs/MODELING.md §12) against the
+    bisecting reference loop, off the default grid, and its counters."""
+
+    @staticmethod
+    def _counters(technique, seconds):
+        from repro import obs
+
+        with obs.session() as session:
+            sized = lowest_cost_backup(get_technique(technique), specjbb(), seconds)
+        snapshot = session.metrics.snapshot()
+        counts = {
+            name.split(".", 1)[1]: entry["value"]
+            for name, entry in snapshot.items()
+            if name.startswith("selection.")
+        }
+        return sized, counts
+
+    def test_counters_report_solved_pruned_and_simulated_probes(self):
+        sized, counts = self._counters("sleep-l", minutes(30))
+        assert counts["probes_solved"] > 0
+        assert counts["fractions_pruned"] > 0
+        assert counts["probes_simulated"] > 0
+        plain = lowest_cost_backup(get_technique("sleep-l"), specjbb(), minutes(30))
+        assert repr(sized) == repr(plain)
+
+    def test_adaptive_plans_are_simulated_not_solved(self):
+        _, counts = self._counters("throttle+sleep-l", hours(2))
+        assert counts["probes_simulated"] > 0
+        assert "probes_solved" not in counts
+
+    @pytest.mark.parametrize(
+        "technique", ["sleep-l", "throttling", "hibernate", "throttle+sleep-l"]
+    )
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"cost_model_free_runtime": 0.0},
+            {"cost_model_free_runtime": 900.0},
+            {"max_runtime_seconds": 60.0},
+            {"max_runtime_seconds": 1500.0},
+            {"power_fractions": (1.0, 0.6, 0.3, 0.15, 0.05)},
+        ],
+        ids=["free-0", "free-900", "max-60", "max-1500", "descending"],
+    )
+    def test_matches_reference_off_the_default_grid(self, technique, kwargs):
+        from repro.core.costs import BackupCostModel, CostParameters
+        from tests.core.reference_selection import reference_lowest_cost_backup
+
+        kwargs = dict(kwargs)
+        free = kwargs.pop("cost_model_free_runtime", None)
+        if free is not None:
+            kwargs["cost_model"] = BackupCostModel(
+                CostParameters(free_runtime_seconds=free)
+            )
+        results = []
+        for search in (reference_lowest_cost_backup, lowest_cost_backup):
+            try:
+                results.append(
+                    repr(search(get_technique(technique), specjbb(), minutes(20), **kwargs))
+                )
+            except InfeasibleError:
+                results.append("infeasible")
+        assert results[0] == results[1]

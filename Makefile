@@ -10,9 +10,12 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # Golden payloads: every request in the tests/golden/ corpora must
-# reproduce its committed SHA-256 (see tests/golden/test_golden.py), and
-# the lowest-cost UPS search must match its bisecting reference loop on
-# every result and every probe (tests/golden/test_sizing_oracle.py).
+# reproduce its committed SHA-256 (see tests/golden/test_golden.py), the
+# lowest-cost UPS search must match its bisecting reference loop on
+# every result and every probe (tests/golden/test_sizing_oracle.py), and
+# the array outage sampler must match the object-based one on every
+# start, duration and generator state, rare paths included
+# (tests/golden/test_sampler_oracle.py).
 golden:
 	$(PYTHON) -m pytest -q tests/golden
 

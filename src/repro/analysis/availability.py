@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.random import PCG64, Generator
 
 from repro.core.configurations import BackupConfiguration
 from repro.core.performability import DEFAULT_NUM_SERVERS, make_plant
@@ -31,13 +32,13 @@ from repro.outages.generator import OutageGenerator
 from repro.power.ups import DEFAULT_RECHARGE_SECONDS
 from repro.runner.cache import ResultCache
 from repro.runner.executor import BaseExecutor, make_executor
-from repro.runner.jobs import Job, make_jobs
+from repro.runner.jobs import Job, child_seed, make_jobs
 from repro.runner.progress import ProgressListener, RunStats
 from repro.servers.server import PAPER_SERVER, ServerSpec
 from repro.sim.yearly import YearlyRunner
 from repro.techniques.base import OutageTechnique
 from repro.units import SECONDS_PER_YEAR, ordered_sum, to_minutes
-from repro.vsim.yearly import simulate_year_block, year_block_specs
+from repro.vsim.yearly import dg_reliability, simulate_year_block, year_block_specs
 from repro.workloads.base import WorkloadSpec
 
 
@@ -85,27 +86,33 @@ def _simulate_year(
 
     The year's random consumers — the outage schedule, the DG start
     rolls and (when faults are injected) the fault draws — get
-    independent child streams of the per-year seed, so none perturbs the
-    others and every year is independent of every other regardless of
-    execution order.  The fault stream is spawned *after* the original
-    two (SeedSequence children are positional), so a fault-free run
-    draws exactly the same schedule and DG rolls it always did.
+    independent child streams of the per-year seed
+    (``child_seed(seed, 0)``, ``(seed, 1)`` and ``(seed, 2)``), so none
+    perturbs the others and every year is independent of every other
+    regardless of execution order.  The fault stream comes *after* the
+    original two (SeedSequence children are positional), so a fault-free
+    run draws exactly the same schedule and DG rolls it always did.  A
+    stream is built only when drawn from: the DG stream only for a
+    provisioned, unreliable engine.
 
     This is the fault-injection path, and the oracle the fault-free year
     blocks of :func:`repro.vsim.yearly.simulate_year_block` are certified
     against.
     """
-    schedule_seed, dg_seed = seed.spawn(2)
     injector = None
     if spec.get("fault_plan") is not None:
-        (fault_seed,) = seed.spawn(1)
-        injector = FaultInjector(spec["fault_plan"], seed=fault_seed)
-    generator = OutageGenerator(seed=schedule_seed)
+        injector = FaultInjector(spec["fault_plan"], seed=child_seed(seed, 2))
+    generator = OutageGenerator(seed=child_seed(seed, 0))
+    datacenter = spec["datacenter"]
     runner = YearlyRunner(
-        spec["datacenter"],
+        datacenter,
         spec["plan"],
         recharge_seconds=spec["recharge_seconds"],
-        rng=np.random.default_rng(dg_seed),
+        rng=(
+            None
+            if dg_reliability(datacenter) is None
+            else Generator(PCG64(child_seed(seed, 1)))
+        ),
         injector=injector,
     )
     result = runner.run_schedule(generator.sample_year())

@@ -302,12 +302,15 @@ def _minimal_runtime(
 def _search_runtime(
     survives: Callable[[float], bool], max_runtime_seconds: float
 ) -> Optional[float]:
-    """Bisect the smallest surviving runtime: the free runtime if it
-    survives, else double from 10 min to a surviving bound (or
-    ``max_runtime_seconds``), then halve the gap to 5 s."""
-    low = DEFAULT_FREE_RUNTIME_SECONDS
+    """Bisect the smallest surviving runtime: the free runtime (capped
+    at ``max_runtime_seconds``) if it survives, else double from 10 min
+    to a surviving bound (or ``max_runtime_seconds``), then halve the
+    gap to 5 s.  A cap below the free runtime is the only probe."""
+    low = min(DEFAULT_FREE_RUNTIME_SECONDS, max_runtime_seconds)
     if survives(low):
         return low
+    if low < DEFAULT_FREE_RUNTIME_SECONDS:
+        return None
     high = max(low * 2, 600.0)
     while high <= max_runtime_seconds and not survives(high):
         high *= 2.0

@@ -69,6 +69,12 @@ class RegionalShockSampler:
         self._durations = duration_distribution
         self._horizon = float(horizon_seconds)
 
+    @property
+    def active(self) -> bool:
+        """Whether any shock can strike: :meth:`sample_year` draws from
+        its ``rng`` only then."""
+        return self.fleet.shock_rate_per_year > 0 and self.fleet.correlation > 0
+
     def sample_year(
         self, rng: np.random.Generator
     ) -> Dict[str, List[OutageEvent]]:
@@ -81,7 +87,7 @@ class RegionalShockSampler:
         hits: Dict[str, List[OutageEvent]] = {
             site.name: [] for site in fleet.sites
         }
-        if fleet.shock_rate_per_year <= 0 or fleet.correlation <= 0:
+        if not self.active:
             return hits
         regions = fleet.power_regions
         count = int(rng.poisson(fleet.shock_rate_per_year))

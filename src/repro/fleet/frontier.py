@@ -30,7 +30,7 @@ from repro.fleet.sim import reduce_fleet_years, simulate_fleet_years
 from repro.fleet.spec import get_fleet
 from repro.runner.cache import ResultCache
 from repro.runner.executor import BaseExecutor, make_executor
-from repro.runner.jobs import Job, make_jobs
+from repro.runner.jobs import Job, child_seed, make_jobs
 from repro.runner.progress import ProgressListener
 
 #: Default per-cell sample size: enough years that every Table-3 config
@@ -45,7 +45,7 @@ def fleet_cell(
 
     The spec carries names only — ``fleet``, ``configuration``,
     ``technique``, ``routing``, ``years`` — so the job fingerprints on
-    primitives.  The cell's seed spawns one child per year; the same
+    primitives.  Year ``y`` draws from ``child_seed(seed, y)``; the same
     (cell spec, seed) always replays the same years.  All of the cell's
     years run as one batch (:func:`repro.fleet.sim.simulate_fleet_years`).
     """
@@ -56,7 +56,9 @@ def fleet_cell(
     )
     routing = bool(spec["routing"])
     years = int(spec["years"])
-    values = simulate_fleet_years(fleet, routing, seed.spawn(years))
+    values = simulate_fleet_years(
+        fleet, routing, [child_seed(seed, y) for y in range(years)]
+    )
     report = reduce_fleet_years(values, fleet, routing)
     return {
         "fleet": spec["fleet"],

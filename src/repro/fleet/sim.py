@@ -9,13 +9,17 @@ integrates where displaced load went.  :func:`simulate_fleet_year` is
 its one-year runner job.
 
 **Seed discipline** (the property the independence regression pins):
-the per-year seed spawns one child per site, in fleet order, and the
-shock stream's child strictly *after* them — SeedSequence children are
-positional, so a site's randomness depends only on (year seed, site
-position), never on the shock layer, the routing flag, or any other
-site.  Each site child then spawns ``(schedule_seed, dg_seed)`` exactly
-as :func:`repro.analysis.availability._simulate_year` does, and with
-shocks disabled the merged schedule *is* the base schedule object — so
+every stream is a :func:`~repro.runner.jobs.child_seed` path under the
+year seed.  Site ``i`` (fleet order) draws its schedule from ``(i, 0)``
+and its DG rolls from ``(i, 1)`` — the streams
+:func:`repro.analysis.availability._simulate_year` draws from under a
+site-year seed ``(i,)`` — and the shock stream is ``(n_sites,)``,
+strictly *after* the sites.  SeedSequence children are positional, so a
+site's randomness depends only on (year seed, site position), never on
+the shock layer, the routing flag, or any other site; the seeds are not
+mutated, so the same seed objects always replay the same years.  A
+stream is built only when drawn from (the shock stream only when shocks
+can strike), and only a struck site-year is merged with its shocks — so
 a fleet of uncorrelated sites reproduces the single-site yearly
 aggregates bit-identically, and the fleet layer can never perturb the
 certified single-site path.
@@ -37,6 +41,7 @@ from typing import (
 )
 
 import numpy as np
+from numpy.random import PCG64, Generator
 
 from repro.core.performability import make_plant
 from repro.errors import RunnerError
@@ -44,16 +49,16 @@ from repro.fleet.correlation import RegionalShockSampler, merge_outage_events
 from repro.fleet.routing import SiteWindows, route_fleet_years
 from repro.fleet.spec import FleetSpec
 from repro.obs import current_metrics, current_tracer
-from repro.outages.events import OutageEvent
-from repro.outages.generator import OutageGenerator
+from repro.outages.events import OutageEvent, OutageSchedule
+from repro.outages.generator import sample_year_arrays
 from repro.power.ups import DEFAULT_RECHARGE_SECONDS
 from repro.runner.cache import ResultCache
 from repro.runner.executor import BaseExecutor, make_executor
-from repro.runner.jobs import Job, make_jobs
+from repro.runner.jobs import Job, child_seed, make_jobs
 from repro.runner.progress import ProgressListener
 from repro.units import SECONDS_PER_YEAR, ordered_sum, to_minutes
 from repro.vsim.kernel import PlanKernel
-from repro.vsim.yearly import draw_dg_starts, run_years
+from repro.vsim.yearly import dg_reliability, draw_dg_starts, run_years
 
 
 def simulate_fleet_year(
@@ -152,77 +157,86 @@ def _fleet_years(
                 site.servers,
             )
 
-    # Per year: one child per site, then the shock stream's child, then
-    # (schedule, dg) per site — the seed tree of the module docstring.
-    events: List[List[Sequence[OutageEvent]]] = []
-    dg: List[List[List[bool]]] = []
+    # Flat outage arrays over every site-year, year-major then site
+    # order — the seed tree of the module docstring.
+    years = len(seeds)
+    n_sites = len(sites)
+    reliabilities = [dg_reliability(plants[key][0]) for key in site_keys]
+    starts: List[float] = []
+    durations: List[float] = []
+    dg: List[bool] = []
+    counts: List[int] = []
     shock_hits: List[int] = []
     sampler = RegionalShockSampler(fleet)
-    with span("sample", "fleet", years=len(seeds), sites=len(sites)):
+    with span("sample", "fleet", years=years, sites=n_sites):
         for year_seed in seeds:
-            site_seeds = year_seed.spawn(len(sites))
-            (shock_seed,) = year_seed.spawn(1)
-            shocks = sampler.sample_year(np.random.default_rng(shock_seed))
-            shock_hits.append(sum(len(hits) for hits in shocks.values()))
-            year_events = []
-            year_dg = []
-            for site, key, site_seed in zip(sites, site_keys, site_seeds):
-                schedule_seed, dg_seed = site_seed.spawn(2)
-                schedule = merge_outage_events(
-                    OutageGenerator(seed=schedule_seed).sample_year(),
-                    shocks[site.name],
+            shocks = None
+            if sampler.active:
+                shocks = sampler.sample_year(
+                    Generator(PCG64(child_seed(year_seed, n_sites)))
                 )
-                datacenter, _ = plants[key]
-                year_events.append(schedule.events)
-                year_dg.append(
-                    draw_dg_starts(dg_seed, datacenter, len(schedule.events))
+            shock_hits.append(
+                sum(len(hits) for hits in shocks.values()) if shocks else 0
+            )
+            for i, site in enumerate(sites):
+                site_starts, site_durations = sample_year_arrays(
+                    Generator(PCG64(child_seed(year_seed, i, 0)))
                 )
-            events.append(year_events)
-            dg.append(year_dg)
+                if shocks and shocks[site.name]:
+                    site_starts, site_durations = _merge_shocks(
+                        site_starts, site_durations, shocks[site.name]
+                    )
+                n = len(site_starts)
+                starts += site_starts
+                durations += site_durations
+                counts.append(n)
+                dg += draw_dg_starts(year_seed, (i, 1), reliabilities[i], n)
+    starts_arr = np.array(starts, dtype=float)
+    durations_arr = np.array(durations, dtype=float)
+    dg_arr = np.array(dg, dtype=bool)
+    counts_arr = np.array(counts, dtype=np.int64)
+    # Each outage's site-year lane (y * n_sites + i) and site.
+    lane_of = np.repeat(np.arange(years * n_sites), counts_arr)
+    site_of = lane_of % n_sites
+    site_plant = np.array([list(plants).index(key) for key in site_keys])
 
     # Every site-year sharing a plant runs through one kernel, in
     # (year, site) order.
-    years = len(seeds)
-    aggregates: Dict[Tuple[int, int], Dict[str, float]] = {}
-    performance: Dict[Tuple[int, int], List[float]] = {}
-    for key, (datacenter, plan) in plants.items():
-        lanes = [
-            (y, i)
-            for y in range(years)
-            for i, site_key in enumerate(site_keys)
-            if site_key == key
-        ]
+    aggregates: List[Optional[Dict[str, float]]] = [None] * (years * n_sites)
+    performance = np.empty(len(starts_arr))
+    for p, (datacenter, plan) in enumerate(plants.values()):
+        lanes = np.flatnonzero(np.tile(site_plant == p, years))
+        events = np.flatnonzero(site_plant[site_of] == p)
         with span("kernel", "fleet", lanes=len(lanes)):
             lane_years, lane_performance = run_years(
                 PlanKernel(datacenter, plan),
-                [events[y][i] for y, i in lanes],
-                [dg[y][i] for y, i in lanes],
+                starts_arr[events],
+                durations_arr[events],
+                dg_arr[events],
+                counts_arr[lanes],
                 DEFAULT_RECHARGE_SECONDS,
                 None,
                 metrics,
             )
-        aggregates.update(zip(lanes, lane_years))
-        performance.update(zip(lanes, lane_performance))
+        for lane, aggregate in zip(lanes.tolist(), lane_years):
+            aggregates[lane] = aggregate
+        performance[events] = lane_performance
 
     with span("route", "fleet", routing=routing):
+        # min(1.0, max(0.0, x)) with Python's tie rules.
+        level = np.where(performance > 0.0, performance, 0.0)
+        level = np.where(level < 1.0, level, 1.0)
+        ends = starts_arr + durations_arr
+        year_of = lane_of // n_sites
         windows = []
-        for i in range(len(sites)):
-            year_of, start, end, level = [], [], [], []
-            for y in range(years):
-                year_events = events[y][i]
-                year_of += [y] * len(year_events)
-                start += [event.start_seconds for event in year_events]
-                end += [event.end_seconds for event in year_events]
-                level += performance[(y, i)]
-            # min(1.0, max(0.0, x)) with Python's tie rules.
-            level = np.array(level, dtype=float)
-            level = np.where(level > 0.0, level, 0.0)
+        for i in range(n_sites):
+            mine = site_of == i
             windows.append(
                 SiteWindows(
-                    year=np.array(year_of, dtype=np.int64),
-                    start=np.array(start, dtype=float),
-                    end=np.array(end, dtype=float),
-                    performance=np.where(level < 1.0, level, 1.0),
+                    year=year_of[mine],
+                    start=starts_arr[mine],
+                    end=ends[mine],
+                    performance=level[mine],
                 )
             )
         totals = route_fleet_years(
@@ -240,12 +254,34 @@ def _fleet_years(
         out.append(
             {
                 "sites": {
-                    site.name: aggregates[(y, i)] for i, site in enumerate(sites)
+                    site.name: aggregates[y * n_sites + i]
+                    for i, site in enumerate(sites)
                 },
                 "fleet": totals[y],
             }
         )
     return out
+
+
+def _merge_shocks(
+    starts: List[float], durations: List[float], shocks: Sequence[OutageEvent]
+) -> Tuple[List[float], List[float]]:
+    """A struck site-year's outages with its shock events merged in
+    (:func:`~repro.fleet.correlation.merge_outage_events`)."""
+    merged = merge_outage_events(
+        OutageSchedule(
+            events=tuple(
+                OutageEvent(start_seconds=s, duration_seconds=d)
+                for s, d in zip(starts, durations)
+            ),
+            horizon_seconds=SECONDS_PER_YEAR,
+        ),
+        shocks,
+    ).events
+    return (
+        [event.start_seconds for event in merged],
+        [event.duration_seconds for event in merged],
+    )
 
 
 def reduce_fleet_years(

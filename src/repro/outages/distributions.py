@@ -19,8 +19,9 @@ bucket probabilities exact while avoiding a pile-up at bucket edges).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,11 +82,36 @@ class EmpiricalDistribution:
             if lo < hi:
                 raise ConfigurationError("buckets must be ordered and disjoint")
         self._buckets = list(buckets)
-        self._masses = np.array([b.probability for b in buckets])
         # The normalised CDF ``Generator.choice(n, p=masses)`` rebuilds on
-        # every call, built once; see :meth:`draw_buckets`.
-        self._cdf = np.cumsum(self._masses)
-        self._cdf /= self._cdf[-1]
+        # every call, built once as a list for ``bisect``; see
+        # :meth:`draw_buckets`.
+        cdf = np.cumsum(np.array([b.probability for b in buckets]))
+        cdf /= cdf[-1]
+        self._cdf = cdf.tolist()
+        # Per-bucket sampling tables: a bounded bucket draws
+        # math.exp(log_low + span * u) — the value of
+        # math.exp(rng.uniform(log_low, log_high)) from the same double;
+        # np.exp differs from math.exp in the last bit on some inputs —
+        # and a tail bucket (span None) draws low + Exponential(scale=low).
+        self._low: List[float] = []
+        self._log_low: List[float] = []
+        self._span: List[Optional[float]] = []
+        for bucket in buckets:
+            low = max(bucket.low_seconds, 1.0)
+            self._low.append(low)
+            self._log_low.append(math.log(low))
+            if math.isinf(bucket.high_seconds):
+                self._span.append(None)
+            else:
+                # The subtraction ``rng.uniform(lo, hi)`` does.
+                self._span.append(math.log(bucket.high_seconds) - math.log(low))
+        self._tails = frozenset(i for i, s in enumerate(self._span) if s is None)
+        #: An upper bound on any bounded-bucket draw (the 2x covers the
+        #: rounding of ``exp``); see ``repro.outages.generator``.
+        self.bounded_draw_bound = 2.0 * max(
+            (b.high_seconds for b in buckets if not math.isinf(b.high_seconds)),
+            default=0.0,
+        )
 
     @property
     def buckets(self) -> List[DurationBucket]:
@@ -123,32 +149,63 @@ class EmpiricalDistribution:
         """Expected duration using geometric bucket midpoints."""
         return ordered_sum(b.probability * b.midpoint_seconds() for b in self._buckets)
 
-    def draw_buckets(self, rng: np.random.Generator, size=None):
-        """Bucket indices drawn by mass (an int when ``size`` is None).
+    def draw_buckets(self, rng: np.random.Generator) -> int:
+        """One bucket index drawn by mass.
 
-        The exact computation ``rng.choice(n, size, p=masses)`` performs
-        — the same indices from the same uniforms, leaving ``rng`` in the
-        same state — minus rebuilding and re-validating the CDF per call.
+        The exact computation ``rng.choice(n, p=masses)`` performs — the
+        same index from the same uniform, leaving ``rng`` in the same
+        state — minus rebuilding and re-validating the CDF per call.
         """
-        indices = self._cdf.searchsorted(rng.random(size), side="right")
-        return int(indices) if size is None else indices
+        return bisect_right(self._cdf, rng.random())
+
+    def sample_durations(
+        self, rng: np.random.Generator, count: int, lookahead: int = 0
+    ) -> Tuple[List[float], List[float]]:
+        """Draw ``count`` durations (seconds), as a list.
+
+        The draws, in order: ``count`` bucket uniforms, then one uniform
+        per bounded bucket and one ``rng.exponential`` per tail bucket,
+        in event order.  When no tail bucket is drawn the duration
+        uniforms come from one ``rng.random`` call, extended by
+        ``lookahead`` uniforms returned second (the stream's next
+        ``lookahead`` doubles, drawn early); otherwise the second list is
+        empty and nothing past the durations is drawn.
+        """
+        if count < 0:
+            raise ValueError("size must be >= 0")
+        cdf = self._cdf
+        indices = [bisect_right(cdf, u) for u in rng.random(count).tolist()]
+        log_low = self._log_low
+        span = self._span
+        exp = math.exp
+        if self._tails.isdisjoint(indices):
+            uniforms = rng.random(count + lookahead).tolist()
+            durations = [
+                exp(log_low[i] + span[i] * u) for i, u in zip(indices, uniforms)
+            ]
+            return durations, uniforms[count:]
+        # A tail bucket's exponential splits the uniforms into segments.
+        durations = []
+        segment: List[int] = []
+        for i in indices + [None]:
+            if i is not None and span[i] is not None:
+                segment.append(i)
+                continue
+            if segment:
+                uniforms = rng.random(len(segment)).tolist()
+                durations += [
+                    exp(log_low[j] + span[j] * u) for j, u in zip(segment, uniforms)
+                ]
+                segment = []
+            if i is not None:
+                low = self._low[i]
+                durations.append(low + rng.exponential(scale=low))
+        return durations, []
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        """Draw ``size`` durations (seconds)."""
-        if size < 0:
-            raise ValueError("size must be >= 0")
-        indices = self.draw_buckets(rng, size)
-        out = np.empty(size)
-        for i, idx in enumerate(indices):
-            bucket = self._buckets[int(idx)]
-            low = max(bucket.low_seconds, 1.0)
-            if math.isinf(bucket.high_seconds):
-                out[i] = low + rng.exponential(scale=low)
-            else:
-                out[i] = math.exp(
-                    rng.uniform(math.log(low), math.log(bucket.high_seconds))
-                )
-        return out
+        """Draw ``size`` durations (seconds); :meth:`sample_durations`
+        as an array."""
+        return np.array(self.sample_durations(rng, size)[0], dtype=float)
 
 
 #: Figure 1(b): outage duration distribution.
@@ -175,16 +232,20 @@ OUTAGE_FREQUENCY_DISTRIBUTION = EmpiricalDistribution(
 )
 
 
+#: Figure 1(a)'s integer count range per bucket, ``[low, high)``.
+_COUNT_RANGES = [
+    (int(b.low_seconds), int(b.high_seconds))
+    for b in OUTAGE_FREQUENCY_DISTRIBUTION.buckets
+]
+
+
 def sample_outage_count(rng: np.random.Generator) -> int:
     """Draw a yearly outage count from Figure 1(a).
 
     Counts are integers: a bucket is drawn by mass, then a count uniformly
     from the integers the bucket covers.
     """
-    buckets = OUTAGE_FREQUENCY_DISTRIBUTION.buckets
-    bucket = buckets[OUTAGE_FREQUENCY_DISTRIBUTION.draw_buckets(rng)]
-    low = int(bucket.low_seconds)
-    high = int(bucket.high_seconds)
+    low, high = _COUNT_RANGES[OUTAGE_FREQUENCY_DISTRIBUTION.draw_buckets(rng)]
     return int(rng.integers(low, high))
 
 

@@ -20,7 +20,7 @@ Job callables have one fixed signature::
 and must be defined at module top level (process pools pickle them by
 qualified name).  Deterministic jobs simply ignore ``seed``; stochastic
 jobs build one or more :class:`numpy.random.Generator` instances from it
-(spawning children for independent streams).
+(deriving independent child streams with :func:`child_seed`).
 """
 
 from __future__ import annotations
@@ -187,6 +187,22 @@ def spawn_seeds(
     if base_seed is None:
         return [None] * count
     return list(np.random.SeedSequence(base_seed).spawn(count))
+
+
+def child_seed(
+    seed: np.random.SeedSequence, *path: int
+) -> np.random.SeedSequence:
+    """The descendant of ``seed`` at ``path``, by spawn-key arithmetic.
+
+    ``child_seed(s, i, j)`` is the stream ``s.spawn(i + 1)[i].spawn(j +
+    1)[j]`` names when ``s`` has spawned nothing yet, built directly:
+    no sibling is constructed and ``seed`` is not mutated, so the same
+    seed object always yields the same children (``spawn`` counts the
+    children it has handed out and continues from there on every call).
+    """
+    return np.random.SeedSequence(
+        seed.entropy, spawn_key=seed.spawn_key + path, pool_size=seed.pool_size
+    )
 
 
 def make_jobs(

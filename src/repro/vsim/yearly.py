@@ -10,23 +10,25 @@ compiled plan).
 :func:`repro.analysis.availability._simulate_year`, evaluating a
 contiguous block of years per job:
 
-* **Same RNG discipline.**  Year ``i``'s seed is
-  ``SeedSequence(base_seed, spawn_key=(i,))`` — the exact child
-  :func:`repro.runner.jobs.make_jobs` hands the scalar per-year job,
-  built directly rather than by spawning all ``total_years`` children —
-  and each year spawns ``(schedule, dg)`` streams positionally, so the
-  sampled schedules and DG start rolls are bit-identical to the scalar
-  path at any block size.
+* **Same RNG discipline.**  Year ``i`` draws its schedule from
+  ``child_seed(SeedSequence(base_seed), i, 0)`` and its DG rolls from
+  ``(i, 1)`` — the streams the scalar per-year job draws from under the
+  runner's year seed ``(i,)``, built by spawn-key arithmetic
+  (:func:`repro.runner.jobs.child_seed`) rather than by spawning — so
+  the sampled outages (:func:`repro.outages.generator.sample_year_arrays`)
+  and DG start rolls are bit-identical to the scalar path at any block
+  size.
 * **Same state threading.**  Cross-outage state of charge and recharge
   clamping follow :meth:`repro.sim.yearly.YearlyRunner._run_schedule`
-  verbatim; only the outage simulations themselves are vectorized, in
-  event-position-major order (all years' first outages as one batch,
-  then all second outages, ...), which preserves each year's sequential
-  threading while batching across years.  That loop, :func:`run_years`,
-  also runs fleet site-years (:mod:`repro.fleet.sim`).
+  float for float; only the outage simulations themselves are
+  vectorized, in event-position-major order (all years' first outages
+  as one batch, then all second outages, ...), which preserves each
+  year's sequential threading while batching across years.  That loop,
+  :func:`run_years`, takes flat per-outage arrays and also runs fleet
+  site-years (:mod:`repro.fleet.sim`).
 * **Same aggregates.**  The returned per-year dicts accumulate
-  downtime/performance in event order with plain Python float adds, so
-  each dict equals the scalar job's bit-for-bit — certified by
+  downtime/performance in event order with the scalar path's float
+  adds, so each dict equals the scalar job's bit-for-bit — certified by
   ``make batch-smoke`` and ``tests/sim/test_vsim_yearly.py``.
 
 Fault injection is out of kernel scope: fault-free availability studies
@@ -35,7 +37,8 @@ always run here, fault studies on the scalar path.
 Observability follows the scalar path's contract: the ambient tracer and
 metrics are captured once per block, and with both off every hook is a
 single ``is None`` check.  A traced block records a ``year_block`` span
-with one ``kernel`` child per event-position batch; metrics get the
+holding a ``sample`` span (drawing every year's outages) and then one
+``kernel`` span per event-position batch; metrics get the
 scalar path's ``sim.outages``/``sim.crashes``/``sim.dg_start_failures``
 counters, plus each outage's end-of-outage charge as a ``battery.soc``
 observation when the datacenter has a UPS.
@@ -46,10 +49,12 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.random import PCG64, Generator
 
 from repro.errors import SimulationError
 from repro.obs import current_metrics, current_tracer
-from repro.outages.generator import OutageGenerator
+from repro.outages.generator import sample_year_arrays
+from repro.runner.jobs import child_seed
 from repro.vsim.kernel import PlanKernel
 
 #: Years per batch job.  A study of up to 1000 years is one kernel job
@@ -94,140 +99,187 @@ def _simulate_block(
     total_years = int(spec["total_years"])
     if not (0 <= start and count > 0 and start + count <= total_years):
         raise SimulationError("year block out of range")
-    base_seed = spec["base_seed"]
-
-    # Draw every year's schedule and DG rolls up front (cheap, sequential
-    # per year exactly as the scalar runner draws them).
-    events_per_year: List[Sequence[Any]] = []
-    dg_per_year: List[List[bool]] = []
-    for i in range(start, start + count):
-        year_seed = np.random.SeedSequence(base_seed, spawn_key=(i,))
-        schedule_seed, dg_seed = year_seed.spawn(2)
-        events = OutageGenerator(seed=schedule_seed).sample_year().events
-        events_per_year.append(events)
-        dg_per_year.append(draw_dg_starts(dg_seed, datacenter, len(events)))
-
-    years, _ = run_years(
+    root = np.random.SeedSequence(spec["base_seed"])
+    years = range(start, start + count)
+    if tracer is None:
+        arrays = _sample_block(root, years, datacenter)
+    else:
+        with tracer.span("sample", "vsim", years=count) as span:
+            arrays = _sample_block(root, years, datacenter)
+            span.set("outages", len(arrays[0]))
+    out, _ = run_years(
         PlanKernel(datacenter, spec["plan"]),
-        events_per_year,
-        dg_per_year,
+        *arrays,
         recharge_seconds,
         tracer,
         metrics,
     )
-    return years
+    return out
+
+
+def _sample_block(root: np.random.SeedSequence, years: range, datacenter):
+    """Every year's outages and DG rolls, drawn up front as flat arrays.
+
+    Year ``i`` draws its schedule from ``child_seed(root, i, 0)`` and its
+    DG rolls from ``child_seed(root, i, 1)`` — the streams the scalar
+    job draws from under the runner's year seed ``(i,)`` — so the draws
+    are bit-identical to the scalar path at any block size.
+    """
+    reliability = dg_reliability(datacenter)
+    starts: List[float] = []
+    durations: List[float] = []
+    dg: List[bool] = []
+    counts: List[int] = []
+    for i in years:
+        year_starts, year_durations = sample_year_arrays(
+            Generator(PCG64(child_seed(root, i, 0)))
+        )
+        n = len(year_starts)
+        starts += year_starts
+        durations += year_durations
+        counts.append(n)
+        dg += draw_dg_starts(root, (i, 1), reliability, n)
+    return starts, durations, dg, counts
+
+
+def dg_reliability(datacenter) -> Optional[float]:
+    """The engine's start reliability when its start rolls are drawn.
+
+    :meth:`repro.sim.yearly.YearlyRunner._dg_starts` rolls one uniform
+    per outage when the engine is provisioned and unreliable; otherwise
+    (None here) it draws nothing and the engine starts.
+    """
+    generator = datacenter.generator
+    if generator.is_provisioned and generator.start_reliability < 1.0:
+        return generator.start_reliability
+    return None
 
 
 def draw_dg_starts(
-    dg_seed: np.random.SeedSequence, datacenter, count: int
+    seed: np.random.SeedSequence,
+    path: Tuple[int, ...],
+    reliability: Optional[float],
+    count: int,
 ) -> List[bool]:
-    """A year's DG start rolls, one per outage, from the year's DG stream.
+    """A year's ``count`` DG start rolls, in outage order.
 
-    The draws :meth:`repro.sim.yearly.YearlyRunner._dg_starts` makes, in
-    the same order: one uniform per outage when the engine is
-    provisioned and unreliable, none otherwise (the engine starts).
+    The rolls come from the stream ``child_seed(seed, *path)``, built
+    only when drawn from: with no reliability to roll against
+    (:func:`dg_reliability`) or no outage, every engine starts.
     """
-    generator = datacenter.generator
-    if not (generator.is_provisioned and generator.start_reliability < 1.0):
+    if reliability is None or not count:
         return [True] * count
-    rng = np.random.default_rng(dg_seed)
-    return (rng.random(count) < generator.start_reliability).tolist()
+    rng = Generator(PCG64(child_seed(seed, *path)))
+    return (rng.random(count) < reliability).tolist()
 
 
 def run_years(
     kernel: PlanKernel,
-    events_per_year: Sequence[Sequence[Any]],
-    dg_per_year: Sequence[Sequence[bool]],
+    starts: Sequence[float],
+    durations: Sequence[float],
+    dg: Sequence[bool],
+    counts: Sequence[int],
     recharge_seconds: float,
     tracer=None,
     metrics=None,
-) -> Tuple[List[Dict[str, float]], List[List[float]]]:
+) -> Tuple[List[Dict[str, float]], np.ndarray]:
     """Thread independent years of outages through one kernel.
 
-    Each year is a sequence of ordered outage events (anything with
-    ``start_seconds``/``duration_seconds``/``end_seconds``) plus one DG
-    start roll per event.  Outages run in event-position-major batches
-    (all years' first outages, then all second outages, ...), with the
-    cross-outage state of charge threaded exactly as
-    :meth:`repro.sim.yearly.YearlyRunner._run_schedule` does.
+    The years arrive flat: ``starts``, ``durations`` and ``dg`` (one DG
+    start roll per outage) hold every year's ordered outages back to
+    back, and ``counts[y]`` is year ``y``'s number of outages.  Outages
+    run in event-position-major batches (all years' first outages, then
+    all second outages, ...), with the cross-outage state of charge
+    threaded exactly as
+    :meth:`repro.sim.yearly.YearlyRunner._run_schedule` does: each lane
+    gets the same float operations in the same order, and the clamps
+    keep Python's ``min``/``max`` tie rules.
 
     Returns the per-year aggregate dicts (the fields of
     :func:`repro.analysis.availability._simulate_year`, accumulated in
-    event order with Python float adds) and each year's per-event mean
-    performance.
+    event order) and the flat per-outage mean performance, aligned with
+    ``starts``.
     """
     if recharge_seconds <= 0:
         raise SimulationError("recharge_seconds must be positive")
-    count = len(events_per_year)
+    counts = np.asarray(counts, dtype=np.int64)
+    starts = np.asarray(starts, dtype=float)
+    durations = np.asarray(durations, dtype=float)
+    dg = np.asarray(dg, dtype=bool)
+    total = int(counts.sum())
+    if not (len(starts) == len(durations) == len(dg) == total):
+        raise SimulationError("outage arrays must match the per-year counts")
+    ends = starts + durations
+    offsets = np.cumsum(counts) - counts
+    count = len(counts)
     provisioned = kernel.dc.generator.is_provisioned
-    soc = [1.0] * count
-    previous_end = [float("-inf")] * count
-    downtime = [0.0] * count
-    crashes = [0] * count
-    perf_sum = [0.0] * count
-    perf_weight = [0.0] * count
-    dg_failures = [0] * count
-    performance: List[List[float]] = [[] for _ in range(count)]
+    soc = np.ones(count)
+    previous_end = np.full(count, float("-inf"))
+    downtime = np.zeros(count)
+    crashes = np.zeros(count, dtype=np.int64)
+    perf_sum = np.zeros(count)
+    perf_weight = np.zeros(count)
+    dg_failures = np.zeros(count, dtype=np.int64)
+    performance = np.empty(total)
 
-    max_events = max((len(e) for e in events_per_year), default=0)
-    for j in range(max_events):
-        years = [y for y in range(count) if len(events_per_year[y]) > j]
-        durations = []
-        socs = []
-        dgs = []
-        for y in years:
-            event = events_per_year[y][j]
-            gap = event.start_seconds - previous_end[y]
-            if gap < 0:
-                raise SimulationError(
-                    "schedule events must be ordered and non-overlapping"
-                )
-            soc[y] = min(1.0, max(0.0, soc[y] + gap / recharge_seconds))
-            dg_starts = dg_per_year[y][j]
-            if provisioned and not dg_starts:
-                dg_failures[y] += 1
-            durations.append(event.duration_seconds)
-            socs.append(soc[y])
-            dgs.append(dg_starts)
+    for j in range(int(counts.max(initial=0))):
+        lanes = np.flatnonzero(counts > j)
+        events = offsets[lanes] + j
+        gap = starts[events] - previous_end[lanes]
+        if (gap < 0).any():
+            raise SimulationError(
+                "schedule events must be ordered and non-overlapping"
+            )
+        # min(1.0, max(0.0, x)) with Python's tie rules.
+        level = soc[lanes] + gap / recharge_seconds
+        level = np.where(level > 0.0, level, 0.0)
+        level = np.where(level < 1.0, level, 1.0)
+        dg_starts = dg[events]
+        if provisioned:
+            dg_failures[lanes] += ~dg_starts
+        lengths = durations[events]
         if tracer is None:
             batch = kernel.run(
-                durations, initial_state_of_charge=socs, dg_starts=dgs
+                lengths, initial_state_of_charge=level, dg_starts=dg_starts
             )
         else:
-            with tracer.span("kernel", "vsim", position=j, lanes=len(years)):
+            with tracer.span("kernel", "vsim", position=j, lanes=len(lanes)):
                 batch = kernel.run(
-                    durations, initial_state_of_charge=socs, dg_starts=dgs
+                    lengths, initial_state_of_charge=level, dg_starts=dg_starts
                 )
         if metrics is not None:
             _record_batch(metrics, kernel, batch)
-        during = batch.downtime_during_outage_seconds.tolist()
-        after = batch.downtime_after_restore_seconds.tolist()
-        crashed = batch.crashed.tolist()
-        mean_performance = batch.mean_performance.tolist()
-        soc_end = batch.ups_state_of_charge_end.tolist()
-        for pos, y in enumerate(years):
-            event = events_per_year[y][j]
-            downtime[y] += during[pos] + after[pos]
-            if crashed[pos]:
-                crashes[y] += 1
-            perf_sum[y] += mean_performance[pos] * event.duration_seconds
-            perf_weight[y] += event.duration_seconds
-            performance[y].append(mean_performance[pos])
-            soc[y] = soc_end[pos]
-            previous_end[y] = event.end_seconds
+        downtime[lanes] += (
+            batch.downtime_during_outage_seconds
+            + batch.downtime_after_restore_seconds
+        )
+        crashes[lanes] += batch.crashed
+        perf_sum[lanes] += batch.mean_performance * lengths
+        perf_weight[lanes] += lengths
+        performance[events] = batch.mean_performance
+        soc[lanes] = batch.ups_state_of_charge_end
+        previous_end[lanes] = ends[events]
 
-    if metrics is not None and sum(dg_failures):
-        metrics.counter("sim.dg_start_failures").inc(sum(dg_failures))
+    failures = int(dg_failures.sum())
+    if metrics is not None and failures:
+        metrics.counter("sim.dg_start_failures").inc(failures)
     years_out = [
         {
-            "downtime_seconds": downtime[y],
-            "crashes": float(crashes[y]),
-            "outages": float(len(events_per_year[y])),
-            "perf_sum": perf_sum[y],
-            "perf_weight": perf_weight[y],
-            "dg_start_failures": float(dg_failures[y]),
+            "downtime_seconds": d,
+            "crashes": float(c),
+            "outages": float(n),
+            "perf_sum": p,
+            "perf_weight": w,
+            "dg_start_failures": float(f),
         }
-        for y in range(count)
+        for d, c, n, p, w, f in zip(
+            downtime.tolist(),
+            crashes.tolist(),
+            counts.tolist(),
+            perf_sum.tolist(),
+            perf_weight.tolist(),
+            dg_failures.tolist(),
+        )
     ]
     return years_out, performance
 

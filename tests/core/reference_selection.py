@@ -125,9 +125,11 @@ def reference_minimal_runtime(
             probes.append((power_fraction, runtime_seconds, survived))
         return survived
 
-    low = DEFAULT_FREE_RUNTIME_SECONDS
+    low = min(DEFAULT_FREE_RUNTIME_SECONDS, max_runtime_seconds)
     if survives(low):
         return low
+    if low < DEFAULT_FREE_RUNTIME_SECONDS:
+        return None
     high = max(low * 2, 600.0)
     while high <= max_runtime_seconds and not survives(high):
         high *= 2.0

@@ -257,9 +257,12 @@ class TestSizingFastPath:
         results = []
         for search in (reference_lowest_cost_backup, lowest_cost_backup):
             try:
-                results.append(
-                    repr(search(get_technique(technique), specjbb(), minutes(20), **kwargs))
-                )
+                sized = search(get_technique(technique), specjbb(), minutes(20), **kwargs)
             except InfeasibleError:
                 results.append("infeasible")
+                continue
+            results.append(repr(sized))
+            cap = kwargs.get("max_runtime_seconds")
+            if cap is not None:
+                assert sized.configuration.ups_runtime_seconds <= cap
         assert results[0] == results[1]

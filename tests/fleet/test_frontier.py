@@ -54,6 +54,10 @@ class TestFleetCell:
         assert 0.0 <= a["performability"] <= 1.0
         assert a["normalized_cost"] > 0
 
+    def test_same_seed_object_replays_the_cell(self):
+        seed = np.random.SeedSequence(4)
+        assert fleet_cell(cell_spec(), seed) == fleet_cell(cell_spec(), seed)
+
     def test_routing_never_hurts(self):
         solo = fleet_cell(
             cell_spec(routing=False), np.random.SeedSequence(4)

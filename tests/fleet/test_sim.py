@@ -42,6 +42,12 @@ class TestSimulateFleetYear:
         b = fleet_year(fleet, np.random.SeedSequence(5))
         assert a == b
 
+    def test_same_seed_objects_replay_the_years(self):
+        fleet = get_fleet("us-triad").with_shocks(4.0, 0.4)
+        seeds = np.random.SeedSequence(5).spawn(3)
+        first = simulate_fleet_years(fleet, True, seeds)
+        assert simulate_fleet_years(fleet, True, seeds) == first
+
     def test_per_site_keys_match_single_site_job(self):
         result = fleet_year(get_fleet("us-triad"), np.random.SeedSequence(0))
         for block in result["sites"].values():

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from repro.errors import RunnerError
-from repro.runner.jobs import Job, canonical_encode, make_jobs, spawn_seeds
+from repro.runner.jobs import (
+    Job,
+    canonical_encode,
+    child_seed,
+    make_jobs,
+    spawn_seeds,
+)
 
 
 def echo(spec, seed):
@@ -130,6 +136,36 @@ class TestSeeds:
     def test_negative_count_rejected(self):
         with pytest.raises(RunnerError):
             spawn_seeds(0, -1)
+
+
+class TestChildSeed:
+    @pytest.mark.parametrize(
+        "entropy,kwargs",
+        [(7, {}), (2**70 + 3, {}), (5, {"spawn_key": (4,)}), (9, {"pool_size": 8})],
+        ids=["int", "wide", "keyed", "pool-8"],
+    )
+    @pytest.mark.parametrize("i,j", [(0, 0), (0, 1), (3, 0), (2, 5), (17, 2)])
+    def test_equals_nested_spawn(self, entropy, kwargs, i, j):
+        spawned = np.random.SeedSequence(entropy, **kwargs).spawn(i + 1)[i]
+        expected = spawned.spawn(j + 1)[j].generate_state(8)
+        root = np.random.SeedSequence(entropy, **kwargs)
+        assert np.array_equal(child_seed(root, i, j).generate_state(8), expected)
+
+    def test_one_level_and_empty_path(self):
+        root = np.random.SeedSequence(11)
+        assert np.array_equal(
+            child_seed(root, 4).generate_state(8),
+            np.random.SeedSequence(11).spawn(5)[4].generate_state(8),
+        )
+        assert np.array_equal(
+            child_seed(root).generate_state(8), root.generate_state(8)
+        )
+
+    def test_does_not_mutate_the_seed(self):
+        root = np.random.SeedSequence(3)
+        first = child_seed(root, 1, 0).generate_state(4)
+        assert root.n_children_spawned == 0
+        assert np.array_equal(child_seed(root, 1, 0).generate_state(4), first)
 
 
 class TestMakeJobs:

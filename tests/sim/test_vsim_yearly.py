@@ -58,6 +58,20 @@ class TestYearBlock:
         )
         assert scalar == batch  # dict equality is exact float equality
 
+    @pytest.mark.parametrize("faults", [None, "dg_start=0.2,batt_fade=0.1"])
+    def test_scalar_year_is_stateless_in_its_seed(self, faults):
+        from repro.faults import FaultPlan
+
+        datacenter, plan = study("DG-SmallPUPS", "sleep-l")
+        spec = {
+            "datacenter": datacenter,
+            "plan": plan,
+            "recharge_seconds": hours(8),
+            "fault_plan": None if faults is None else FaultPlan.parse(faults),
+        }
+        seed = np.random.SeedSequence(21)
+        assert _simulate_year(spec, seed) == _simulate_year(spec, seed)
+
     def test_late_block_of_a_long_study_matches_scalar_years(self):
         """Years 9990..9999 of a 10000-year study: the per-year seeds
         built from ``spawn_key`` are the runner's spawned children."""
@@ -82,6 +96,36 @@ class TestYearBlock:
                 out.extend(simulate_year_block(spec))
             by_block[block_years] = out
         assert by_block[3] == by_block[10]
+
+    def test_traced_block_samples_before_its_kernels(self):
+        from repro import obs
+
+        datacenter, plan = study()
+        spec = {
+            "datacenter": datacenter,
+            "plan": plan,
+            "recharge_seconds": hours(8),
+            "base_seed": 3,
+            "start": 0,
+            "count": 6,
+            "total_years": 6,
+        }
+        with obs.session() as session:
+            traced = simulate_year_block(spec)
+        assert traced == simulate_year_block(spec)
+        records = session.tracer.records
+        (block,) = [r for r in records if r["name"] == "year_block"]
+        (sample,) = [r for r in records if r["name"] == "sample"]
+        kernels = [r for r in records if r["name"] == "kernel"]
+        assert kernels
+        assert sample["parent_id"] == block["span_id"]
+        assert all(k["parent_id"] == block["span_id"] for k in kernels)
+        # Records land as spans finish: sampling is done before any kernel.
+        assert all(records.index(sample) < records.index(k) for k in kernels)
+        assert sample["attrs"] == {
+            "years": 6,
+            "outages": int(sum(y["outages"] for y in traced)),
+        }
 
     def test_rejects_bad_block_range(self):
         datacenter, plan = study()

@@ -31,13 +31,13 @@ import numpy as np
 
 from repro.checks.guard import InvariantGuard
 from repro.core.configurations import BackupConfiguration
-from repro.core.performability import make_datacenter, plan_power_budget_watts
+from repro.core.performability import make_datacenter, plan_context
 from repro.errors import SimulationError, TechniqueError
 from repro.outages.events import OutageEvent, OutageSchedule
 from repro.runner import BaseExecutor, SerialExecutor, make_jobs
 from repro.sim.datacenter import Datacenter
 from repro.sim.yearly import YearlyRunner
-from repro.techniques.base import OutagePlan, TechniqueContext
+from repro.techniques.base import OutagePlan
 from repro.techniques.registry import PAPER_TECHNIQUES, get_technique
 from repro.units import days, hours, minutes
 from repro.workloads.registry import workload_names, get_workload
@@ -188,11 +188,7 @@ def draw_case(rng: np.random.Generator) -> FuzzCase:
     drawn = str(rng.choice(FUZZ_TECHNIQUES))
     num_servers = int(rng.choice([4, 8, 16]))
     datacenter = make_datacenter(workload, configuration, num_servers=num_servers)
-    context = TechniqueContext(
-        cluster=datacenter.cluster,
-        workload=workload,
-        power_budget_watts=plan_power_budget_watts(datacenter),
-    )
+    context = plan_context(datacenter)
     for candidate in (drawn, "throttle+sleep-l", "sleep-l", "full-service"):
         try:
             plan = get_technique(candidate).compile_plan(context)

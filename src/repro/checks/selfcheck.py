@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.checks.guard import InvariantGuard
 from repro.core.configurations import PAPER_CONFIGURATIONS, get_configuration
-from repro.core.performability import make_datacenter, plan_power_budget_watts
+from repro.core.performability import make_datacenter, plan_context
 from repro.errors import InvariantViolation, TechniqueError
 from repro.outages.events import OutageEvent, OutageSchedule
 from repro.runner import BaseExecutor, SerialExecutor, make_jobs
@@ -43,7 +43,6 @@ from repro.sim.validation import (
     verify_peukert_consistency,
 )
 from repro.sim.yearly import YearlyRunner
-from repro.techniques.base import TechniqueContext
 from repro.techniques.registry import get_technique
 from repro.units import hours, minutes
 from repro.workloads.registry import get_workload
@@ -217,11 +216,7 @@ def check_strict_simulation(spec: Mapping[str, Any], seed) -> List[Record]:
     records: List[Record] = []
     config = get_configuration(name)
     datacenter = make_datacenter(workload, config, num_servers=int(spec["servers"]))
-    context = TechniqueContext(
-        cluster=datacenter.cluster,
-        workload=workload,
-        power_budget_watts=plan_power_budget_watts(datacenter),
-    )
+    context = plan_context(datacenter)
     for technique_name in spec["techniques"]:
         try:
             plan = get_technique(technique_name).compile_plan(context)

@@ -22,7 +22,7 @@ infeasible to sustain the application beyond 4 hours").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro.core.configurations import BackupConfiguration
@@ -105,6 +105,16 @@ def plan_power_budget_watts(datacenter: Datacenter) -> float:
     return math.inf
 
 
+def plan_context(datacenter: Datacenter) -> TechniqueContext:
+    """What a technique's plan must fit on ``datacenter``: its cluster and
+    workload under :func:`plan_power_budget_watts`."""
+    return TechniqueContext(
+        cluster=datacenter.cluster,
+        workload=datacenter.workload,
+        power_budget_watts=plan_power_budget_watts(datacenter),
+    )
+
+
 def make_plant(
     workload: WorkloadSpec,
     configuration: BackupConfiguration,
@@ -119,18 +129,14 @@ def make_plant(
     runs as the full-service crash-through instead of failing the study.
     """
     datacenter = make_datacenter(workload, configuration, num_servers, server)
-    context = TechniqueContext(
-        cluster=datacenter.cluster,
-        workload=workload,
-        power_budget_watts=plan_power_budget_watts(datacenter),
-    )
+    context = plan_context(datacenter)
     try:
         plan = technique.compile_plan(context)
     except TechniqueError:
         from repro.techniques.nop import FullService
 
         plan = FullService().compile_plan(
-            TechniqueContext(cluster=datacenter.cluster, workload=workload)
+            replace(context, power_budget_watts=math.inf)
         )
     return datacenter, plan
 
@@ -154,13 +160,8 @@ def evaluate_point(
     """
     datacenter = make_datacenter(workload, configuration, num_servers, server)
     cost = configuration.normalized_cost(cost_model)
-    context = TechniqueContext(
-        cluster=datacenter.cluster,
-        workload=workload,
-        power_budget_watts=plan_power_budget_watts(datacenter),
-    )
     try:
-        plan = technique.compile_plan(context)
+        plan = technique.compile_plan(plan_context(datacenter))
     except TechniqueError:
         return PerformabilityPoint(
             configuration_name=configuration.name,

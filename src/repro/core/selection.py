@@ -26,7 +26,7 @@ from repro.core.performability import (
     PerformabilityPoint,
     evaluate_point,
     make_datacenter,
-    plan_power_budget_watts,
+    plan_context,
 )
 from repro.errors import InfeasibleError, TechniqueError
 from repro.obs import MetricsRegistry, current_metrics
@@ -34,7 +34,7 @@ from repro.power.ups import DEFAULT_FREE_RUNTIME_SECONDS
 from repro.servers.server import PAPER_SERVER, ServerSpec
 from repro.sim.datacenter import Datacenter
 from repro.sim.outage_sim import simulate_outage
-from repro.techniques.base import OutagePlan, OutageTechnique, TechniqueContext
+from repro.techniques.base import OutagePlan, OutageTechnique
 from repro.techniques.registry import PAPER_TECHNIQUES, get_technique
 from repro.workloads.base import WorkloadSpec
 
@@ -203,13 +203,8 @@ def _compile_fraction(
     """
     config = _ups_only("probe", power_fraction, runtime_seconds)
     datacenter = make_datacenter(workload, config, num_servers, server)
-    context = TechniqueContext(
-        cluster=datacenter.cluster,
-        workload=workload,
-        power_budget_watts=plan_power_budget_watts(datacenter),
-    )
     try:
-        return datacenter, technique.compile_plan(context)
+        return datacenter, technique.compile_plan(plan_context(datacenter))
     except TechniqueError:
         return datacenter, None
 

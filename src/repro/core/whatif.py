@@ -20,7 +20,7 @@ from repro.core.configurations import BackupConfiguration
 from repro.core.performability import (
     DEFAULT_NUM_SERVERS,
     make_datacenter,
-    plan_power_budget_watts,
+    plan_context,
 )
 from repro.errors import ConfigurationError, TechniqueError
 from repro.outages.distributions import (
@@ -29,7 +29,7 @@ from repro.outages.distributions import (
 )
 from repro.servers.server import PAPER_SERVER, ServerSpec
 from repro.sim.outage_sim import simulate_outage
-from repro.techniques.base import OutageTechnique, TechniqueContext
+from repro.techniques.base import OutageTechnique
 from repro.units import ordered_sum
 from repro.workloads.base import WorkloadSpec
 
@@ -121,13 +121,8 @@ class ExpectedOutageAnalyzer:
         datacenter = make_datacenter(
             self.workload, configuration, self.num_servers, self.server
         )
-        context = TechniqueContext(
-            cluster=datacenter.cluster,
-            workload=self.workload,
-            power_budget_watts=plan_power_budget_watts(datacenter),
-        )
         try:
-            plan = technique.compile_plan(context)
+            plan = technique.compile_plan(plan_context(datacenter))
         except TechniqueError as exc:
             raise ConfigurationError(
                 f"{technique.name} cannot compile on {configuration.name}: {exc}"

@@ -4,9 +4,9 @@ A *mode* is what one of the paper's techniques does once its entry
 transient is over: a fixed (power, performance) steady state plus the
 entry phases that reach it.  The catalog compiles each candidate
 technique against the same :class:`~repro.techniques.base.TechniqueContext`
-the plan path uses (the UPS rating as the power budget — see
-:func:`repro.core.performability.plan_power_budget_watts`), so a mode's
-phases are byte-for-byte the phases a static plan would have executed.
+the plan path uses (:func:`repro.core.performability.plan_context`: the
+UPS rating, else the DG rating, as the power budget), so a mode's phases
+are byte-for-byte the phases a static plan would have executed.
 Techniques that cannot fit the budget simply do not appear — infeasibility
 shrinks the menu rather than crashing the controller.
 
@@ -17,12 +17,12 @@ that switching decision online.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import PolicyError, TechniqueError
 from repro.sim.datacenter import Datacenter
-from repro.techniques.base import PlanPhase, TechniqueContext
+from repro.techniques.base import PlanPhase
 from repro.units import ordered_sum
 
 #: mode name -> technique registry name compiled for it.
@@ -89,20 +89,15 @@ class ModeCatalog:
     ) -> "ModeCatalog":
         """Compile every registered mode technique that fits the budget.
 
-        ``power_budget_watts`` defaults to the same ceiling the plan path
-        compiles against (the UPS rating, else the DG rating, else
-        unconstrained).
+        Without ``power_budget_watts`` the modes compile against the plan
+        path's own context (:func:`repro.core.performability.plan_context`).
         """
-        from repro.core.performability import plan_power_budget_watts
+        from repro.core.performability import plan_context
         from repro.techniques.registry import get_technique
 
-        if power_budget_watts is None:
-            power_budget_watts = plan_power_budget_watts(datacenter)
-        context = TechniqueContext(
-            cluster=datacenter.cluster,
-            workload=datacenter.workload,
-            power_budget_watts=power_budget_watts,
-        )
+        context = plan_context(datacenter)
+        if power_budget_watts is not None:
+            context = replace(context, power_budget_watts=power_budget_watts)
         modes: Dict[str, PolicyMode] = {}
         for mode_name, technique_name in MODE_TECHNIQUES.items():
             technique = get_technique(technique_name)

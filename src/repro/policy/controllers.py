@@ -33,7 +33,7 @@ from repro.policy.base import (
     PolicyDecision,
 )
 from repro.policy.catalog import SAVE_MODE_ORDER, SERVE_MODE_ORDER
-from repro.techniques.base import OutageTechnique, TechniqueContext
+from repro.techniques.base import OutageTechnique
 
 
 class StaticPolicy(OutagePolicy):
@@ -48,18 +48,12 @@ class StaticPolicy(OutagePolicy):
         self.name = f"static:{technique.name}"
 
     def decide(self, context: PolicyContext) -> PolicyDecision:
-        from repro.core.performability import plan_power_budget_watts
+        from repro.core.performability import plan_context
 
         datacenter = context.datacenter
         if datacenter is None:
             raise PolicyError("StaticPolicy needs the engine's datacenter")
-        plan = self.technique.compile_plan(
-            TechniqueContext(
-                cluster=datacenter.cluster,
-                workload=datacenter.workload,
-                power_budget_watts=plan_power_budget_watts(datacenter),
-            )
-        )
+        plan = self.technique.compile_plan(plan_context(datacenter))
         return PolicyDecision(
             program=tuple(plan.phases), technique_name=plan.technique_name
         )

@@ -46,12 +46,21 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.configurations import configuration_names
+from repro.core.configurations import configuration_names, get_configuration
+from repro.core.performability import make_datacenter, plan_context
+from repro.errors import ServeError, TechniqueError
 # ``emit`` names the drill's progress callback throughout this module.
 from repro.obs.bench import emit as emit_artifact, metric
 from repro.serve.analyses import evaluate_request
 from repro.serve.app import EvalServer, ServeConfig
-from repro.serve.loadgen import post_request
+from repro.serve.loadgen import (
+    LoadgenConfig,
+    Source,
+    flood_source,
+    list_source,
+    post_request,
+    run_loadgen,
+)
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     Request,
@@ -59,13 +68,16 @@ from repro.serve.protocol import (
     parse_request,
 )
 from repro.serve.resilience import BrownoutPolicy, Tier
-from repro.techniques.registry import technique_names
-from repro.workloads.registry import workload_names
+from repro.techniques.registry import get_technique, technique_names
+from repro.workloads.registry import get_workload, workload_names
 
 
 @dataclass(frozen=True)
 class DrillConfig:
     """One chaos-certification run.
+
+    Checked on construction (``ServeError`` otherwise); the chaos and
+    poison passes need a pool, so ``workers`` is at least 1.
 
     Attributes:
         workers: Pool size for the chaos/poison passes.
@@ -96,6 +108,17 @@ class DrillConfig:
     bench_workers: Tuple[int, ...] = (0, 2, 4)
     bench_requests: int = 32
     bench_concurrency: int = 8
+
+    def __post_init__(self) -> None:
+        positive = ("workers", "chaos_duration_s", "concurrency",
+                    "recovery_timeout_s", "bench_requests", "bench_concurrency")
+        bad = [name for name in positive if not getattr(self, name) > 0]
+        bad += [name for name in ("kills", "corrupt") if getattr(self, name) < 0]
+        if not self.bench_workers or min(self.bench_workers) < 0:
+            bad.append("bench_workers")
+        if bad:
+            shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in bad)
+            raise ServeError(f"invalid drill config: {shown}")
 
 
 @dataclass
@@ -210,31 +233,19 @@ def _request(analysis: str, params: Dict[str, Any]) -> Request:
     )
 
 
-_CELL_MEMO: Dict[Tuple[str, str, str], bool] = {}
-
-
 def _compiles(workload: str, configuration: str, technique: str) -> bool:
-    """Whether the cell evaluates at all (some techniques cannot compile
-    on some configurations — e.g. a sleep state over the power budget).
-    The drill certifies fault handling, not request validation, so
-    corpora stick to cells that a clean run answers with 200."""
-    key = (workload, configuration, technique)
-    if key not in _CELL_MEMO:
-        try:
-            evaluate_request(
-                _request(
-                    "whatif",
-                    {
-                        "workload": workload,
-                        "configuration": configuration,
-                        "technique": technique,
-                    },
-                )
-            )
-            _CELL_MEMO[key] = True
-        except Exception:  # noqa: BLE001 - any failure disqualifies
-            _CELL_MEMO[key] = False
-    return _CELL_MEMO[key]
+    """Whether the technique's plan fits the cell's backup (some cannot —
+    e.g. a sleep state over the power budget).  The drill certifies fault
+    handling, not request validation, so corpora stick to cells that a
+    clean run answers with 200."""
+    datacenter = make_datacenter(
+        get_workload(workload), get_configuration(configuration)
+    )
+    try:
+        get_technique(technique).compile_plan(plan_context(datacenter))
+    except TechniqueError:
+        return False
+    return True
 
 
 def _valid_cell(rng: random.Random) -> Tuple[str, str, str]:
@@ -324,112 +335,58 @@ def _reference_payloads(requests: Sequence[Request]) -> Dict[str, str]:
     return reference
 
 
-def _post(base_url: str, request: Request, timeout_s: float = 60.0):
-    body = {
-        "v": PROTOCOL_VERSION,
-        "analysis": request.analysis,
-        "params": request.params,
-    }
-    return post_request(base_url, body, timeout_s=timeout_s)
-
-
-def _run_closed_loop(
+def _drive(
     base_url: str,
-    sequence: Sequence[Request],
+    source: Source,
     concurrency: int,
     reference: Optional[Dict[str, str]] = None,
-    stop_at: Optional[float] = None,
+    duration_s: Optional[float] = None,
 ) -> Dict[str, Any]:
-    """Post ``sequence`` (cycling if duration-bounded) and tally outcomes.
+    """One closed-loop phase through loadgen's loop, as a report record.
 
-    With ``reference``, every 200 payload is compared byte-for-byte and
-    mismatches are recorded — the drill's central assertion.
+    No network retries: a status 0 stays an error, so a retry can never
+    loosen a gate such as "every post-recovery request is a 200".
     """
-    lock = threading.Lock()
-    cursor = {"i": 0}
-    totals = {"requests": 0, "ok": 0, "sheds": 0, "errors": 0}
-    status_counts: Dict[str, int] = {}
-    latencies: List[float] = []
-    mismatches: List[Dict[str, Any]] = []
-
-    def next_request() -> Optional[Request]:
-        with lock:
-            i = cursor["i"]
-            if stop_at is None and i >= len(sequence):
-                return None
-            cursor["i"] = i + 1
-            return sequence[i % len(sequence)]
-
-    def loop() -> None:
-        while True:
-            if stop_at is not None and time.monotonic() >= stop_at:
-                return
-            request = next_request()
-            if request is None:
-                return
-            started = time.monotonic()
-            status, payload = _post(base_url, request)
-            elapsed_ms = (time.monotonic() - started) * 1000.0
-            wrong = None
-            if status == 200 and reference is not None:
-                served = canonical_json(payload.get("result"))
-                expected = reference.get(request.fingerprint)
-                if served != expected:
-                    wrong = {
-                        "fingerprint": request.fingerprint,
-                        "analysis": request.analysis,
-                        "served_bytes": len(served),
-                        "expected_bytes": (
-                            len(expected) if expected is not None else None
-                        ),
-                    }
-            with lock:
-                totals["requests"] += 1
-                status_counts[str(status)] = (
-                    status_counts.get(str(status), 0) + 1
-                )
-                if status == 200:
-                    totals["ok"] += 1
-                    latencies.append(elapsed_ms)
-                elif status == 429:
-                    totals["sheds"] += 1
-                else:
-                    totals["errors"] += 1
-                if wrong is not None and len(mismatches) < 16:
-                    mismatches.append(wrong)
-
-    threads = [
-        threading.Thread(target=loop, name=f"drill-client-{i}", daemon=True)
-        for i in range(concurrency)
-    ]
-    started_at = time.monotonic()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall = time.monotonic() - started_at
-    latencies.sort()
-
-    def pct(fraction: float) -> float:
-        if not latencies:
-            return 0.0
-        index = min(
-            len(latencies) - 1, int(round(fraction * (len(latencies) - 1)))
-        )
-        return round(latencies[index], 3)
-
+    config = LoadgenConfig(
+        base_url, concurrency=concurrency, duration_s=duration_s, net_retries=0
+    )
+    report = run_loadgen(config, source, reference)
     return {
-        "wall_s": round(wall, 3),
-        "requests": totals["requests"],
-        "ok": totals["ok"],
-        "sheds": totals["sheds"],
-        "errors": totals["errors"],
-        "status_counts": dict(sorted(status_counts.items())),
-        "rps": round(totals["ok"] / wall, 3) if wall > 0 else 0.0,
-        "p50_ms": pct(0.50),
-        "p99_ms": pct(0.99),
-        "mismatches": mismatches,
+        "wall_s": round(report.duration_s, 3),
+        "rps": round(report.throughput_rps, 3),
+        "p50_ms": report.latency_ms.get("p50", 0.0),
+        "p99_ms": report.latency_ms.get("p99", 0.0),
+        **{
+            key: getattr(report, key)
+            for key in ("requests", "ok", "sheds", "errors", "status_counts",
+                        "mismatches")
+        },
     }
+
+
+def _error_kind(payload: Any) -> Optional[str]:
+    """A response body's ``error.type`` (``None`` for anything else)."""
+    if not isinstance(payload, dict):
+        return None
+    return (payload.get("error") or {}).get("type")
+
+
+def _wait_until(done, timeout_s: float, poll_s: float = 0.02) -> float:
+    """Poll ``done()`` until it holds or ``timeout_s`` passes; returns the
+    seconds waited."""
+    start = time.monotonic()
+    while not done() and time.monotonic() - start < timeout_s:
+        time.sleep(poll_s)
+    return round(time.monotonic() - start, 3)
+
+
+def _await_full_pool(server: EvalServer, config: DrillConfig) -> float:
+    """Wait, up to the declared recovery bound, for every pool worker to
+    be alive; returns the seconds waited."""
+    return _wait_until(
+        lambda: server.supervisor.alive_count() >= config.workers,
+        config.recovery_timeout_s,
+    )
 
 
 # -- the passes ---------------------------------------------------------------
@@ -464,16 +421,14 @@ def _chaos_pass(
     corrupted_files = 0
     try:
         # Warm the cache so there is something to corrupt.
-        warm = _run_closed_loop(
-            server.base_url, corpus, config.concurrency, reference
+        warm = _drive(
+            server.base_url, list_source(corpus), config.concurrency, reference
         )
         if warm["mismatches"]:
             failures.append(
                 f"chaos: {len(warm['mismatches'])} mismatched responses "
                 "before any fault was injected"
             )
-
-        stop_at = time.monotonic() + config.chaos_duration_s
 
         def inject() -> None:
             nonlocal kills_delivered, corrupted_files
@@ -500,12 +455,12 @@ def _chaos_pass(
 
         chaos_thread = threading.Thread(target=inject, daemon=True)
         chaos_thread.start()
-        load = _run_closed_loop(
+        load = _drive(
             server.base_url,
-            corpus,
+            list_source(corpus, cycle=True),
             config.concurrency,
             reference,
-            stop_at=stop_at,
+            duration_s=config.chaos_duration_s,
         )
         chaos_thread.join(timeout=config.chaos_duration_s + 5.0)
         server.supervisor.inject_latency(0.0)
@@ -518,13 +473,7 @@ def _chaos_pass(
         if kills_delivered == 0:
             failures.append("chaos: no SIGKILL was delivered")
         # Bounded recovery: full pool strength within the declared bound.
-        recover_start = time.monotonic()
-        while (
-            server.supervisor.alive_count() < config.workers
-            and time.monotonic() - recover_start < config.recovery_timeout_s
-        ):
-            time.sleep(0.02)
-        recovery_s = round(time.monotonic() - recover_start, 3)
+        recovery_s = _await_full_pool(server, config)
         if server.supervisor.alive_count() < config.workers:
             failures.append(
                 f"chaos: pool did not recover to {config.workers} workers "
@@ -533,17 +482,12 @@ def _chaos_pass(
         # Kills can legitimately push the brownout tier up (half the
         # pool dead = TRIM or worse); let the controller step back down
         # before asserting that every post-recovery request is a 200.
-        settle_deadline = time.monotonic() + 10.0
-        while (
-            server.brownout.tier > Tier.TRIM
-            and time.monotonic() < settle_deadline
-        ):
-            time.sleep(0.05)
+        _wait_until(lambda: server.brownout.tier <= Tier.TRIM, 10.0, 0.05)
         # Post-chaos correctness: replay the whole corpus once more; the
         # corrupted entries must be quarantined and recomputed, never
         # served.
-        after = _run_closed_loop(
-            server.base_url, corpus, config.concurrency, reference
+        after = _drive(
+            server.base_url, list_source(corpus), config.concurrency, reference
         )
         if after["mismatches"]:
             failures.append(
@@ -573,22 +517,19 @@ def _chaos_pass(
                 f"chaos: {kills_delivered} kills but only {deaths} "
                 "deaths observed by the supervisor"
             )
+        phases = {"warm": warm, "load": load, "after": after}
         result = {
             "kills": kills_delivered,
             "deaths": deaths,
             "corrupted_files": corrupted_files,
             "corrupt_quarantined": corrupt_quarantined,
             "recovery_s": recovery_s,
-            "requests": warm["requests"] + load["requests"] + after["requests"],
-            "ok_responses": warm["ok"] + load["ok"] + after["ok"],
-            "mismatches": (
-                len(warm["mismatches"])
-                + len(load["mismatches"])
-                + len(after["mismatches"])
-            ),
+            "requests": sum(p["requests"] for p in phases.values()),
+            "ok_responses": sum(p["ok"] for p in phases.values()),
+            "mismatches": sum(len(p["mismatches"]) for p in phases.values()),
             "status_counts": load["status_counts"],
             "pruned_files": prune.removed_files,
-            "phases": {"warm": warm, "load": load, "after": after},
+            "phases": phases,
         }
         emit(
             f"[drill] chaos: {result['ok_responses']}/{result['requests']} ok, "
@@ -621,20 +562,17 @@ def _poison_pass(
         # deterministically — the drill's stand-in for a request that
         # reliably crashes whatever evaluates it.
         poison = _request(
-            "echo",
-            {"payload": {"poison": config.seed}, "sleep_s": 0.6},
+            "echo", {"payload": {"poison": config.seed}, "sleep_s": 0.6}
         )
         shard = server.supervisor.shard_of(poison.fingerprint)
         result: Dict[str, Any] = {}
 
         def client() -> None:
-            status, payload = _post(server.base_url, poison, timeout_s=30.0)
-            result["inflight_status"] = status
-            result["inflight_kind"] = (
-                (payload.get("error") or {}).get("type")
-                if isinstance(payload, dict)
-                else None
+            status, payload = post_request(
+                server.base_url, poison.wire, timeout_s=30.0
             )
+            result["inflight_status"] = status
+            result["inflight_kind"] = _error_kind(payload)
 
         thread = threading.Thread(target=client, daemon=True)
         thread.start()
@@ -657,11 +595,11 @@ def _poison_pass(
                     # Wait for the death to be observed before polling
                     # again, so a dying-but-unreaped worker is never
                     # killed twice for one death.
-                    while (
-                        server.supervisor.deaths_total == before
-                        and time.monotonic() < deadline
-                    ):
-                        time.sleep(0.005)
+                    _wait_until(
+                        lambda: server.supervisor.deaths_total != before,
+                        deadline - time.monotonic(),
+                        0.005,
+                    )
                     continue
             time.sleep(0.005)
         thread.join(timeout=30.0)
@@ -677,30 +615,23 @@ def _poison_pass(
                 "(expected 'poison')"
             )
         # Admission-time refusal on the next identical request.
-        repeat_status, repeat_payload = _post(
-            server.base_url, poison, timeout_s=10.0
+        repeat_status, repeat_payload = post_request(
+            server.base_url, poison.wire, timeout_s=10.0
         )
-        repeat_kind = (
-            (repeat_payload.get("error") or {}).get("type")
-            if isinstance(repeat_payload, dict)
-            else None
-        )
+        repeat_kind = _error_kind(repeat_payload)
         if repeat_status != 503 or repeat_kind != "poison":
             failures.append(
                 f"poison: repeat request got {repeat_status}/{repeat_kind} "
                 "(expected 503/poison)"
             )
         # No crash loop: the pool recovered and everyone else is served.
-        recover_start = time.monotonic()
-        while (
-            server.supervisor.alive_count() < config.workers
-            and time.monotonic() - recover_start < config.recovery_timeout_s
-        ):
-            time.sleep(0.02)
+        _await_full_pool(server, config)
         if server.supervisor.alive_count() < config.workers:
             failures.append("poison: pool did not recover after quarantine")
         bystander = _request("echo", {"payload": {"bystander": config.seed}})
-        bystander_status, _ = _post(server.base_url, bystander, timeout_s=10.0)
+        bystander_status, _ = post_request(
+            server.base_url, bystander.wire, timeout_s=10.0
+        )
         if bystander_status != 200:
             failures.append(
                 f"poison: bystander request got {bystander_status} "
@@ -759,36 +690,15 @@ def _brownout_pass(
         )
     ).start()
     try:
-        flood_until = time.monotonic() + 2.0
-        counter = {"i": 0}
-        lock = threading.Lock()
-
-        def flood() -> None:
-            while time.monotonic() < flood_until:
-                with lock:
-                    counter["i"] += 1
-                    i = counter["i"]
-                request = _request(
-                    "echo", {"payload": {"flood": i}, "sleep_s": 0.15}
-                )
-                _post(server.base_url, request, timeout_s=30.0)
-
-        threads = [
-            threading.Thread(target=flood, daemon=True)
-            for _ in range(max(8, config.concurrency))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        flood = _drive(
+            server.base_url,
+            flood_source(sleep_s=0.15),
+            max(8, config.concurrency),
+            duration_s=2.0,
+        )
         # Flood over: the queue drains and the controller must walk all
         # the way back down.
-        settle_deadline = time.monotonic() + 10.0
-        while (
-            server.brownout.tier != Tier.NORMAL
-            and time.monotonic() < settle_deadline
-        ):
-            time.sleep(0.02)
+        _wait_until(lambda: server.brownout.tier == Tier.NORMAL, 10.0)
         returned = server.brownout.tier == Tier.NORMAL
 
         transitions = list(server.brownout.transitions)
@@ -823,7 +733,7 @@ def _brownout_pass(
                 "after the flood ended"
             )
         result = {
-            "flooded": counter["i"],
+            "flooded": flood["requests"],
             "peak_tier": peak,
             "peak_tier_name": Tier(peak).name,
             "transitions": len(transitions),
@@ -861,20 +771,18 @@ def _bench_pass(
             )
         ).start()
         try:
-            point = _run_closed_loop(
-                server.base_url, corpus, config.bench_concurrency
+            point = _drive(
+                server.base_url, list_source(corpus), config.bench_concurrency
             )
         finally:
             server.close(drain=True, timeout=10.0)
         entry = {
             "workers": workers,
-            "requests": point["requests"],
-            "ok": point["ok"],
-            "sheds": point["sheds"],
-            "errors": point["errors"],
-            "rps": point["rps"],
-            "p50_ms": point["p50_ms"],
-            "p99_ms": point["p99_ms"],
+            **{
+                key: point[key]
+                for key in ("requests", "ok", "sheds", "errors", "rps",
+                            "p50_ms", "p99_ms")
+            },
             "shed_rate": (
                 round(point["sheds"] / point["requests"], 4)
                 if point["requests"]

@@ -6,18 +6,23 @@ tracks service capacity (concurrency bounds the in-flight population),
 which is the right model for benchmarking a backpressured server — an
 open-loop generator would just measure its own queue.
 
-The request mix is weighted sampling over named shapes (``whatif``,
-``availability``, ``rank``, ``sweep``, ``echo``), drawn from a seeded
-RNG so two runs against the same server offer the same sequence.  The
-report carries throughput, latency percentiles, and the status/shed
-breakdown; ``repro loadgen`` writes it to ``BENCH_serve.json``, the
-``serve`` stream of the bench ledger (see :mod:`repro.obs.bench`).
+Workers pull requests from a *source*: by default (:func:`mix_source`)
+weighted sampling over named shapes (``whatif``, ``availability``,
+``rank``, ``sweep``, ``echo``), drawn from a seeded RNG so two runs
+against the same server offer the same sequence.  The chaos drill runs
+fixed lists and floods through the same loop, with reference payloads
+to compare every 200 against.  The report carries throughput, latency
+percentiles, and the status/shed breakdown; ``repro loadgen`` writes it
+to ``BENCH_serve.json``, the ``serve`` stream of the bench ledger (see
+:mod:`repro.obs.bench`).
 """
 
 from __future__ import annotations
 
 import http.client
+import itertools
 import json
+import math
 import random
 import statistics
 import threading
@@ -25,16 +30,27 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.errors import ServeError
 from repro.obs.bench import metric
-from repro.serve.protocol import PROTOCOL_VERSION, canonical_json
+from repro.serve.protocol import (
+    PROTOCOL_VERSION, Request, canonical_json, parse_request,
+)
 
-#: The canned request shapes a mix can draw from.  Costs span three
-#: orders of magnitude: echo ~0, whatif ~ms, availability/rank ~100 ms —
-#: enough spread to exercise batching and queueing realistically while
-#: keeping a smoke run fast.
+#: A request source: called once per worker with the worker's index, it
+#: returns the requests that worker posts, in order.
+Source = Callable[[int], Iterator[Request]]
+
+#: Mismatched payloads one run records (the count past it is not kept).
+MAX_MISMATCHES = 16
+
+#: The canned request shapes a mix can draw from, each named after its
+#: analysis.  Costs span three orders of magnitude: echo ~0, whatif ~ms,
+#: availability/rank ~100 ms — enough spread to exercise batching and
+#: queueing realistically while keeping a smoke run fast.
 REQUEST_SHAPES: Dict[str, Dict[str, Any]] = {
     "echo": {
         "analysis": "echo",
@@ -108,9 +124,12 @@ class LoadgenConfig:
 
     Attributes:
         base_url: Server root, e.g. ``http://127.0.0.1:8321``.
-        concurrency: Closed-loop worker threads.
-        duration_s: How long workers keep issuing requests.
-        mix: Shape-name -> weight (see :data:`REQUEST_SHAPES`).
+        concurrency: Closed-loop worker threads (at least 1).
+        duration_s: How long workers keep issuing requests (positive);
+            ``None`` runs until the source runs dry, which only a
+            :func:`list_source` that does not cycle does.
+        mix: Shape-name -> weight (see :data:`REQUEST_SHAPES`); the
+            default source.
         seed: RNG seed for the mix sequence.
         deadline_s: Optional per-request deadline forwarded in the body.
         timeout_s: Client-side socket timeout per request.
@@ -124,7 +143,7 @@ class LoadgenConfig:
 
     base_url: str
     concurrency: int = 4
-    duration_s: float = 5.0
+    duration_s: Optional[float] = 5.0
     mix: Mapping[str, float] = field(
         default_factory=lambda: {"whatif": 2.0, "availability": 1.0, "echo": 1.0}
     )
@@ -133,6 +152,12 @@ class LoadgenConfig:
     timeout_s: float = 60.0
     net_retries: int = 2
     retry_backoff_s: float = 0.05
+
+    def __post_init__(self) -> None:
+        if self.concurrency < 1:
+            raise ServeError(f"concurrency must be >= 1, got {self.concurrency}")
+        if self.duration_s is not None and not self.duration_s > 0:
+            raise ServeError(f"duration must be > 0, got {self.duration_s}")
 
 
 @dataclass(frozen=True)
@@ -152,11 +177,13 @@ class LoadgenReport:
             pool restarts mid-run).
         net_errors: Requests whose final outcome was still a network
             failure after the retry budget.
-        by_shape: Shape name -> issued count.
+        by_shape: Shape (analysis) name -> issued count.
         latency_by_shape: Shape name -> p50/p95/p99/mean/max over that
             shape's successful requests — the per-analysis tails the
             serve benchmark gates on, not just the blended distribution.
         config: The knobs that produced this (for the artifact).
+        mismatches: The first :data:`MAX_MISMATCHES` 200 payloads that
+            differed from the run's reference (empty without one).
     """
 
     requests: int
@@ -172,6 +199,7 @@ class LoadgenReport:
     latency_by_shape: Dict[str, Dict[str, float]] = field(default_factory=dict)
     retries: int = 0
     net_errors: int = 0
+    mismatches: List[Dict[str, Any]] = field(default_factory=list)
 
     def to_json(self) -> Dict[str, Any]:
         """The ``serve`` stream's BENCH record: the arguments of
@@ -267,31 +295,102 @@ def post_request(
     return status, payload
 
 
-def run_loadgen(config: LoadgenConfig) -> LoadgenReport:
-    """Drive the closed loops and fold their observations into a report."""
-    names = sorted(config.mix)
-    weights = [float(config.mix[name]) for name in names]
-    stop_at = time.monotonic() + config.duration_s
+def _shared_source(pick: Callable[[int], Optional[Request]]) -> Source:
+    """Every worker draws ``pick(0), pick(1), ...`` from one counter shared
+    by all of them, so no index is drawn twice; ``None`` ends a worker."""
+    lock = threading.Lock()
+    counter = itertools.count()
+
+    def draws(_worker_id: int) -> Iterator[Request]:
+        while True:
+            with lock:
+                i = next(counter)
+            request = pick(i)
+            if request is None:
+                return
+            yield request
+
+    return draws
+
+
+def mix_source(mix: Mapping[str, float], seed: int) -> Source:
+    """Weighted draws over :data:`REQUEST_SHAPES`, one seeded RNG per
+    worker, so two runs with one seed offer the same sequences."""
+    names = sorted(mix)
+    weights = [float(mix[name]) for name in names]
+    requests = {
+        name: parse_request({"v": PROTOCOL_VERSION, **REQUEST_SHAPES[name]})
+        for name in names
+    }
+
+    def draws(worker_id: int) -> Iterator[Request]:
+        rng = random.Random(f"{seed}:{worker_id}")
+        while True:
+            yield requests[rng.choices(names, weights=weights, k=1)[0]]
+
+    return draws
+
+
+def list_source(requests: Sequence[Request], cycle: bool = False) -> Source:
+    """``requests`` through one shared cursor: each posted once in all, or
+    the list cycled until the run's duration ends."""
+    if not requests:
+        raise ServeError("empty request list")
+    return _shared_source(
+        lambda i: requests[i % len(requests)]
+        if cycle or i < len(requests) else None
+    )
+
+
+def flood_source(sleep_s: float) -> Source:
+    """``echo`` requests numbered 1, 2, ... across every worker, each held
+    ``sleep_s`` by the server: unique fingerprints, so neither the cache
+    nor coalescing absorbs any of the load."""
+    def echo(i: int) -> Request:
+        params = {"payload": {"flood": i + 1}, "sleep_s": sleep_s}
+        return parse_request(
+            {"v": PROTOCOL_VERSION, "analysis": "echo", "params": params}
+        )
+
+    return _shared_source(echo)
+
+
+def run_loadgen(
+    config: LoadgenConfig,
+    source: Optional[Source] = None,
+    reference: Optional[Mapping[str, str]] = None,
+) -> LoadgenReport:
+    """Drive ``config.concurrency`` closed loops and fold their
+    observations into a report.
+
+    Each worker posts what ``source`` gives it (default: the config's
+    seeded mix) until the source runs dry or ``config.duration_s``
+    passes.  With ``reference`` (fingerprint -> canonical JSON of the
+    expected result), every 200 payload is compared byte for byte and
+    the first :data:`MAX_MISMATCHES` differences are recorded.
+    """
+    # The mix reports every shape it can draw, drawn or not.
+    by_shape = dict.fromkeys(sorted(config.mix) if source is None else (), 0)
+    source = source or mix_source(config.mix, config.seed)
+    duration_s = math.inf if config.duration_s is None else config.duration_s
+    stop_at = time.monotonic() + duration_s
     lock = threading.Lock()
     latencies: List[float] = []
-    shape_latencies: Dict[str, List[float]] = {name: [] for name in names}
+    shape_latencies: Dict[str, List[float]] = {}
     status_counts: Dict[str, int] = {}
-    by_shape: Dict[str, int] = {name: 0 for name in names}
+    mismatches: List[Dict[str, Any]] = []
     totals = {
         "requests": 0, "ok": 0, "sheds": 0, "errors": 0,
         "retries": 0, "net_errors": 0,
     }
 
     def worker(worker_id: int) -> None:
-        rng = random.Random(f"{config.seed}:{worker_id}")
+        draws = source(worker_id)
         while time.monotonic() < stop_at:
-            name = rng.choices(names, weights=weights, k=1)[0]
-            shape = REQUEST_SHAPES[name]
-            body: Dict[str, Any] = {
-                "v": PROTOCOL_VERSION,
-                "analysis": shape["analysis"],
-                "params": shape["params"],
-            }
+            request = next(draws, None)
+            if request is None:
+                return
+            body = request.wire
             if config.deadline_s is not None:
                 body["deadline_s"] = config.deadline_s
             started = time.monotonic()
@@ -301,7 +400,7 @@ def run_loadgen(config: LoadgenConfig) -> LoadgenReport:
             # with transient blips.
             attempts_left = max(0, config.net_retries)
             while True:
-                status, _payload = post_request(
+                status, payload = post_request(
                     config.base_url, body, timeout_s=config.timeout_s
                 )
                 if status != 0 or attempts_left <= 0:
@@ -312,26 +411,44 @@ def run_loadgen(config: LoadgenConfig) -> LoadgenReport:
                 if config.retry_backoff_s > 0:
                     time.sleep(config.retry_backoff_s)
             elapsed_ms = (time.monotonic() - started) * 1000.0
+            wrong = None
+            if status == 200 and reference is not None:
+                served = canonical_json(payload.get("result"))
+                expected = reference.get(request.fingerprint)
+                if served != expected:
+                    wrong = {
+                        "fingerprint": request.fingerprint,
+                        "analysis": request.analysis,
+                        "served_bytes": len(served),
+                        "expected_bytes": (
+                            len(expected) if expected is not None else None
+                        ),
+                    }
+            name = request.analysis
             with lock:
                 totals["requests"] += 1
-                by_shape[name] += 1
+                by_shape[name] = by_shape.get(name, 0) + 1
                 status_counts[str(status)] = (
                     status_counts.get(str(status), 0) + 1
                 )
                 if status == 200:
                     totals["ok"] += 1
                     latencies.append(elapsed_ms)
-                    shape_latencies[name].append(elapsed_ms)
+                    shape_latencies.setdefault(name, []).append(elapsed_ms)
                 elif status == 429:
                     totals["sheds"] += 1
                 else:
                     totals["errors"] += 1
                     if status == 0:
                         totals["net_errors"] += 1
+                if wrong is not None and len(mismatches) < MAX_MISMATCHES:
+                    mismatches.append(wrong)
 
     started_at = time.monotonic()
     threads = [
-        threading.Thread(target=worker, args=(i,), name=f"loadgen-{i}")
+        threading.Thread(
+            target=worker, args=(i,), name=f"loadgen-{i}", daemon=True
+        )
         for i in range(config.concurrency)
     ]
     for thread in threads:
@@ -356,7 +473,6 @@ def run_loadgen(config: LoadgenConfig) -> LoadgenReport:
     latency_by_shape = {
         name: percentiles(samples)
         for name, samples in sorted(shape_latencies.items())
-        if samples
     }
     return LoadgenReport(
         requests=totals["requests"],
@@ -369,8 +485,9 @@ def run_loadgen(config: LoadgenConfig) -> LoadgenReport:
         throughput_rps=totals["ok"] / wall if wall > 0 else 0.0,
         latency_ms=latency_ms,
         status_counts=dict(sorted(status_counts.items())),
-        by_shape=by_shape,
+        by_shape=dict(sorted(by_shape.items())),
         latency_by_shape=latency_by_shape,
+        mismatches=mismatches,
         config={
             "base_url": config.base_url,
             "concurrency": config.concurrency,

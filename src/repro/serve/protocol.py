@@ -66,6 +66,16 @@ class Request:
     deadline_s: Optional[float] = None
 
     @property
+    def wire(self) -> Dict[str, Any]:
+        """The request body that parses back to this request (without
+        its deadline)."""
+        return {
+            "v": PROTOCOL_VERSION,
+            "analysis": self.analysis,
+            "params": dict(self.params),
+        }
+
+    @property
     def fingerprint(self) -> str:
         """Stable identity of (version, analysis, normalised params).
 
@@ -74,13 +84,7 @@ class Request:
         deadline is *not* part of the identity — a tight-deadline copy
         of an in-flight question should share its evaluation.
         """
-        blob = canonical_json(
-            {
-                "v": PROTOCOL_VERSION,
-                "analysis": self.analysis,
-                "params": dict(self.params),
-            }
-        )
+        blob = canonical_json(self.wire)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

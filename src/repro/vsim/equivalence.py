@@ -21,11 +21,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.checks.guard import InvariantGuard
 from repro.core.configurations import PAPER_CONFIGURATIONS, BackupConfiguration
-from repro.core.performability import make_datacenter, plan_power_budget_watts
+from repro.core.performability import make_datacenter, plan_context
 from repro.errors import TechniqueError
 from repro.sim.metrics import OutageOutcome
 from repro.sim.outage_sim import simulate_outage
-from repro.techniques.base import TechniqueContext
 from repro.techniques.registry import get_technique, technique_names
 from repro.vsim.kernel import PlanKernel
 from repro.workloads.registry import get_workload
@@ -194,11 +193,7 @@ def certify_grid(
         workload = get_workload(workload_name)
         for configuration in configurations:
             datacenter = make_datacenter(workload, configuration)
-            context = TechniqueContext(
-                cluster=datacenter.cluster,
-                workload=workload,
-                power_budget_watts=plan_power_budget_watts(datacenter),
-            )
+            context = plan_context(datacenter)
             for technique_name in techniques:
                 try:
                     plan = get_technique(technique_name).compile_plan(context)

@@ -8,6 +8,7 @@ from repro.serve.loadgen import (
     REQUEST_SHAPES,
     LoadgenConfig,
     _percentile,
+    mix_source,
     parse_mix,
     post_request,
     post_request_full,
@@ -53,6 +54,61 @@ class TestParseMix:
                  "params": shape["params"]}
             )
             assert request.analysis == shape["analysis"], name
+
+
+class TestMixSource:
+    MIX = {"whatif": 2.0, "availability": 1.0, "echo": 1.0,
+           "rank": 0.5, "sweep": 0.5}
+
+    @pytest.mark.parametrize(
+        "seed, worker, names",
+        [
+            (0, 0, ["sweep", "sweep", "sweep", "availability", "whatif",
+                    "echo", "whatif", "echo", "availability", "whatif"]),
+            (0, 1, ["availability", "echo", "whatif", "whatif", "sweep",
+                    "availability", "sweep", "availability", "echo",
+                    "whatif"]),
+            (7, 3, ["whatif", "availability", "availability",
+                    "availability", "whatif", "whatif", "availability",
+                    "echo", "whatif", "whatif"]),
+        ],
+    )
+    def test_draws_are_pinned_per_seed_and_worker(self, seed, worker, names):
+        draws = mix_source(self.MIX, seed)(worker)
+        assert [next(draws).analysis for _ in names] == names
+
+    def test_draws_are_the_canned_shapes(self):
+        from repro.serve.protocol import PROTOCOL_VERSION, parse_request
+
+        draws = mix_source(self.MIX, 0)(0)
+        for _ in range(20):
+            request = next(draws)
+            shape = REQUEST_SHAPES[request.analysis]
+            assert request == parse_request({"v": PROTOCOL_VERSION, **shape})
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"concurrency": 0}, "concurrency"),
+            ({"concurrency": -3}, "concurrency"),
+            ({"duration_s": 0.0}, "duration"),
+            ({"duration_s": -1.0}, "duration"),
+            ({"duration_s": float("nan")}, "duration"),
+        ],
+    )
+    def test_rejected(self, overrides, match):
+        with pytest.raises(ServeError, match=match):
+            LoadgenConfig(base_url="http://127.0.0.1:9", **overrides)
+
+    def test_cli_exits_2_on_zero_concurrency(self, capsys):
+        from repro.cli import main
+
+        code = main(["loadgen", "--url", "http://127.0.0.1:9",
+                     "--concurrency", "0"])
+        assert code == 2
+        assert "concurrency" in capsys.readouterr().err
 
 
 class TestPercentile:

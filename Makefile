@@ -36,7 +36,7 @@ bench:
 bench-smoke:
 	$(PYTHON) benchmarks/bench_smoke.py
 	$(PYTHON) -m repro.cli bench record
-	$(PYTHON) -m repro.cli bench check --tolerance 0.5
+	$(PYTHON) -m repro.cli bench check --tolerance 0.5 --bench sim
 
 # Certify the vectorized engine: every registered technique over the
 # Table-3 grid, full Monte-Carlo years at a mid-study block split, and
@@ -91,7 +91,7 @@ serve-smoke:
 # here; the stricter 15% default suits longer local loadgen runs.
 telemetry-smoke:
 	$(PYTHON) benchmarks/telemetry_smoke.py
-	$(PYTHON) -m repro.cli bench check --tolerance 0.5
+	$(PYTHON) -m repro.cli bench check --tolerance 0.5 --bench serve-telemetry
 
 # Chaos-certify the supervised serve tier: seeded worker SIGKILLs and
 # cache corruption under load with bit-identical 2xx responses, a poison
@@ -106,7 +106,7 @@ drill-smoke:
 	$(PYTHON) -m repro.cli drill --report drill-report.json \
 		--bench BENCH_drill.json
 	$(PYTHON) -m repro.cli bench record
-	$(PYTHON) -m repro.cli bench check --tolerance 0.5
+	$(PYTHON) -m repro.cli bench check --tolerance 0.5 --bench serve-drill
 
 # Certify the online-dispatch policy subsystem: StaticPolicy outcomes
 # identical to the plan path, the hindsight baseline an upper bound on
@@ -117,7 +117,7 @@ drill-smoke:
 policy-smoke:
 	$(PYTHON) benchmarks/policy_smoke.py
 	$(PYTHON) -m repro.cli bench record
-	$(PYTHON) -m repro.cli bench check --tolerance 0.5
+	$(PYTHON) -m repro.cli bench check --tolerance 0.5 --bench policy
 
 # Certify the multi-site fleet subsystem: worker-count-invariant fleet
 # years, the uncorrelated-fleet == independent-single-sites bit-identical
@@ -130,4 +130,4 @@ policy-smoke:
 fleet-smoke:
 	$(PYTHON) benchmarks/fleet_smoke.py
 	$(PYTHON) -m repro.cli bench record
-	$(PYTHON) -m repro.cli bench check --tolerance 0.5
+	$(PYTHON) -m repro.cli bench check --tolerance 0.5 --bench fleet

@@ -453,7 +453,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not entries:
         print(f"[bench] no history at {path}; run 'repro bench record' first")
         return 1
-    report = benchmod.check(entries, tolerance=args.tolerance)
+    report = benchmod.check(
+        entries, tolerance=args.tolerance, benches=args.bench
+    )
     print(benchmod.format_report(report))
     return 0 if report.ok else 1
 
@@ -889,6 +891,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench_check.add_argument(
         "--tolerance", type=float, default=0.15,
         help="fractional bad-direction slack before failing (default 0.15)",
+    )
+    p_bench_check.add_argument(
+        "--bench", action="append", default=None, metavar="NAME",
+        help="gate only this ledger stream (repeatable; default: every "
+        "stream in the ledger)",
     )
     p_bench_check.set_defaults(func=_cmd_bench)
     p_bench_show = bench_sub.add_parser(

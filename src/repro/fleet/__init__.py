@@ -10,7 +10,8 @@ Modules:
     spec: :class:`FleetSpec`/:class:`SiteSpec` scenarios + named registry.
     correlation: seeded regional-shock sampler and schedule merging.
     routing: instant pricing and yearly integration of geo-failover.
-    sim: the per-year Monte-Carlo job and :class:`FleetAnalyzer`.
+    sim: fleet years (sampled once, routed per flag), the per-year
+        Monte-Carlo job and :class:`FleetAnalyzer`.
     contingency: :func:`fail_over` (N-k pricing) and N-1/N-2 analysis.
     failover: geo-failover and cloud-burst techniques, and their economics.
     frontier: the ``fleet_frontier`` sweep and its domination verdict.
@@ -30,7 +31,7 @@ from repro.fleet.failover import (
 )
 from repro.fleet.frontier import (
     DEFAULT_FLEET_YEARS,
-    fleet_cell,
+    fleet_cell_pair,
     fleet_frontier,
     fleet_frontier_jobs,
     prepare_fleet_frontier,
@@ -53,6 +54,7 @@ from repro.fleet.routing import (
 from repro.fleet.sim import (
     FleetAnalyzer,
     reduce_fleet_years,
+    simulate_fleet_routings,
     simulate_fleet_year,
     simulate_fleet_years,
 )
@@ -87,7 +89,7 @@ __all__ = [
     "contingency_report",
     "contingency_scenarios",
     "fail_over",
-    "fleet_cell",
+    "fleet_cell_pair",
     "fleet_frontier",
     "fleet_frontier_jobs",
     "fleet_names",
@@ -101,6 +103,7 @@ __all__ = [
     "route_fleet_year",
     "route_fleet_years",
     "serve_instant",
+    "simulate_fleet_routings",
     "simulate_fleet_year",
     "simulate_fleet_years",
 ]

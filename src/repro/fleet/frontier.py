@@ -1,20 +1,23 @@
 """The fleet frontier: how much backup can every site shed when the
 fleet is the backup?
 
-Each cell provisions *every* site of a named fleet with the same
-Table-3 backup configuration and local technique, then Monte-Carlos the
-fleet twice — once with geo-routing off (each site on its own, the
-paper's single-site world) and once with routing on (the fleet is the
-backup).  The reduce draws the Pareto frontier over (normalized per-site
-backup cost, fleet performability) and reports every routed cell that
-*dominates* an unrouted cell: cheaper backup at equal-or-better fleet
-service is exactly the paper's underprovisioning bet restated at fleet
-scale.
+Each configuration provisions *every* site of a named fleet with the
+same Table-3 backup configuration and local technique, Monte-Carlos the
+fleet's years once, and scores them as two cells — geo-routing off (each
+site on its own, the paper's single-site world) and routing on (the
+fleet is the backup).  Both cells see the same outage years (common
+random numbers), so routing alone separates them and a routed cell never
+scores below its unrouted twin.  The reduce draws the Pareto frontier
+over (normalized per-site backup cost, fleet performability) and reports
+every routed cell that *dominates* an unrouted cell: cheaper backup at
+equal-or-better fleet service is exactly the paper's underprovisioning
+bet restated at fleet scale.
 
-Cells are fingerprinted runner jobs carrying names only, with seeds
-spawned by cell position — bit-identical at any worker count, cacheable,
-and batcher-composable through ``(jobs, reduce)`` like the sweep and
-policy-frontier analyses before it.
+Each configuration is one fingerprinted runner job carrying names only,
+seeded by configuration position (child ``2k`` of ``2n``, see
+:func:`fleet_frontier_jobs`) — bit-identical at any worker count,
+cacheable, and batcher-composable through ``(jobs, reduce)`` like the
+sweep and policy-frontier analyses before it.
 """
 
 from __future__ import annotations
@@ -26,46 +29,59 @@ import numpy as np
 from repro.analysis.frontier import dominates, pareto_frontier
 from repro.core.configurations import get_configuration
 from repro.errors import RunnerError
-from repro.fleet.sim import reduce_fleet_years, simulate_fleet_years
+from repro.fleet.sim import reduce_fleet_years, simulate_fleet_routings
 from repro.fleet.spec import get_fleet
 from repro.runner.cache import ResultCache
 from repro.runner.executor import BaseExecutor, make_executor
-from repro.runner.jobs import Job, child_seed, make_jobs
+from repro.runner.jobs import Job, child_seed, spawn_seeds
 from repro.runner.progress import ProgressListener
 
 #: Default per-cell sample size: enough years that every Table-3 config
 #: sees multi-outage tails without making the smoke run minutes long.
 DEFAULT_FLEET_YEARS = 40
 
+#: Each configuration's cells, in payload order: unrouted, then routed.
+ROUTINGS = (False, True)
 
-def fleet_cell(
+
+def fleet_cell_pair(
     spec: Mapping[str, Any], seed: Optional[np.random.SeedSequence]
-) -> Dict[str, Any]:
-    """Runner job: one (configuration, routing) cell of the fleet frontier.
+) -> List[Dict[str, Any]]:
+    """Runner job: one configuration of the fleet frontier, both cells.
 
     The spec carries names only — ``fleet``, ``configuration``,
-    ``technique``, ``routing``, ``years`` — so the job fingerprints on
-    primitives.  Year ``y`` draws from ``child_seed(seed, y)``; the same
-    (cell spec, seed) always replays the same years.  All of the cell's
-    years run as one batch (:func:`repro.fleet.sim.simulate_fleet_years`).
+    ``technique``, ``years`` — so the job fingerprints on primitives.
+    Year ``y`` draws from ``child_seed(seed, y)``; the same (spec, seed)
+    always replays the same years.  The years are sampled and run
+    through each site plant's kernel once, then routed twice
+    (:func:`repro.fleet.sim.simulate_fleet_routings`), so the two cells
+    differ only by routing.  Returns ``[unrouted record, routed record]``.
     """
     if seed is None:
-        raise RunnerError("fleet_cell requires a seeded job")
+        raise RunnerError("fleet_cell_pair requires a seeded job")
     fleet = get_fleet(spec["fleet"]).with_uniform(
         configuration=spec["configuration"], technique=spec["technique"]
     )
-    routing = bool(spec["routing"])
     years = int(spec["years"])
-    values = simulate_fleet_years(
-        fleet, routing, [child_seed(seed, y) for y in range(years)]
+    results = simulate_fleet_routings(
+        fleet, ROUTINGS, [child_seed(seed, y) for y in range(years)]
     )
-    report = reduce_fleet_years(values, fleet, routing)
+    return [
+        _cell_record(spec, reduce_fleet_years(values, fleet, routing))
+        for routing, values in zip(ROUTINGS, results)
+    ]
+
+
+def _cell_record(
+    spec: Mapping[str, Any], report: Mapping[str, Any]
+) -> Dict[str, Any]:
+    """One frontier cell: the spec's names and the fleet report's scores."""
     return {
         "fleet": spec["fleet"],
         "configuration": spec["configuration"],
         "technique": spec["technique"],
-        "routing": routing,
-        "years": years,
+        "routing": report["routing"],
+        "years": int(spec["years"]),
         "normalized_cost": get_configuration(
             spec["configuration"]
         ).normalized_cost(),
@@ -88,35 +104,44 @@ def fleet_frontier_jobs(
     years: int = DEFAULT_FLEET_YEARS,
     seed: int = 0,
 ) -> List[Job]:
-    """Fingerprinted cell jobs: every configuration, routed and unrouted."""
+    """Fingerprinted jobs: one per configuration, routed and unrouted.
+
+    Configuration ``k`` is seeded with child ``2k`` of ``2n`` spawned
+    from ``seed``: the layout the golden corpus pins the unrouted cells
+    under (``unrouted_sha256`` in ``tests/golden/fleet_frontier.json``).
+    """
     if years <= 0:
         raise RunnerError("years must be positive")
     if not configuration_names:
         raise RunnerError("fleet frontier needs at least one configuration")
     get_fleet(fleet_name)  # fail fast on unknown fleets
-    specs = []
-    labels = []
-    for configuration in configuration_names:
-        for routing in (False, True):
-            specs.append(
-                {
-                    "fleet": fleet_name,
-                    "configuration": configuration,
-                    "technique": technique,
-                    "routing": routing,
-                    "years": years,
-                }
-            )
-            labels.append(
-                f"fleet:{fleet_name}/{configuration}/"
-                f"{'routed' if routing else 'solo'}"
-            )
-    return make_jobs(fleet_cell, specs, base_seed=seed, labels=labels)
+    seeds = spawn_seeds(seed, 2 * len(configuration_names))[::2]
+    return [
+        Job(
+            fn=fleet_cell_pair,
+            spec={
+                "fleet": fleet_name,
+                "configuration": configuration,
+                "technique": technique,
+                "years": years,
+            },
+            index=k,
+            seed=seeds[k],
+            label=f"fleet:{fleet_name}/{configuration}",
+        )
+        for k, configuration in enumerate(configuration_names)
+    ]
 
 
 def _objectives(record: Mapping[str, Any]) -> Tuple[float, float]:
     """Minimise backup cost, maximise fleet performability."""
     return (record["normalized_cost"], -record["performability"])
+
+
+def _reduce_cell_pairs(pairs: Sequence[Sequence[Any]]) -> Dict[str, Any]:
+    """:func:`reduce_fleet_frontier` over the pair jobs' values, flattened
+    in (unrouted, routed) order per configuration."""
+    return reduce_fleet_frontier([record for pair in pairs for record in pair])
 
 
 def reduce_fleet_frontier(
@@ -205,7 +230,7 @@ def fleet_frontier(
     if executor is None:
         executor = make_executor(jobs=jobs, cache=cache, progress=progress)
     report = executor.run(job_list)
-    return reduce_fleet_frontier(report.values)
+    return _reduce_cell_pairs(report.values)
 
 
 def prepare_fleet_frontier(
@@ -220,4 +245,4 @@ def prepare_fleet_frontier(
         fleet_name, configuration_names, technique=technique, years=years,
         seed=seed,
     )
-    return job_list, reduce_fleet_frontier
+    return job_list, _reduce_cell_pairs

@@ -5,8 +5,10 @@ years: each site draws its own Figure 1 outage schedule and DG start
 rolls *exactly* as the certified single-site path does, the regional
 shock layer merges correlated events in, the :mod:`repro.vsim` kernel
 runs each (possibly extended) schedule, and the routing layer
-integrates where displaced load went.  :func:`simulate_fleet_year` is
-its one-year runner job.
+integrates where displaced load went.  :func:`simulate_fleet_routings`
+routes one such sample once per routing flag (the fleet frontier's
+routed and unrouted cells share their years); :func:`simulate_fleet_year`
+is the one-year runner job.
 
 **Seed discipline** (the property the independence regression pins):
 every stream is a :func:`~repro.runner.jobs.child_seed` path under the
@@ -28,6 +30,7 @@ certified single-site path.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -82,47 +85,71 @@ def simulate_fleet_years(
 ) -> List[Dict[str, Any]]:
     """Simulate one fleet year per seed, all years at once.
 
-    Every site-year is sampled first (the seed tree in the module
-    docstring), then each distinct site plant is built once and all of
-    its site-years run through one :class:`~repro.vsim.kernel.PlanKernel`
-    (:func:`repro.vsim.yearly.run_years`), and finally every year's
-    intervals are routed in one array pass
-    (:func:`~repro.fleet.routing.route_fleet_years`).
+    The one-routing call of :func:`simulate_fleet_routings`.
 
     Each year is ``{"sites": {name: aggregates}, "fleet": totals}``.  The
     per-site blocks use the exact field names of the single-site year
     job, so the independence regression can compare dicts with ``==``.
+    """
+    return simulate_fleet_routings(fleet, (routing,), seeds)[0]
 
-    A traced run records a ``cell`` span holding ``sample``, ``kernel``
-    and ``route`` spans; with tracing off the stages cost one ``is
-    None`` check in all.
+
+def simulate_fleet_routings(
+    fleet: FleetSpec,
+    routings: Sequence[bool],
+    seeds: Sequence[np.random.SeedSequence],
+) -> List[List[Dict[str, Any]]]:
+    """Simulate one fleet year per seed once; route it once per flag.
+
+    Every site-year is sampled first (the seed tree in the module
+    docstring), then each distinct site plant is built once and all of
+    its site-years run through one :class:`~repro.vsim.kernel.PlanKernel`
+    (:func:`repro.vsim.yearly.run_years`).  The same outage windows are
+    then routed in one array pass per entry of ``routings``
+    (:func:`~repro.fleet.routing.route_fleet_years`), so every routing
+    sees identical outage years — common random numbers.  Returns one
+    list of years (as :func:`simulate_fleet_years`) per routing.
+
+    A traced run records a ``cell`` span holding one ``sample`` span,
+    the ``kernel`` spans and one ``route`` span per routing; with
+    tracing off the stages cost one ``is None`` check in all.
     """
     tracer = current_tracer()
     metrics = current_metrics()
     if tracer is None:
-        years = _fleet_years(fleet, routing, seeds, _no_span, metrics)
+        sample = _sample_fleet_years(fleet, seeds, _no_span, metrics)
+        results = [
+            _route_fleet_sample(fleet, sample, routing, _no_span)
+            for routing in routings
+        ]
     else:
         with tracer.span(
-            "cell", "fleet", fleet=fleet.name, routing=routing, years=len(seeds)
+            "cell", "fleet", fleet=fleet.name, routings=list(routings),
+            years=len(seeds),
         ):
-            years = _fleet_years(fleet, routing, seeds, tracer.span, metrics)
-            for year in years:
-                tracer.event(
-                    "fleet-year",
-                    fleet=fleet.name,
-                    routing=routing,
-                    shock_site_hits=int(year["fleet"]["shock_site_hits"]),
-                    max_simultaneous=year["fleet"]["max_simultaneous_outages"],
-                )
+            sample = _sample_fleet_years(fleet, seeds, tracer.span, metrics)
+            results = []
+            for routing in routings:
+                years = _route_fleet_sample(fleet, sample, routing, tracer.span)
+                for year in years:
+                    tracer.event(
+                        "fleet-year",
+                        fleet=fleet.name,
+                        routing=routing,
+                        shock_site_hits=int(year["fleet"]["shock_site_hits"]),
+                        max_simultaneous=year["fleet"]["max_simultaneous_outages"],
+                    )
+                results.append(years)
     if metrics is not None:
-        for year in years:
-            metrics.counter("fleet.years").inc()
-            hits = int(year["fleet"]["shock_site_hits"])
-            if hits:
-                metrics.counter("fleet.shock_site_hits").inc(hits)
-            if year["fleet"]["max_simultaneous_outages"] >= 2:
-                metrics.counter("fleet.multi_site_years").inc()
-    return years
+        for years in results:
+            for year in years:
+                metrics.counter("fleet.years").inc()
+                hits = int(year["fleet"]["shock_site_hits"])
+                if hits:
+                    metrics.counter("fleet.shock_site_hits").inc(hits)
+                if year["fleet"]["max_simultaneous_outages"] >= 2:
+                    metrics.counter("fleet.multi_site_years").inc()
+    return results
 
 
 @contextmanager
@@ -130,13 +157,27 @@ def _no_span(*args: Any, **attrs: Any) -> Iterator[None]:
     yield
 
 
-def _fleet_years(
+@dataclass(frozen=True)
+class _FleetSample:
+    """Sampled, kernel-run fleet years, ready to route any number of times.
+
+    ``windows`` holds each site's outage windows (fleet order);
+    ``aggregates`` is indexed by site-year lane ``y * n_sites + i``.
+    """
+
+    years: int
+    windows: List[SiteWindows]
+    aggregates: List[Dict[str, float]]
+    shock_hits: List[int]
+
+
+def _sample_fleet_years(
     fleet: FleetSpec,
-    routing: bool,
     seeds: Sequence[np.random.SeedSequence],
     span: Callable[..., Any],
     metrics,
-) -> List[Dict[str, Any]]:
+) -> _FleetSample:
+    """Sample every site-year and run each site plant's kernel once."""
     from repro.core.configurations import get_configuration
     from repro.techniques.registry import get_technique
     from repro.workloads.registry import get_workload
@@ -222,39 +263,51 @@ def _fleet_years(
             aggregates[lane] = aggregate
         performance[events] = lane_performance
 
-    with span("route", "fleet", routing=routing):
-        # min(1.0, max(0.0, x)) with Python's tie rules.
-        level = np.where(performance > 0.0, performance, 0.0)
-        level = np.where(level < 1.0, level, 1.0)
-        ends = starts_arr + durations_arr
-        year_of = lane_of // n_sites
-        windows = []
-        for i in range(n_sites):
-            mine = site_of == i
-            windows.append(
-                SiteWindows(
-                    year=year_of[mine],
-                    start=starts_arr[mine],
-                    end=ends[mine],
-                    performance=level[mine],
-                )
+    # min(1.0, max(0.0, x)) with Python's tie rules.
+    level = np.where(performance > 0.0, performance, 0.0)
+    level = np.where(level < 1.0, level, 1.0)
+    ends = starts_arr + durations_arr
+    year_of = lane_of // n_sites
+    windows = []
+    for i in range(n_sites):
+        mine = site_of == i
+        windows.append(
+            SiteWindows(
+                year=year_of[mine],
+                start=starts_arr[mine],
+                end=ends[mine],
+                performance=level[mine],
             )
+        )
+    return _FleetSample(years, windows, aggregates, shock_hits)
+
+
+def _route_fleet_sample(
+    fleet: FleetSpec,
+    sample: _FleetSample,
+    routing: bool,
+    span: Callable[..., Any],
+) -> List[Dict[str, Any]]:
+    """Route one sample's windows: its fleet years under one flag."""
+    sites = fleet.sites
+    n_sites = len(sites)
+    with span("route", "fleet", routing=routing):
         totals = route_fleet_years(
             sites,
-            windows,
-            years,
+            sample.windows,
+            sample.years,
             SECONDS_PER_YEAR,
             fleet.redirect_seconds,
             routing=routing,
         )
 
     out = []
-    for y in range(years):
-        totals[y]["shock_site_hits"] = float(shock_hits[y])
+    for y in range(sample.years):
+        totals[y]["shock_site_hits"] = float(sample.shock_hits[y])
         out.append(
             {
                 "sites": {
-                    site.name: aggregates[y * n_sites + i]
+                    site.name: sample.aggregates[y * n_sites + i]
                     for i, site in enumerate(sites)
                 },
                 "fleet": totals[y],

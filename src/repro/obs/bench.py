@@ -17,7 +17,8 @@ module needs no table of benchmark shapes:
 * :func:`check` compares the newest entry per stream against a baseline
   (median of the preceding entries) and fails when any metric regresses
   past a tolerance *in its bad direction* — throughput only fails by
-  falling, latency only by rising.
+  falling, latency only by rising.  It can be restricted to named
+  streams, so each smoke target gates only the stream it wrote.
 
 The gate is deliberately median-of-history, not previous-run: a single
 noisy run neither poisons the baseline nor slips a real regression
@@ -247,10 +248,14 @@ def check(
     entries: Sequence[Mapping[str, Any]],
     tolerance: float = DEFAULT_TOLERANCE,
     baseline_depth: int = BASELINE_DEPTH,
+    benches: Optional[Sequence[str]] = None,
 ) -> CheckReport:
     """Gate the newest entry per stream against its history median.
 
-    For each stream present, the newest entry is "current" and the
+    ``benches`` restricts the verdicts to the named streams (each must
+    have history), so one workload's gate never fails on another's
+    noise in a shared ledger; ``None`` gates every stream present.
+    For each gated stream, the newest entry is "current" and the
     baseline per metric is the median of that metric over the preceding
     ``baseline_depth`` entries; the metric's direction is the one the
     current entry records.  A metric regresses when it moves past
@@ -264,6 +269,13 @@ def check(
     by_bench: Dict[str, List[Mapping[str, Any]]] = {}
     for entry in entries:
         by_bench.setdefault(str(entry["bench"]), []).append(entry)
+    if benches is not None:
+        missing = sorted(set(benches) - set(by_bench))
+        if missing:
+            raise ObsError(
+                f"no history for bench stream(s): {', '.join(missing)}"
+            )
+        by_bench = {bench: by_bench[bench] for bench in benches}
     for bench in sorted(by_bench):
         history = by_bench[bench]
         current = history[-1]

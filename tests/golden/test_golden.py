@@ -9,6 +9,10 @@ Each payload corpus file lists canonical requests, the request
   ``servers``/``seed``;
 * ``fleet_frontier.json`` covers every named fleet, the default grid
   and subsets, 1 and 40 years, and non-default techniques and seeds;
+  each case also pins ``unrouted_sha256``, the SHA-256 of the
+  ``canonical_json`` list of its unrouted ``cells``, which
+  ``regenerate()`` never rewrites: routing changes may move the routed
+  cells, never the single-site ones;
 * ``whatif.json`` covers every workload, quadrature from 1 to 20 nodes
   per bucket, and non-default ``servers``;
 * ``rank.json`` covers every workload, outages from 30 s to 2 h, and a
@@ -91,6 +95,13 @@ def test_availability_payload_matches_golden_digest(case):
 @pytest.mark.parametrize("case", _cases("fleet_frontier.json"))
 def test_fleet_frontier_payload_matches_golden_digest(case):
     assert payload_digest(case["request"]) == case["sha256"]
+
+
+@pytest.mark.parametrize("case", _cases("fleet_frontier.json"))
+def test_fleet_frontier_unrouted_cells_match_pinned_digest(case):
+    payload = evaluate_request(parse_request(case["request"]))
+    unrouted = [cell for cell in payload["cells"] if not cell["routing"]]
+    assert _sha256(canonical_json(unrouted)) == case["unrouted_sha256"]
 
 
 @pytest.mark.parametrize("case", _cases("whatif.json"))

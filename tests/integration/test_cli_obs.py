@@ -141,6 +141,30 @@ class TestBenchCli:
         code, out, _ = run(capsys, "bench", "check", "--history", history)
         assert code == 0 and "sim.speedup (higher better)" in out
 
+    def test_check_gates_only_the_named_streams(self, capsys, tmp_path):
+        history = str(tmp_path / "BENCH_history.jsonl")
+        for speedup in (35.0, 10.0):  # sim regresses, fleet holds
+            emit(
+                str(tmp_path / "BENCH_sim.json"), "sim",
+                {"speedup": {"value": speedup, "unit": "x", "better": "higher"}},
+            )
+            emit(
+                str(tmp_path / "BENCH_fleet.json"), "fleet",
+                {"years_per_second": {
+                    "value": 900.0 + speedup, "unit": "1/s", "better": "higher"
+                }},
+            )
+            assert run(capsys, "bench", "record", "--root", str(tmp_path))[0] == 0
+        check = ("bench", "check", "--history", history)
+        code, out, _ = run(capsys, *check, "--bench", "sim")
+        assert code == 1 and "REG" in out
+        code, out, _ = run(capsys, *check, "--bench", "fleet")
+        assert code == 0 and "sim." not in out and "fleet." in out
+        assert run(capsys, *check)[0] == 1
+        assert run(capsys, *check, "--bench", "fleet", "--bench", "sim")[0] == 1
+        code, _, err = run(capsys, *check, "--bench", "policy")
+        assert code == 2 and "policy" in err
+
     def test_record_names_an_artifact_without_schema(self, capsys, tmp_path):
         (tmp_path / "BENCH_serve.json").write_text('{"bench": "serve"}')
         code, _, err = run(capsys, "bench", "record", "--root", str(tmp_path))

@@ -327,6 +327,20 @@ class TestCheck:
             ("sim", "regression"),
         ]
 
+    def test_named_streams_gated_alone(self):
+        entries = [
+            serve_entry(300.0, 13.0),
+            sim_entry(35.0),
+            serve_entry(300.0, 13.0),
+            sim_entry(10.0),  # regressed
+        ]
+        assert not benchmod.check(entries, benches=["sim"]).ok
+        report = benchmod.check(entries, benches=["serve"])
+        assert report.ok
+        assert {v.bench for v in report.verdicts} == {"serve"}
+        with pytest.raises(ObsError):
+            benchmod.check(entries, benches=["policy"])
+
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ObsError):
             benchmod.check([], tolerance=-0.1)

@@ -15,7 +15,10 @@ test:
 # every result and every probe (tests/golden/test_sizing_oracle.py), and
 # the array outage sampler must match the object-based one on every
 # start, duration and generator state, rare paths included
-# (tests/golden/test_sampler_oracle.py).
+# (tests/golden/test_sampler_oracle.py), and the one-pass stream seeds
+# (repro.runner.jobs.child_streams/restate) must equal numpy's
+# SeedSequence and PCG64 on 3 roots x 100k years of the (i, 0) and
+# (i, 1) streams (tests/golden/test_stream_oracle.py).
 golden:
 	$(PYTHON) -m pytest -q tests/golden
 

@@ -19,12 +19,16 @@ site-year seed ``(i,)`` — and the shock stream is ``(n_sites,)``,
 strictly *after* the sites.  SeedSequence children are positional, so a
 site's randomness depends only on (year seed, site position), never on
 the shock layer, the routing flag, or any other site; the seeds are not
-mutated, so the same seed objects always replay the same years.  A
-stream is built only when drawn from (the shock stream only when shocks
-can strike), and only a struck site-year is merged with its shocks — so
-a fleet of uncorrelated sites reproduces the single-site yearly
-aggregates bit-identically, and the fleet layer can never perturb the
-certified single-site path.
+mutated, so the same seed objects always replay the same years.
+``child_seed`` names each stream, but none is built: one
+:func:`~repro.runner.jobs.year_streams` pass computes every year's site
+states (and, only when shocks can strike, the shock states), held
+``==`` to ``PCG64(child_seed(...))`` by the stream oracles, and one
+generator is re-stated (:func:`~repro.runner.jobs.restate`) before each
+draw.  A stream is drawn from only when needed, and only a struck
+site-year is merged with its shocks — so a fleet of uncorrelated sites
+reproduces the single-site yearly aggregates bit-identically, and the
+fleet layer can never perturb the certified single-site path.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from repro.outages.generator import sample_year_arrays
 from repro.power.ups import DEFAULT_RECHARGE_SECONDS
 from repro.runner.cache import ResultCache
 from repro.runner.executor import BaseExecutor, make_executor
-from repro.runner.jobs import Job, child_seed, make_jobs
+from repro.runner.jobs import Job, make_jobs, restate, year_streams
 from repro.runner.progress import ProgressListener
 from repro.units import SECONDS_PER_YEAR, ordered_sum, to_minutes
 from repro.vsim.kernel import PlanKernel
@@ -209,19 +213,25 @@ def _sample_fleet_years(
     counts: List[int] = []
     shock_hits: List[int] = []
     sampler = RegionalShockSampler(fleet)
+    rng = Generator(PCG64(0))
     with span("sample", "fleet", years=years, sites=n_sites):
-        for year_seed in seeds:
+        # Every year's site streams in one pass: year y's row holds
+        # (i, 0), (i, 1) for each site i in fleet order.
+        site_streams = year_streams(
+            seeds, [(i, k) for i in range(n_sites) for k in (0, 1)]
+        ).tolist()
+        if sampler.active:
+            shock_streams = year_streams(seeds, [(n_sites,)]).tolist()
+        for y, row in enumerate(site_streams):
             shocks = None
             if sampler.active:
-                shocks = sampler.sample_year(
-                    Generator(PCG64(child_seed(year_seed, n_sites)))
-                )
+                shocks = sampler.sample_year(restate(rng, shock_streams[y][0]))
             shock_hits.append(
                 sum(len(hits) for hits in shocks.values()) if shocks else 0
             )
             for i, site in enumerate(sites):
                 site_starts, site_durations = sample_year_arrays(
-                    Generator(PCG64(child_seed(year_seed, i, 0)))
+                    restate(rng, row[2 * i])
                 )
                 if shocks and shocks[site.name]:
                     site_starts, site_durations = _merge_shocks(
@@ -231,7 +241,7 @@ def _sample_fleet_years(
                 starts += site_starts
                 durations += site_durations
                 counts.append(n)
-                dg += draw_dg_starts(year_seed, (i, 1), reliabilities[i], n)
+                dg += draw_dg_starts(rng, row[2 * i + 1], reliabilities[i], n)
     starts_arr = np.array(starts, dtype=float)
     durations_arr = np.array(durations, dtype=float)
     dg_arr = np.array(dg, dtype=bool)

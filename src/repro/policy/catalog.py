@@ -17,8 +17,8 @@ that switching decision online.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Tuple
 
 from repro.errors import PolicyError, TechniqueError
 from repro.sim.datacenter import Datacenter
@@ -82,22 +82,16 @@ class ModeCatalog:
         self._modes: Dict[str, PolicyMode] = dict(modes)
 
     @classmethod
-    def compile(
-        cls,
-        datacenter: Datacenter,
-        power_budget_watts: Optional[float] = None,
-    ) -> "ModeCatalog":
+    def compile(cls, datacenter: Datacenter) -> "ModeCatalog":
         """Compile every registered mode technique that fits the budget.
 
-        Without ``power_budget_watts`` the modes compile against the plan
-        path's own context (:func:`repro.core.performability.plan_context`).
+        The modes compile against the plan path's own context
+        (:func:`repro.core.performability.plan_context`).
         """
         from repro.core.performability import plan_context
         from repro.techniques.registry import get_technique
 
         context = plan_context(datacenter)
-        if power_budget_watts is not None:
-            context = replace(context, power_budget_watts=power_budget_watts)
         modes: Dict[str, PolicyMode] = {}
         for mode_name, technique_name in MODE_TECHNIQUES.items():
             technique = get_technique(technique_name)

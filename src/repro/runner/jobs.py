@@ -20,7 +20,11 @@ Job callables have one fixed signature::
 and must be defined at module top level (process pools pickle them by
 qualified name).  Deterministic jobs simply ignore ``seed``; stochastic
 jobs build one or more :class:`numpy.random.Generator` instances from it
-(deriving independent child streams with :func:`child_seed`).
+(deriving independent child streams with :func:`child_seed`).  A job
+drawing from many streams seeds them all in one array pass
+(:func:`child_streams`, :func:`year_streams`) and re-states one reused
+generator per stream (:func:`restate`); the results are ``==`` to the
+``child_seed`` streams.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -203,6 +207,173 @@ def child_seed(
     return np.random.SeedSequence(
         seed.entropy, spawn_key=seed.spawn_key + path, pool_size=seed.pool_size
     )
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(value: Any) -> List[int]:
+    """``value`` as SeedSequence reads it: little-endian 32-bit words."""
+    if isinstance(value, (int, np.integer)):
+        value = int(value)
+        words = [value & _MASK32]
+        value >>= 32
+        while value:
+            words.append(value & _MASK32)
+            value >>= 32
+        return words
+    return [word for item in value for word in _uint32_words(item)]
+
+
+def _mix(x: Any, y: Any) -> Any:
+    """SeedSequence's ``mix`` on uint32 words (ints or uint64 arrays)."""
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> _XSHIFT)
+
+
+def child_streams(
+    seed: np.random.SeedSequence, paths: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """Every path's stream seed, ``child_seed(seed, *path)``, in one pass.
+
+    Row ``k`` is ``child_seed(seed, *paths[k]).generate_state(4,
+    np.uint64)`` — the words ``PCG64`` seeds itself from — without
+    building a SeedSequence per path.  The entropy and ``seed``'s spawn
+    key are mixed into SeedSequence's pool once, in Python (numpy's
+    ``hashmix``/``mix`` on uint32); each path word is then mixed in for
+    all rows at once as uint64-masked arrays, and ``generate_state``'s
+    ``INIT_B``/``MULT_B`` pass runs on the array pool.  ``paths`` are
+    equal-length, non-empty tuples of words in ``[0, 2**32)`` (one
+    SeedSequence word each); anything else is a :class:`RunnerError`.
+    ``tests/runner/test_jobs.py`` and ``tests/golden/test_stream_oracle.py``
+    hold every row ``==`` to numpy's.
+    """
+    if not len(paths):
+        return np.empty((0, 4), dtype=np.uint64)
+    try:
+        words = np.asarray(paths)
+    except ValueError:
+        words = np.empty(0)
+    if (
+        words.ndim != 2
+        or not words.shape[1]
+        or words.dtype.kind not in "iu"
+        or ((words < 0) | (words > _MASK32)).any()
+    ):
+        raise RunnerError(
+            "paths must be equal-length tuples of words in [0, 2**32)"
+        )
+    words = words.astype(np.uint64)
+
+    hash_const = _INIT_A
+
+    def hashmix(value: Any) -> Any:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> _XSHIFT)
+
+    # A non-empty spawn key pads the entropy to the pool size first.
+    pool_size = seed.pool_size
+    run_entropy = _uint32_words(seed.entropy)
+    run_entropy += [0] * (pool_size - len(run_entropy))
+    prefix = run_entropy + _uint32_words(seed.spawn_key)
+    pool: List[Any] = [hashmix(word) for word in prefix[:pool_size]]
+    for src in range(pool_size):
+        for dst in range(pool_size):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    # The rest of the prefix as ints, then each path column as an array.
+    for word in prefix[pool_size:] + list(words.T):
+        for dst in range(pool_size):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    # generate_state(4, np.uint64): 8 uint32 words, paired little-endian.
+    state = []
+    hash_const = _INIT_B
+    for k in range(8):
+        value = pool[k % pool_size] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        state.append(value ^ (value >> _XSHIFT))
+    return np.stack(
+        [state[2 * k] | (state[2 * k + 1] << 32) for k in range(4)], axis=1
+    )
+
+
+def year_streams(
+    seeds: Sequence[np.random.SeedSequence], paths: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """:func:`child_streams` for every seed in one array.
+
+    The shape is ``(len(seeds), len(paths), 4)``; entry ``[y, k]`` is
+    the stream seed of ``child_seed(seeds[y], *paths[k])``.  Seeds one
+    spawn level below a common parent (the children :func:`spawn_seeds`
+    hands out, the years ``child_seed(s, y)``) share one pass: each is
+    that parent's child at its last spawn-key word.  A seed with no
+    spawn key, or a last word wider than one SeedSequence word, is its
+    own parent.
+    """
+    out = np.empty((len(seeds), len(paths), 4), dtype=np.uint64)
+    families: Dict[Any, List[int]] = {}
+    for y, seed in enumerate(seeds):
+        key = seed.spawn_key
+        lead = int(bool(key) and key[-1] <= _MASK32)
+        family = (
+            tuple(_uint32_words(seed.entropy)), seed.pool_size,
+            key[: len(key) - lead], lead,
+        )
+        families.setdefault(family, []).append(y)
+    for (_, pool_size, parent_key, _), rows in families.items():
+        depth = len(parent_key)
+        parent = np.random.SeedSequence(
+            seeds[rows[0]].entropy, spawn_key=parent_key, pool_size=pool_size
+        )
+        rows_paths = [
+            seeds[y].spawn_key[depth:] + tuple(path)
+            for y in rows
+            for path in paths
+        ]
+        out[rows] = child_streams(parent, rows_paths).reshape(
+            len(rows), len(paths), 4
+        )
+    return out
+
+
+def restate(
+    rng: np.random.Generator, words: Sequence[int]
+) -> np.random.Generator:
+    """``rng`` re-seeded as ``PCG64`` seeds itself from ``words``.
+
+    ``words`` is one :func:`child_streams` row.  PCG64's seeding step
+    (``state = 0; inc = (seq << 1) | 1; step; state += s; step``) runs
+    on 128-bit Python ints, and the result is assigned to the reused
+    ``rng``'s ``bit_generator.state`` — after which ``rng`` draws
+    exactly what a fresh ``Generator(PCG64(child_seed(...)))`` draws,
+    with neither object built.  ``rng`` must be a PCG64 generator.
+    """
+    s_high, s_low, i_high, i_low = map(int, words)
+    inc = ((((i_high << 64) | i_low) << 1) | 1) & _MASK128
+    state = (inc + ((s_high << 64) | s_low)) * _PCG64_MULT + inc
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state & _MASK128, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def make_jobs(

@@ -13,11 +13,17 @@ contiguous block of years per job:
 * **Same RNG discipline.**  Year ``i`` draws its schedule from
   ``child_seed(SeedSequence(base_seed), i, 0)`` and its DG rolls from
   ``(i, 1)`` — the streams the scalar per-year job draws from under the
-  runner's year seed ``(i,)``, built by spawn-key arithmetic
+  runner's year seed ``(i,)``, named by spawn-key arithmetic
   (:func:`repro.runner.jobs.child_seed`) rather than by spawning — so
   the sampled outages (:func:`repro.outages.generator.sample_year_arrays`)
   and DG start rolls are bit-identical to the scalar path at any block
-  size.
+  size.  No SeedSequence or ``PCG64`` is built per year: one
+  :func:`~repro.runner.jobs.child_streams` pass computes the same
+  states for every stream of the block, and one generator is re-stated
+  (:func:`~repro.runner.jobs.restate`) before each draw; the stream
+  oracles (``tests/runner/test_jobs.py``,
+  ``tests/golden/test_stream_oracle.py``) hold those states ``==`` to
+  ``PCG64(child_seed(...))``.
 * **Same state threading.**  Cross-outage state of charge and recharge
   clamping follow :meth:`repro.sim.yearly.YearlyRunner._run_schedule`
   float for float; only the outage simulations themselves are
@@ -54,7 +60,7 @@ from numpy.random import PCG64, Generator
 from repro.errors import SimulationError
 from repro.obs import current_metrics, current_tracer
 from repro.outages.generator import sample_year_arrays
-from repro.runner.jobs import child_seed
+from repro.runner.jobs import child_streams, restate
 from repro.vsim.kernel import PlanKernel
 
 #: Years per batch job.  A study of up to 1000 years is one kernel job
@@ -123,22 +129,28 @@ def _sample_block(root: np.random.SeedSequence, years: range, datacenter):
     Year ``i`` draws its schedule from ``child_seed(root, i, 0)`` and its
     DG rolls from ``child_seed(root, i, 1)`` — the streams the scalar
     job draws from under the runner's year seed ``(i,)`` — so the draws
-    are bit-identical to the scalar path at any block size.
+    are bit-identical to the scalar path at any block size.  Both
+    streams of every year are seeded in one
+    :func:`~repro.runner.jobs.child_streams` pass, and one generator is
+    re-stated (:func:`~repro.runner.jobs.restate`) for each draw.
     """
     reliability = dg_reliability(datacenter)
+    streams = child_streams(root, [(i, k) for i in years for k in (0, 1)])
+    streams = streams.tolist()
+    rng = Generator(PCG64(0))
     starts: List[float] = []
     durations: List[float] = []
     dg: List[bool] = []
     counts: List[int] = []
-    for i in years:
+    for schedule, rolls in zip(streams[0::2], streams[1::2]):
         year_starts, year_durations = sample_year_arrays(
-            Generator(PCG64(child_seed(root, i, 0)))
+            restate(rng, schedule)
         )
         n = len(year_starts)
         starts += year_starts
         durations += year_durations
         counts.append(n)
-        dg += draw_dg_starts(root, (i, 1), reliability, n)
+        dg += draw_dg_starts(rng, rolls, reliability, n)
     return starts, durations, dg, counts
 
 
@@ -156,21 +168,21 @@ def dg_reliability(datacenter) -> Optional[float]:
 
 
 def draw_dg_starts(
-    seed: np.random.SeedSequence,
-    path: Tuple[int, ...],
+    rng: Generator,
+    stream: Sequence[int],
     reliability: Optional[float],
     count: int,
 ) -> List[bool]:
     """A year's ``count`` DG start rolls, in outage order.
 
-    The rolls come from the stream ``child_seed(seed, *path)``, built
-    only when drawn from: with no reliability to roll against
+    The rolls come from ``stream`` (a
+    :func:`~repro.runner.jobs.child_streams` row), which re-states
+    ``rng`` only when drawn from: with no reliability to roll against
     (:func:`dg_reliability`) or no outage, every engine starts.
     """
     if reliability is None or not count:
         return [True] * count
-    rng = Generator(PCG64(child_seed(seed, *path)))
-    return (rng.random(count) < reliability).tolist()
+    return (restate(rng, stream).random(count) < reliability).tolist()
 
 
 def run_years(

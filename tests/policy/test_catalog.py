@@ -1,5 +1,7 @@
 """ModeCatalog: the compiled menu of single-technique steady states."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.configurations import get_configuration
@@ -15,10 +17,16 @@ from repro.workloads.registry import get_workload
 
 
 def _catalog(config="LargeEUPS", workload="websearch", budget=None):
+    """The catalog, on a UPS rated for ``budget`` watts when one is given."""
     datacenter = make_datacenter(
         get_workload(workload), get_configuration(config)
     )
-    return ModeCatalog.compile(datacenter, power_budget_watts=budget)
+    if budget is not None:
+        datacenter = replace(
+            datacenter,
+            ups=replace(datacenter.ups, power_capacity_watts=budget),
+        )
+    return ModeCatalog.compile(datacenter)
 
 
 def test_mode_names_are_registered_subset():

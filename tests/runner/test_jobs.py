@@ -5,14 +5,20 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random import PCG64, Generator
 
 from repro.errors import RunnerError
 from repro.runner.jobs import (
     Job,
     canonical_encode,
     child_seed,
+    child_streams,
     make_jobs,
+    restate,
     spawn_seeds,
+    year_streams,
 )
 
 
@@ -166,6 +172,150 @@ class TestChildSeed:
         first = child_seed(root, 1, 0).generate_state(4)
         assert root.n_children_spawned == 0
         assert np.array_equal(child_seed(root, 1, 0).generate_state(4), first)
+
+
+#: Roots covering every way SeedSequence assembles its entropy words.
+STREAM_ROOTS = {
+    "int": lambda: np.random.SeedSequence(7),
+    "big-int": lambda: np.random.SeedSequence(2**70 + 3),
+    "list": lambda: np.random.SeedSequence([1, 2**40 + 9, 3, 4, 5, 6]),
+    "array": lambda: np.random.SeedSequence(np.array([3, 2**40 + 1])),
+    "keyed": lambda: np.random.SeedSequence(5, spawn_key=(4, 2**33 + 1)),
+    "pool-8": lambda: np.random.SeedSequence(9, pool_size=8),
+    "empty-entropy": lambda: np.random.SeedSequence([], spawn_key=(2,)),
+}
+
+#: Every path shape the Monte-Carlo samplers seed: a year block's
+#: schedule (i, 0) and DG rolls (i, 1), a fleet site's (y, i, 0) and
+#: (y, i, 1), the fleet shock stream (y, n_sites), and one-level paths.
+STREAM_PATHS = {
+    "block-schedule": [(i, 0) for i in range(12)],
+    "block-dg": [(i, 1) for i in range(12)],
+    "fleet-site": [
+        (y, i, k) for y in range(4) for i in range(3) for k in (0, 1)
+    ],
+    "fleet-shock": [(y, 3) for y in range(4)],
+    "one-level": [(i,) for i in range(5)] + [(2**32 - 1,)],
+}
+
+
+def assert_streams_match(root, paths):
+    """Words, restated state and draws ``==`` numpy's own, path by path."""
+    words = child_streams(root, paths)
+    assert words.dtype == np.uint64 and words.shape == (len(paths), 4)
+    rng = Generator(PCG64(0))
+    for path, row in zip(paths, words.tolist()):
+        child = child_seed(root, *path)
+        assert np.array_equal(
+            np.array(row, dtype=np.uint64), child.generate_state(4, np.uint64)
+        )
+        fresh = Generator(PCG64(child))
+        assert restate(rng, row) is rng
+        assert rng.bit_generator.state == fresh.bit_generator.state
+        assert rng.random(3).tolist() == fresh.random(3).tolist()
+
+
+class TestChildStreams:
+    """The one-pass stream seeds against ``PCG64(child_seed(...))``."""
+
+    @pytest.mark.parametrize("shape", sorted(STREAM_PATHS))
+    @pytest.mark.parametrize("root", sorted(STREAM_ROOTS))
+    def test_equal_numpy(self, root, shape):
+        assert_streams_match(STREAM_ROOTS[root](), STREAM_PATHS[shape])
+
+    def test_does_not_mutate_the_seed(self):
+        root = np.random.SeedSequence(3)
+        first = child_streams(root, [(1, 0)])
+        assert root.n_children_spawned == 0
+        assert np.array_equal(child_streams(root, [(1, 0)]), first)
+
+    def test_no_paths(self):
+        words = child_streams(np.random.SeedSequence(3), [])
+        assert words.shape == (0, 4) and words.dtype == np.uint64
+
+    def test_restate_takes_array_rows(self):
+        root = np.random.SeedSequence(3)
+        rng = restate(Generator(PCG64(0)), child_streams(root, [(2, 1)])[0])
+        assert rng.bit_generator.state == PCG64(child_seed(root, 2, 1)).state
+
+    @pytest.mark.parametrize(
+        "paths",
+        [[(2**32, 0)], [(0, 2**40)], [(2**70,)], [(-1, 0)], [(0, 1), (2,)],
+         [()], [(0.5, 1)]],
+        ids=["word-2^32", "word-2^40", "word-2^70", "negative", "ragged",
+             "empty-path", "float"],
+    )
+    def test_words_outside_one_seed_word_are_rejected(self, paths):
+        with pytest.raises(RunnerError, match="2\\*\\*32"):
+            child_streams(np.random.SeedSequence(3), paths)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entropy=st.one_of(
+            st.integers(0, 2**130),
+            st.lists(st.integers(0, 2**64), max_size=9),
+        ),
+        spawn_key=st.lists(st.integers(0, 2**40), max_size=3),
+        pool_size=st.integers(4, 9),
+        depth=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_property_random_roots_and_paths(
+        self, entropy, spawn_key, pool_size, depth, data
+    ):
+        root = np.random.SeedSequence(
+            entropy, spawn_key=tuple(spawn_key), pool_size=pool_size
+        )
+        word = st.integers(0, 2**32 - 1)
+        paths = data.draw(
+            st.lists(st.tuples(*[word] * depth), min_size=1, max_size=6)
+        )
+        assert_streams_match(root, paths)
+
+
+class TestYearStreams:
+    """Per-year seeds, grouped under their spawn parent, against numpy."""
+
+    def expected(self, seeds, paths):
+        return np.array(
+            [
+                [child_seed(seed, *path).generate_state(4, np.uint64)
+                 for path in paths]
+                for seed in seeds
+            ],
+            dtype=np.uint64,
+        ).reshape(len(seeds), len(paths), 4)
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [
+            lambda: np.random.SeedSequence(11).spawn(4),
+            lambda: [
+                child_seed(np.random.SeedSequence(5), y) for y in range(5)
+            ],
+            lambda: [np.random.SeedSequence(5)],
+            lambda: [
+                np.random.SeedSequence(5),
+                np.random.SeedSequence(5, spawn_key=(2**33,)),
+                np.random.SeedSequence(5, spawn_key=(2**33, 1)),
+                np.random.SeedSequence(6, spawn_key=(1,), pool_size=8),
+                np.random.SeedSequence(5, spawn_key=(1,)),
+            ],
+        ],
+        ids=["spawned", "child-seed-years", "root", "mixed-families"],
+    )
+    def test_equal_numpy(self, seeds):
+        seeds = seeds()
+        paths = [(i, k) for i in range(3) for k in (0, 1)]
+        assert np.array_equal(
+            year_streams(seeds, paths), self.expected(seeds, paths)
+        )
+        assert np.array_equal(
+            year_streams(seeds, [(3,)]), self.expected(seeds, [(3,)])
+        )
+
+    def test_no_seeds(self):
+        assert year_streams([], [(0, 0)]).shape == (0, 1, 4)
 
 
 class TestMakeJobs:

@@ -2,11 +2,6 @@
 and ASCII report rendering used by the benchmarks and examples."""
 
 from repro.analysis.availability import AvailabilityAnalyzer, AvailabilityReport
-from repro.analysis.comparison import (
-    ComparisonCell,
-    ComparisonReport,
-    compare_configurations,
-)
 from repro.analysis.export import (
     availability_record,
     point_record,
@@ -31,12 +26,9 @@ __all__ = [
     "SensitivityRow",
     "SensitivityStudy",
     "SweepResult",
-    "ComparisonCell",
     "FigureCell",
-    "ComparisonReport",
     "availability_record",
     "build_figure",
-    "compare_configurations",
     "format_figure_bars",
     "format_table",
     "format_trace_sparkline",

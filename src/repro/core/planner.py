@@ -26,7 +26,7 @@ from repro.core.performability import (
     evaluate_point,
 )
 from repro.core.selection import DEFAULT_CANDIDATES, lowest_cost_backup
-from repro.errors import InfeasibleError
+from repro.errors import ConfigurationError, InfeasibleError
 from repro.servers.server import PAPER_SERVER, ServerSpec
 from repro.techniques.registry import get_technique
 from repro.workloads.base import WorkloadSpec
@@ -93,9 +93,14 @@ class ProvisioningPlanner:
         """Cheapest DG-less (technique, UPS) meeting the targets.
 
         Raises:
+            ConfigurationError: A target is negative or NaN.
             InfeasibleError: No candidate meets the targets (e.g. demanding
                 zero down time without any backup money).
         """
+        if not min_performance >= 0:
+            raise ConfigurationError("min_performance must be >= 0")
+        if not max_downtime_seconds >= 0:
+            raise ConfigurationError("max_downtime_seconds must be >= 0")
         best: Optional[ProvisioningResult] = None
         for name in technique_names:
             technique = get_technique(name)

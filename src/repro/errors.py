@@ -28,7 +28,7 @@ class CapacityError(ReproError, ValueError):
 
 
 class SimulationError(ReproError, RuntimeError):
-    """The discrete-event simulation reached an inconsistent state."""
+    """A simulation reached an inconsistent state."""
 
 
 class InvariantViolation(SimulationError):

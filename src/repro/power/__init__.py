@@ -8,13 +8,13 @@ underprovisions:
 * :mod:`repro.power.ups` -- rack-level offline/online UPS units.
 * :mod:`repro.power.generator` -- diesel generators with start-up and
   load-transfer delays.
-* :mod:`repro.power.ats` -- the automatic transfer switch.
 * :mod:`repro.power.psu` -- server power-supply hold-up capacitance.
-* :mod:`repro.power.hierarchy` -- composition of the above into the
-  datacenter power hierarchy of Figure 2.
+* :mod:`repro.power.placement` -- rack-level UPS versus server-level
+  batteries.
+* :mod:`repro.power.redundancy` -- N, N+1 and 2N arrangements and the
+  Tier presets.
 """
 
-from repro.power.ats import AutomaticTransferSwitch
 from repro.power.battery import (
     LEAD_ACID,
     LI_ION,
@@ -24,7 +24,6 @@ from repro.power.battery import (
     fit_peukert_exponent,
 )
 from repro.power.generator import DieselGenerator, DieselGeneratorSpec
-from repro.power.hierarchy import PowerHierarchy, RackPowerDomain
 from repro.power.placement import ServerLevelBatteryBank, UPSPlacement
 from repro.power.psu import PowerSupplySpec
 from repro.power.redundancy import (
@@ -40,7 +39,6 @@ from repro.power.ups import UPSSpec, UPSUnit
 
 __all__ = [
     "ALL_TIERS",
-    "AutomaticTransferSwitch",
     "Battery",
     "BatteryChemistry",
     "BatterySpec",
@@ -48,11 +46,9 @@ __all__ = [
     "DieselGeneratorSpec",
     "LEAD_ACID",
     "LI_ION",
-    "PowerHierarchy",
     "PowerSupplySpec",
     "ServerLevelBatteryBank",
     "UPSPlacement",
-    "RackPowerDomain",
     "RedundancyScheme",
     "TIER_I",
     "TIER_II",

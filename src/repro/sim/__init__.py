@@ -1,4 +1,4 @@
-"""Simulation: the engine, the datacenter assembly, and the outage simulator.
+"""Simulation: the datacenter assembly, the outage simulator, and the yearly runner.
 
 :mod:`repro.sim.outage_sim` is the load-bearing piece — it executes a
 technique's :class:`~repro.techniques.base.OutagePlan` against a concrete
@@ -8,7 +8,6 @@ figures are built from.
 """
 
 from repro.sim.datacenter import Datacenter
-from repro.sim.engine import Event, SimulationEngine
 from repro.sim.metrics import OutageOutcome, SourceKind
 from repro.sim.outage_sim import OutageSimulator, simulate_outage
 from repro.sim.trace import PowerTrace, TraceSegment
@@ -16,11 +15,9 @@ from repro.sim.yearly import YearlyResult, YearlyRunner
 
 __all__ = [
     "Datacenter",
-    "Event",
     "OutageOutcome",
     "OutageSimulator",
     "PowerTrace",
-    "SimulationEngine",
     "SourceKind",
     "TraceSegment",
     "YearlyResult",

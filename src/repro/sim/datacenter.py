@@ -25,8 +25,8 @@ class Datacenter:
     Attributes:
         cluster: The server fleet.
         workload: The application on every server.
-        ups: Facility-aggregate UPS rating (rack UPSes sum; see
-            :meth:`~repro.power.hierarchy.PowerHierarchy.aggregate_ups`).
+        ups: Facility-aggregate UPS rating.  Rack UPSes are sized alike,
+            so they share one runtime and their power ratings sum.
         generator: The DG plant rating.
         psu: Server power-supply hold-up characteristics.
     """
@@ -62,35 +62,6 @@ class Datacenter:
             ups=ups,
             generator=generator,
             psu=psu if psu is not None else PowerSupplySpec(),
-        )
-
-    @classmethod
-    def from_hierarchy(
-        cls,
-        hierarchy,
-        cluster: Cluster,
-        workload: WorkloadSpec,
-    ) -> "Datacenter":
-        """Build a datacenter from a :class:`~repro.power.hierarchy.PowerHierarchy`.
-
-        The hierarchy's rack-level UPSes aggregate into the facility spec
-        (homogeneous sizing makes that exact), and its DG plant and PSU
-        characteristics carry over.  The hierarchy's facility peak must
-        match the cluster's nameplate peak — they describe the same iron.
-        """
-        if abs(hierarchy.facility_peak_watts - cluster.peak_power_watts) > 1e-6 * max(
-            1.0, cluster.peak_power_watts
-        ):
-            raise ConfigurationError(
-                f"hierarchy peak {hierarchy.facility_peak_watts:.0f} W does not "
-                f"match cluster peak {cluster.peak_power_watts:.0f} W"
-            )
-        return cls.assemble(
-            cluster=cluster,
-            workload=workload,
-            ups=hierarchy.aggregate_ups,
-            generator=hierarchy.generator,
-            psu=hierarchy.psu,
         )
 
     @property

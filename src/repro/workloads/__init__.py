@@ -17,22 +17,14 @@ from repro.workloads.memcached import memcached
 from repro.workloads.registry import PAPER_WORKLOADS, get_workload, workload_names
 from repro.workloads.speccpu import speccpu_mcf
 from repro.workloads.specjbb import specjbb
-from repro.workloads.traces import (
-    DiurnalLoadModel,
-    PoissonQueryTrace,
-    constant_load,
-)
 from repro.workloads.websearch import websearch
 
 __all__ = [
     "CrashRecovery",
-    "DiurnalLoadModel",
     "LatencySLOModel",
     "PAPER_WORKLOADS",
     "PerformanceMetric",
-    "PoissonQueryTrace",
     "WorkloadSpec",
-    "constant_load",
     "get_workload",
     "memcached",
     "speccpu_mcf",

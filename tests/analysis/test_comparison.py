@@ -1,13 +1,14 @@
-"""Head-to-head configuration comparison."""
+"""The test-held head-to-head comparison (``tests/analysis/comparison.py``),
+and checkpointed SpecCPU recompute."""
 
 import pytest
 
-from repro.analysis.comparison import compare_configurations
 from repro.core.configurations import get_configuration
 from repro.errors import ConfigurationError
 from repro.units import hours, minutes
 from repro.workloads.specjbb import specjbb
 from repro.workloads.websearch import websearch
+from tests.analysis.comparison import compare_configurations
 
 
 class TestComparison:

@@ -9,7 +9,7 @@ from repro.core.performability import evaluate_point, make_datacenter
 from repro.core.planner import ProvisioningPlanner
 from repro.core.predictor import AdaptivePolicy, OutageDurationPredictor
 from repro.core.tco import TCOModel
-from repro.errors import InfeasibleError
+from repro.errors import ConfigurationError, InfeasibleError
 from repro.outages.events import OutageEvent, OutageSchedule
 from repro.sim.outage_sim import simulate_outage
 from repro.techniques.base import TechniqueContext
@@ -66,6 +66,16 @@ class TestPlanner:
                 outage_seconds=minutes(30),
                 min_performance=1.01,  # cannot exceed MaxPerf
             )
+
+    @pytest.mark.parametrize("target", [
+        {"min_performance": -3.0},
+        {"min_performance": math.nan},
+        {"max_downtime_seconds": -60.0},
+        {"max_downtime_seconds": math.nan},
+    ], ids=["negative-perf", "nan-perf", "negative-down", "nan-down"])
+    def test_out_of_range_target_rejected(self, planner, target):
+        with pytest.raises(ConfigurationError):
+            planner.plan(outage_seconds=minutes(30), **target)
 
     def test_compare_named_configurations(self, planner):
         rows = planner.compare_named_configurations(minutes(5))

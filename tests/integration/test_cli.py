@@ -120,7 +120,8 @@ class TestTiers:
 
 class TestTablePathsValidateLikeTheProtocol:
     """Table output goes through the same ``parse_request`` as ``--json``
-    and HTTP, so bad input is the protocol's one-line usage error."""
+    and HTTP, so bad input is the protocol's one-line usage error; ``plan``
+    rejects out-of-range targets with the same one-line form."""
 
     AVAIL = ("availability", "-w", "memcached", "-c", "NoDG", "-t", "sleep-l")
 
@@ -131,7 +132,17 @@ class TestTablePathsValidateLikeTheProtocol:
          "param 'servers' must be in [1, 1000000]"),
         (("rank", "-w", "memcached", "-m", "-5"),
          "param 'outage_minutes' must be a positive finite number"),
-    ], ids=["years-0", "years-20000", "servers-0", "negative-minutes"])
+        (("plan", "-w", "specjbb", "--min-performance", "-3"),
+         "min_performance must be >= 0"),
+        (("plan", "-w", "specjbb", "--min-performance", "nan"),
+         "min_performance must be >= 0"),
+        (("plan", "-w", "specjbb", "--max-down-minutes", "-1"),
+         "max_downtime_seconds must be >= 0"),
+        (("plan", "-w", "specjbb", "--max-down-minutes", "nan"),
+         "max_downtime_seconds must be >= 0"),
+    ], ids=["years-0", "years-20000", "servers-0", "negative-minutes",
+            "plan-negative-perf", "plan-nan-perf", "plan-negative-down",
+            "plan-nan-down"])
     def test_bad_input_exits_2_with_the_protocol_message(
         self, capsys, argv, message
     ):

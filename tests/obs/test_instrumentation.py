@@ -14,13 +14,13 @@ from repro.core.configurations import get_configuration
 from repro.core.performability import make_datacenter, plan_power_budget_watts
 from repro.obs.export import span_tree_paths
 from repro.outages.events import OutageEvent, OutageSchedule
-from repro.sim.engine import SimulationEngine
 from repro.sim.outage_sim import OutageSimulator
 from repro.sim.yearly import YearlyRunner
 from repro.techniques.base import TechniqueContext
 from repro.techniques.registry import get_technique
 from repro.units import minutes
 from repro.workloads.specjbb import specjbb
+from tests.sim.engine import SimulationEngine
 
 
 @pytest.fixture(autouse=True)

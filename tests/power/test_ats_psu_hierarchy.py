@@ -1,14 +1,21 @@
-"""ATS, PSU hold-up, and the power hierarchy composition."""
+"""PSU hold-up, and the test-held ATS and Figure 2 rack hierarchy.
+
+:class:`PowerSupplySpec` is the production model.  The ATS and the rack
+hierarchy live in ``tests/power/hierarchy.py``: no result uses them.
+"""
 
 import pytest
 
 from repro.errors import CapacityError, ConfigurationError
-from repro.power.ats import AutomaticTransferSwitch
 from repro.power.generator import DieselGeneratorSpec
-from repro.power.hierarchy import PowerHierarchy, RackPowerDomain
 from repro.power.psu import DEFAULT_HOLDUP_SECONDS, PowerSupplySpec
 from repro.power.ups import OFFLINE_SWITCH_DELAY_SECONDS, UPSSpec
 from repro.units import minutes
+from tests.power.hierarchy import (
+    AutomaticTransferSwitch,
+    PowerHierarchy,
+    RackPowerDomain,
+)
 
 
 class TestATS:

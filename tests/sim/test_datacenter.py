@@ -1,10 +1,10 @@
-"""Datacenter assembly, including construction from a power hierarchy."""
+"""Datacenter assembly, and construction from the test-held rack hierarchy
+(``tests/power/hierarchy.py``)."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.power.generator import DieselGeneratorSpec
-from repro.power.hierarchy import PowerHierarchy
 from repro.power.ups import UPSSpec
 from repro.servers.cluster import Cluster
 from repro.servers.server import PAPER_SERVER
@@ -14,6 +14,7 @@ from repro.techniques.base import TechniqueContext
 from repro.techniques.registry import get_technique
 from repro.units import minutes
 from repro.workloads.specjbb import specjbb
+from tests.power.hierarchy import PowerHierarchy, datacenter_from_hierarchy
 
 
 def cluster(num_servers=16):
@@ -63,7 +64,7 @@ class TestFromHierarchy:
 
     def test_aggregates_rack_upses(self):
         hierarchy = self._hierarchy()
-        dc = Datacenter.from_hierarchy(hierarchy, cluster(16), specjbb())
+        dc = datacenter_from_hierarchy(hierarchy, cluster(16), specjbb())
         assert dc.ups.power_capacity_watts == pytest.approx(16 * 250.0)
         assert dc.ups.rated_runtime_seconds == minutes(30)
         assert dc.psu is hierarchy.psu
@@ -71,11 +72,11 @@ class TestFromHierarchy:
     def test_mismatched_peak_rejected(self):
         hierarchy = self._hierarchy(num_racks=2)  # 8 servers' worth
         with pytest.raises(ConfigurationError):
-            Datacenter.from_hierarchy(hierarchy, cluster(16), specjbb())
+            datacenter_from_hierarchy(hierarchy, cluster(16), specjbb())
 
     def test_hierarchy_built_datacenter_simulates(self):
         hierarchy = self._hierarchy()
-        dc = Datacenter.from_hierarchy(hierarchy, cluster(16), specjbb())
+        dc = datacenter_from_hierarchy(hierarchy, cluster(16), specjbb())
         context = TechniqueContext(
             cluster=dc.cluster,
             workload=specjbb(),

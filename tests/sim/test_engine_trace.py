@@ -1,10 +1,14 @@
-"""Discrete-event engine and power-trace recorder."""
+"""The power-trace recorder, and the test-held discrete-event engine.
+
+:class:`PowerTrace` is what the outage simulator records.  The engine lives
+in ``tests/sim/engine.py``: no result schedules events on it.
+"""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import SimulationEngine
 from repro.sim.trace import PowerTrace, TraceSegment
+from tests.sim.engine import SimulationEngine
 
 
 class TestEngine:

@@ -1,5 +1,7 @@
-"""Repository-level sanity: docs exist, exports resolve, errors behave."""
+"""Repository-level sanity: docs exist, exports resolve, errors behave,
+and every source module is reachable from an entry point."""
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -11,6 +13,7 @@ import repro
 from repro import errors
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = REPO_ROOT / "src"
 
 
 class TestDocs:
@@ -40,8 +43,6 @@ class TestDocs:
             assert bench.name in text, bench.name
 
     def test_every_example_is_runnable_python(self):
-        import ast
-
         for example in (REPO_ROOT / "examples").glob("*.py"):
             tree = ast.parse(example.read_text())
             names = {
@@ -117,3 +118,99 @@ class TestErrorHierarchy:
             raise errors.InfeasibleError("x")
         with pytest.raises(errors.ReproError):
             raise errors.CapacityError("x")
+
+
+def _source_modules():
+    """Dotted name -> path of every module under ``src/repro``."""
+    modules = {}
+    for path in (SRC / "repro").rglob("*.py"):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        modules[".".join(parts)] = path
+    return modules
+
+
+def _imports(path, package):
+    """``(module, names)`` for each import in ``path``, function-local ones
+    too.  A ``"module:attr"`` string (a lazy import target) counts as an
+    import of its module."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, ()
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                anchor = parts[: len(parts) - node.level + 1]
+                base = ".".join(anchor + ([base] if base else []))
+            yield base, tuple(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value.partition(":")[0], ()
+
+
+def _has_main_guard(path):
+    return any(
+        isinstance(node, ast.If)
+        and isinstance(node.test, ast.Compare)
+        and isinstance(node.test.left, ast.Name)
+        and node.test.left.id == "__name__"
+        for node in ast.parse(path.read_text()).body
+    )
+
+
+def _unreached_modules():
+    """Non-``__init__`` modules under ``src/repro`` that no entry point
+    imports.  The entry points are ``repro.cli``, every module with a
+    ``__main__`` guard, and every file under ``benchmarks/``, ``examples/``
+    and ``perfbench/``.  ``from pkg import Name`` reaches the submodule
+    that binds ``Name`` in ``pkg/__init__.py``; a package's other
+    re-exports reach nothing."""
+    modules = _source_modules()
+
+    def package_of(name):
+        return name if modules[name].name == "__init__.py" else name.rpartition(".")[0]
+
+    def targets(module, names):
+        if module not in modules:
+            return set()
+        if modules[module].name != "__init__.py":
+            return {module}
+        found = set()
+        for name in names:
+            if f"{module}.{name}" in modules:
+                found |= targets(f"{module}.{name}", ())
+                continue
+            for base, bound in _imports(modules[module], module):
+                if name in bound:
+                    found |= targets(base, (name,))
+        return found
+
+    entry_files = [
+        path
+        for folder in ("benchmarks", "examples", "perfbench")
+        for path in (REPO_ROOT / folder).rglob("*.py")
+    ]
+    frontier = {"repro.cli"} | {
+        name for name, path in modules.items() if _has_main_guard(path)
+    }
+    for path in entry_files:
+        for module, names in _imports(path, ""):
+            frontier |= targets(module, names)
+    reached = set()
+    while frontier:
+        name = frontier.pop()
+        reached.add(name)
+        for module, names in _imports(modules[name], package_of(name)):
+            frontier |= targets(module, names) - reached
+    return sorted(
+        name for name, path in modules.items()
+        if path.name != "__init__.py" and name not in reached
+    )
+
+
+class TestReachability:
+    def test_every_module_is_reached_from_an_entry_point(self):
+        unreached = _unreached_modules()
+        assert not unreached, f"no entry point imports {unreached}"

@@ -1,10 +1,10 @@
-"""Load-shape and query-trace generators."""
+"""The test-held load-shape and query-trace generators (``tests/workloads/traces.py``)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workloads.traces import DiurnalLoadModel, PoissonQueryTrace, constant_load
+from tests.workloads.traces import DiurnalLoadModel, PoissonQueryTrace, constant_load
 
 
 class TestConstantLoad:

@@ -545,12 +545,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ServeConfig(
             host=args.host,
             port=args.port,
-            jobs=args.jobs,
             cache_dir=args.cache,
             queue_bound=args.queue_bound,
             max_batch=args.max_batch,
             batch_wait_s=args.batch_wait_s,
-            timeout_s=args.timeout_s,
             cache_max_bytes=args.cache_max_bytes,
             cache_max_age_s=args.cache_max_age_s,
             telemetry=not args.no_telemetry,
@@ -951,9 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8321)
     p_serve.add_argument(
-        "--jobs", type=int, default=1, help="runner worker processes per batch"
-    )
-    p_serve.add_argument(
         "--cache",
         default=None,
         metavar="DIR",
@@ -979,22 +974,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="micro-batch accumulation window after the first arrival",
     )
     p_serve.add_argument(
-        "--timeout-s",
-        type=float,
-        default=None,
-        help="default per-job runner timeout for undeadlined batches",
-    )
-    p_serve.add_argument(
         "--cache-max-bytes",
         type=int,
         default=None,
-        help="prune the cache to this size between batches",
+        help="prune the cache to this size every ~10 s",
     )
     p_serve.add_argument(
         "--cache-max-age-s",
         type=float,
         default=None,
-        help="prune cache entries older than this between batches",
+        help="prune cache entries older than this every ~10 s",
     )
     p_serve.add_argument(
         "--no-telemetry",

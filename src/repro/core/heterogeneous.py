@@ -58,7 +58,7 @@ class SectionRequirement:
             raise ConfigurationError("fleet_fraction must be in (0, 1]")
         if not 0 <= self.min_performance <= 1:
             raise ConfigurationError("min_performance must be in [0, 1]")
-        if self.max_downtime_seconds < 0:
+        if not self.max_downtime_seconds >= 0:  # NaN fails this too
             raise ConfigurationError("max_downtime_seconds must be >= 0")
 
 

@@ -56,12 +56,22 @@ def new_request_id() -> str:
     )
 
 
+def nearest_rank(samples: Sequence[float], fraction: float) -> float:
+    """Nearest-rank percentile; ``samples`` must be sorted and non-empty.
+
+    The one rule behind the rolling windows and the load generator's
+    reports, so their p50/p95/p99 figures agree sample for sample.
+    """
+    n = len(samples)
+    return samples[max(0, min(n - 1, int(round(fraction * (n - 1)))))]
+
+
 class RollingWindow:
     """A fixed-ring sliding window of (timestamp, value) samples.
 
     The ring bounds memory (``max_samples``); the window bounds time.
-    Percentiles are computed from the surviving samples directly —
-    nearest-rank, the same convention the load generator reports — so a
+    Percentiles are computed from the surviving samples directly with
+    :func:`nearest_rank`, the rule the load generator reports, so a
     quiet minute after a noisy one actually *looks* quiet, which
     cumulative histograms can never show.
     """
@@ -107,16 +117,12 @@ class RollingWindow:
         if not values:
             return {"count": 0}
         n = len(values)
-
-        def rank(q: float) -> float:
-            return values[max(0, min(n - 1, int(round(q * (n - 1)))))]
-
         return {
             "count": n,
             "mean": sum(values) / n,
-            "p50": rank(0.50),
-            "p95": rank(0.95),
-            "p99": rank(0.99),
+            "p50": nearest_rank(values, 0.50),
+            "p95": nearest_rank(values, 0.95),
+            "p99": nearest_rank(values, 0.99),
             "max": values[-1],
         }
 

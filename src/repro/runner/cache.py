@@ -248,8 +248,8 @@ class ResultCache:
         """Evict oldest-mtime-first until the cache fits the given bounds.
 
         A long-lived server must not grow its cache without bound; this
-        is the GC it runs between batches (or that ``repro cache`` runs
-        by hand).  Quarantined ``*.pkl.corrupt`` files and orphaned
+        is the GC it runs on a timer (or that ``repro cache`` runs by
+        hand).  Quarantined ``*.pkl.corrupt`` files and orphaned
         writer temp files count against the budget and are eligible for
         eviction like any entry; *every* version namespace is swept, so
         entries stranded by an upgrade eventually leave the disk.

@@ -549,7 +549,6 @@ def make_executor(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressListener] = None,
-    timeout_seconds: Optional[float] = None,
     retry: Optional[RetryPolicy] = None,
     checkpoint: Optional[SweepCheckpoint] = None,
 ) -> BaseExecutor:
@@ -564,7 +563,6 @@ def make_executor(
         max_workers=jobs,
         cache=cache,
         progress=progress,
-        timeout_seconds=timeout_seconds,
         retry=retry,
         checkpoint=checkpoint,
     )

@@ -29,9 +29,12 @@ Endpoints:
 
 The server is a :class:`ThreadingHTTPServer`: each connection gets a
 handler thread that blocks on its request's future while the single
-dispatcher thread feeds the runner.  ``run_server`` wires SIGINT/SIGTERM
-to a clean shutdown — stop accepting, then drain or deadline-cancel the
-queue — so an operator's ^C never strands in-flight requests.
+dispatcher thread runs each batch in-process (``workers=0``) or hands
+it to the supervised pool; one ticker thread samples brownout and
+prunes a bounded cache in either mode.  ``run_server`` wires
+SIGINT/SIGTERM to a clean shutdown — stop accepting, then drain or
+deadline-cancel the queue — so an operator's ^C never strands
+in-flight requests.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ from repro.obs.telemetry import (
     new_request_id,
 )
 from repro.runner.cache import ResultCache
-from repro.runner.executor import make_executor
 from repro.serve.batcher import Batcher
 from repro.serve.protocol import (
     canonical_json,
@@ -83,6 +85,8 @@ from repro.serve.supervisor import Supervisor
 DEFAULT_REQUEST_TIMEOUT_S = 300.0
 #: Cap on the request body; evaluation requests are small.
 MAX_BODY_BYTES = 1 << 20
+#: Seconds between cache GC passes on the ticker thread (both modes).
+CACHE_GC_PERIOD_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -91,19 +95,17 @@ class ServeConfig:
 
     Attributes:
         host / port: Bind address (``port=0`` picks a free port).
-        jobs: Runner worker processes per batch (1 = in-process serial).
         cache_dir: Optional :class:`ResultCache` directory shared by
             every batch — and by any CLI run pointed at the same
             directory, which is what makes served responses provably
             identical to CLI ones.
         queue_bound / max_batch / batch_wait_s: Batcher knobs.
-        timeout_s: Default per-job runner timeout when a batch carries
-            no deadline (None = unbounded; only enforced with jobs > 1).
         request_timeout_s: Handler-side wait bound for undeadlined
-            requests.
+            requests (a deadlined one waits ``deadline_s + 1`` s).
         cache_max_bytes / cache_max_age_s: When set, the cache is
-            pruned to these bounds after every batch — the GC keeping a
-            long-lived server's disk footprint flat.
+            pruned to these bounds every :data:`CACHE_GC_PERIOD_S` on
+            the ticker thread — the GC keeping a long-lived server's
+            disk footprint flat.
         telemetry: Request-scoped tracing, rolling-window percentiles
             and SLO tracking.  ``False`` passes ``None`` through every
             hook — the pre-telemetry code path, byte for byte.
@@ -132,12 +134,10 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8321
-    jobs: int = 1
     cache_dir: Optional[str] = None
     queue_bound: int = 64
     max_batch: int = 16
     batch_wait_s: float = 0.005
-    timeout_s: Optional[float] = None
     request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S
     cache_max_bytes: Optional[int] = None
     cache_max_age_s: Optional[float] = None
@@ -309,7 +309,7 @@ class EvalServer:
             else None
         )
         self.batcher = Batcher(
-            executor_factory=self._make_executor,
+            cache=self.cache,
             queue_bound=config.queue_bound,
             max_batch=config.max_batch,
             max_wait_s=config.batch_wait_s,
@@ -321,6 +321,10 @@ class EvalServer:
                 if self.brownout is not None
                 else None
             ),
+        )
+        self._cache_bounded = self.cache is not None and (
+            config.cache_max_bytes is not None
+            or config.cache_max_age_s is not None
         )
         self.started_at = time.time()
         self._httpd: Optional[ThreadingHTTPServer] = None
@@ -356,23 +360,11 @@ class EvalServer:
             workers_frac=workers_frac,
         )
 
-    def _make_executor(self, timeout: Optional[float]):
-        effective = timeout if timeout is not None else self.config.timeout_s
-        executor = make_executor(
-            jobs=self.config.jobs,
-            cache=self.cache,
-            timeout_seconds=effective if self.config.jobs > 1 else None,
-        )
-        self._maybe_prune()
-        return executor
-
     def _maybe_prune(self) -> None:
-        """Between-batch cache GC, when the config bounds the cache."""
+        """One cache GC pass, when the config bounds the cache."""
+        if not self._cache_bounded:
+            return
         config = self.config
-        if self.cache is None:
-            return
-        if config.cache_max_bytes is None and config.cache_max_age_s is None:
-            return
         report = self.cache.prune(
             max_bytes=config.cache_max_bytes, max_age_s=config.cache_max_age_s
         )
@@ -602,7 +594,6 @@ class EvalServer:
             "version": repro.__version__,
             "uptime_s": round(time.time() - self.started_at, 3),
             "config": {
-                "jobs": self.config.jobs,
                 "queue_bound": self.config.queue_bound,
                 "max_batch": self.config.max_batch,
                 "batch_wait_s": self.config.batch_wait_s,
@@ -652,7 +643,7 @@ class EvalServer:
         if self.supervisor is not None:
             self.supervisor.start()
         self.batcher.start()
-        if self.brownout is not None:
+        if self.brownout is not None or self._cache_bounded:
             self._ticker_stop.clear()
             self._ticker = threading.Thread(
                 target=self._tick_loop, name="serve-ticker", daemon=True
@@ -676,17 +667,15 @@ class EvalServer:
         return self
 
     def _tick_loop(self) -> None:
-        """Brownout sampling (and, in pool mode, the periodic cache GC
-        that the in-process path runs between batches)."""
+        """Brownout sampling and the cache GC, the same in both modes."""
         interval = max(0.01, self.config.brownout_interval_s)
-        prune_every = max(1, int(round(10.0 / interval)))
-        ticks = 0
+        next_prune = time.monotonic() + CACHE_GC_PERIOD_S
         while not self._ticker_stop.wait(interval):
             if self.brownout is not None:
                 self.brownout.step()
-            ticks += 1
-            if self.supervisor is not None and ticks % prune_every == 0:
+            if time.monotonic() >= next_prune:
                 self._maybe_prune()
+                next_prune = time.monotonic() + CACHE_GC_PERIOD_S
 
     def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
         """Stop accepting, then drain (or cancel) the queue and pool.
@@ -740,7 +729,7 @@ def run_server(config: ServeConfig) -> int:
     try:
         print(
             f"[serve] listening on {server.base_url} "
-            f"(jobs={config.jobs}, workers={config.workers}, "
+            f"(workers={config.workers}, "
             f"queue_bound={config.queue_bound}, "
             f"max_batch={config.max_batch})",
             flush=True,

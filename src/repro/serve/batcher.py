@@ -26,10 +26,11 @@ from its outcome in both modes — failure accounting, ``meta``, and the
 Backpressure is explicit: the queue is bounded, and an arrival that
 finds it full is shed with :class:`~repro.errors.QueueFullError` (the
 HTTP layer turns that into 429 + ``Retry-After``) instead of growing
-every queued request's latency.  Deadlines propagate: a request still
-queued when its deadline passes fails with
-:class:`~repro.errors.DeadlineError`, and the tightest remaining
-deadline in a batch bounds the runner's per-job timeout.
+every queued request's latency.  Deadlines bound queueing: a request
+still queued when its deadline passes fails with
+:class:`~repro.errors.DeadlineError`.  Once dispatched, a batch runs to
+completion; the HTTP handler stops waiting ``deadline_s + 1`` s after
+admission.
 """
 
 from __future__ import annotations
@@ -43,16 +44,11 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.errors import DeadlineError, QueueFullError, ServeError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import RequestTrace, Telemetry
-from repro.runner.executor import BaseExecutor, SerialExecutor
+from repro.runner.cache import ResultCache
+from repro.runner.executor import SerialExecutor
 from repro.serve import analyses
 from repro.serve.protocol import Request
 from repro.serve.supervisor import Supervisor, WorkItem
-
-#: Builds the executor for one batch; the argument is the batch's
-#: effective per-job timeout (None = unbounded).  A fresh executor per
-#: batch is the runner's own idiom — pools are created per dispatch —
-#: and lets each batch carry its own timeout while sharing one cache.
-ExecutorFactory = Callable[[Optional[float]], BaseExecutor]
 
 
 @dataclass
@@ -77,10 +73,10 @@ class Batcher:
     """The admission queue + dispatcher behind the evaluation service.
 
     Args:
-        executor_factory: Per-batch executor builder (default: a plain
-            :class:`~repro.runner.SerialExecutor`).  Give it one that
-            closes over a shared :class:`~repro.runner.ResultCache` to
-            get cross-request caching.
+        cache: Optional :class:`~repro.runner.ResultCache` shared by
+            every in-process batch (cross-request caching).  Each batch
+            runs on a fresh :class:`~repro.runner.SerialExecutor` over
+            it — the same call a pool worker makes on its shard group.
         queue_bound: Admitted-but-undispatched requests allowed before
             arrivals are shed.  Coalesced duplicates do not consume
             slots — they attach to the entry already holding one.
@@ -109,7 +105,7 @@ class Batcher:
 
     def __init__(
         self,
-        executor_factory: Optional[ExecutorFactory] = None,
+        cache: Optional[ResultCache] = None,
         queue_bound: int = 64,
         max_batch: int = 16,
         max_wait_s: float = 0.005,
@@ -124,9 +120,7 @@ class Batcher:
             raise ServeError("max_batch must be >= 1")
         if max_wait_s < 0:
             raise ServeError("max_wait_s must be >= 0")
-        self._executor_factory = executor_factory or (
-            lambda timeout: SerialExecutor()
-        )
+        self._cache = cache
         self.queue_bound = queue_bound
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
@@ -331,19 +325,10 @@ class Batcher:
             self._dispatch_pool(live, now)
             return
         self._count_analysis_batches(live)
-        deadlines = [
-            e.deadline_at - now for e in live if e.deadline_at is not None
-        ]
-        try:
-            executor = self._executor_factory(
-                min(deadlines) if deadlines else None
-            )
-        except Exception as exc:  # noqa: BLE001 - executor-level failure
-            outcomes = [{"ok": False, "error": exc} for _ in live]
-        else:
-            outcomes = analyses.evaluate_batch(
-                [entry.request for entry in live], executor
-            )
+        outcomes = analyses.evaluate_batch(
+            [entry.request for entry in live],
+            SerialExecutor(cache=self._cache),
+        )
         for entry, outcome in zip(live, outcomes):
             self._complete(entry, outcome, now)
 

@@ -36,6 +36,7 @@ from typing import (
 
 from repro.errors import ServeError
 from repro.obs.bench import metric
+from repro.obs.telemetry import nearest_rank
 from repro.serve.protocol import (
     PROTOCOL_VERSION, Request, canonical_json, parse_request,
 )
@@ -235,12 +236,6 @@ class LoadgenReport:
             f"p95 {lat.get('p95', 0.0):.1f} ms, "
             f"p99 {lat.get('p99', 0.0):.1f} ms"
         )
-
-
-def _percentile(samples: List[float], fraction: float) -> float:
-    """Nearest-rank percentile; samples must be sorted and non-empty."""
-    index = max(0, min(len(samples) - 1, int(round(fraction * (len(samples) - 1)))))
-    return samples[index]
 
 
 def post_request_full(
@@ -462,9 +457,9 @@ def run_loadgen(
         if not samples:
             return {}
         return {
-            "p50": round(_percentile(samples, 0.50), 3),
-            "p95": round(_percentile(samples, 0.95), 3),
-            "p99": round(_percentile(samples, 0.99), 3),
+            "p50": round(nearest_rank(samples, 0.50), 3),
+            "p95": round(nearest_rank(samples, 0.95), 3),
+            "p99": round(nearest_rank(samples, 0.99), 3),
             "mean": round(statistics.fmean(samples), 3),
             "max": round(samples[-1], 3),
         }

@@ -1,6 +1,8 @@
 """Section 7 extensions: NVDIMM, RDMA-over-sleep, heterogeneous planning,
 battery recharge between outages, and DG start reliability."""
 
+import math
+
 import pytest
 
 from repro.analysis.availability import AvailabilityAnalyzer
@@ -149,6 +151,10 @@ class TestHeterogeneousPlanner:
             SectionRequirement(specjbb(), 0.0)
         with pytest.raises(ConfigurationError):
             SectionRequirement(specjbb(), 0.5, min_performance=1.5)
+
+    def test_nan_downtime_ceiling_rejected(self):
+        with pytest.raises(ConfigurationError, match="max_downtime_seconds"):
+            SectionRequirement(specjbb(), 1.0, max_downtime_seconds=math.nan)
 
 
 class TestBatteryRechargeBetweenOutages:

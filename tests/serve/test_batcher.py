@@ -164,15 +164,16 @@ class TestFailureIsolation:
         with pytest.raises(RuntimeError, match="boom"):
             bad.result(timeout=10)
 
-    def test_executor_failure_fails_and_counts_the_request(self):
-        class BrokenExecutor:
-            def run(self, jobs, strict=True):
-                raise RuntimeError("executor down")
+    def test_executor_failure_fails_and_counts_the_request(
+        self, monkeypatch
+    ):
+        from repro.runner.executor import SerialExecutor
 
-        broken = Batcher(
-            executor_factory=lambda timeout: BrokenExecutor(),
-            queue_bound=8, max_batch=8, max_wait_s=0.0,
-        )
+        def broken_run(self, jobs, strict=True):
+            raise RuntimeError("executor down")
+
+        monkeypatch.setattr(SerialExecutor, "run", broken_run)
+        broken = Batcher(queue_bound=8, max_batch=8, max_wait_s=0.0)
         try:
             future = broken.submit(echo_request("doomed"))
             broken.start()

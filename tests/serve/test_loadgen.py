@@ -3,11 +3,11 @@
 import pytest
 
 from repro.errors import ServeError
+from repro.obs.telemetry import nearest_rank
 from repro.serve import EvalServer, ServeConfig
 from repro.serve.loadgen import (
     REQUEST_SHAPES,
     LoadgenConfig,
-    _percentile,
     mix_source,
     parse_mix,
     post_request,
@@ -114,12 +114,12 @@ class TestConfigValidation:
 class TestPercentile:
     def test_nearest_rank(self):
         samples = [1.0, 2.0, 3.0, 4.0]
-        assert _percentile(samples, 0.0) == 1.0
-        assert _percentile(samples, 1.0) == 4.0
-        assert _percentile(samples, 0.5) == 3.0  # round(0.5 * 3) = 2
+        assert nearest_rank(samples, 0.0) == 1.0
+        assert nearest_rank(samples, 1.0) == 4.0
+        assert nearest_rank(samples, 0.5) == 3.0  # round(0.5 * 3) = 2
 
     def test_single_sample(self):
-        assert _percentile([7.0], 0.99) == 7.0
+        assert nearest_rank([7.0], 0.99) == 7.0
 
 
 class TestPostRequest:

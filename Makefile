@@ -18,7 +18,11 @@ test:
 # (tests/golden/test_sampler_oracle.py), and the one-pass stream seeds
 # (repro.runner.jobs.child_streams/restate) must equal numpy's
 # SeedSequence and PCG64 on 3 roots x 100k years of the (i, 0) and
-# (i, 1) streams (tests/golden/test_stream_oracle.py).
+# (i, 1) streams (tests/golden/test_stream_oracle.py), and the
+# lane-parallel sampler (repro.outages.generator.sample_year_lanes,
+# repro.vsim.yearly.draw_dg_starts) must equal the scalar one on the
+# outages and DG rolls of the same 3 roots x 100k years
+# (tests/golden/test_lane_oracle.py).
 golden:
 	$(PYTHON) -m pytest -q tests/golden
 

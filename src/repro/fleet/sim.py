@@ -22,13 +22,16 @@ the shock layer, the routing flag, or any other site; the seeds are not
 mutated, so the same seed objects always replay the same years.
 ``child_seed`` names each stream, but none is built: one
 :func:`~repro.runner.jobs.year_streams` pass computes every year's site
-states (and, only when shocks can strike, the shock states), held
-``==`` to ``PCG64(child_seed(...))`` by the stream oracles, and one
-generator is re-stated (:func:`~repro.runner.jobs.restate`) before each
-draw.  A stream is drawn from only when needed, and only a struck
-site-year is merged with its shocks — so a fleet of uncorrelated sites
-reproduces the single-site yearly aggregates bit-identically, and the
-fleet layer can never perturb the certified single-site path.
+states (a site's DG states only when its engine rolls; the shock states
+only when shocks can strike), held ``==`` to ``PCG64(child_seed(...))``
+by the stream oracles.  Every site-year is drawn at once from those
+states (:func:`~repro.outages.generator.sample_year_lanes`,
+:func:`~repro.vsim.yearly.draw_dg_starts`); a shock year re-states one
+reused generator (:func:`~repro.runner.jobs.restate`).  A stream is
+drawn from only when needed, and only a struck site-year is merged
+with its shocks — so a fleet of uncorrelated sites reproduces the
+single-site yearly aggregates bit-identically, and the fleet layer can
+never perturb the certified single-site path.
 """
 
 from __future__ import annotations
@@ -57,11 +60,17 @@ from repro.fleet.routing import SiteWindows, route_fleet_years
 from repro.fleet.spec import FleetSpec
 from repro.obs import current_metrics, current_tracer
 from repro.outages.events import OutageEvent, OutageSchedule
-from repro.outages.generator import sample_year_arrays
+from repro.outages.generator import sample_year_lanes
 from repro.power.ups import DEFAULT_RECHARGE_SECONDS
 from repro.runner.cache import ResultCache
 from repro.runner.executor import BaseExecutor, make_executor
-from repro.runner.jobs import Job, make_jobs, restate, year_streams
+from repro.runner.jobs import (
+    Job,
+    PCG64Lanes,
+    make_jobs,
+    restate,
+    year_streams,
+)
 from repro.runner.progress import ProgressListener
 from repro.units import SECONDS_PER_YEAR, ordered_sum, to_minutes
 from repro.vsim.kernel import PlanKernel
@@ -202,53 +211,48 @@ def _sample_fleet_years(
                 site.servers,
             )
 
-    # Flat outage arrays over every site-year, year-major then site
-    # order — the seed tree of the module docstring.
+    # Flat outage arrays over every site-year lane y * n_sites + i,
+    # year-major then site order — the seed tree of the module docstring.
     years = len(seeds)
     n_sites = len(sites)
     reliabilities = [dg_reliability(plants[key][0]) for key in site_keys]
-    starts: List[float] = []
-    durations: List[float] = []
-    dg: List[bool] = []
-    counts: List[int] = []
-    shock_hits: List[int] = []
+    rolled = [i for i, r in enumerate(reliabilities) if r is not None]
     sampler = RegionalShockSampler(fleet)
-    rng = Generator(PCG64(0))
-    with span("sample", "fleet", years=years, sites=n_sites):
-        # Every year's site streams in one pass: year y's row holds
-        # (i, 0), (i, 1) for each site i in fleet order.
-        site_streams = year_streams(
-            seeds, [(i, k) for i in range(n_sites) for k in (0, 1)]
-        ).tolist()
+    with span("sample", "fleet", years=years, sites=n_sites) as sample_span:
+        # Year y's row: every site's schedule stream (i, 0), then the
+        # DG stream (i, 1) of each site that rolls.
+        streams = year_streams(
+            seeds,
+            [(i, 0) for i in range(n_sites)] + [(i, 1) for i in rolled],
+        )
+        starts_arr, durations_arr, counts_arr, scalar_years = sample_year_lanes(
+            PCG64Lanes(streams[:, :n_sites])
+        )
+        shock_hits = [0] * years
         if sampler.active:
-            shock_streams = year_streams(seeds, [(n_sites,)]).tolist()
-        for y, row in enumerate(site_streams):
-            shocks = None
-            if sampler.active:
-                shocks = sampler.sample_year(restate(rng, shock_streams[y][0]))
-            shock_hits.append(
-                sum(len(hits) for hits in shocks.values()) if shocks else 0
-            )
-            for i, site in enumerate(sites):
-                site_starts, site_durations = sample_year_arrays(
-                    restate(rng, row[2 * i])
+            struck: Dict[int, Sequence[OutageEvent]] = {}
+            rng = Generator(PCG64(0))
+            for y, row in enumerate(year_streams(seeds, [(n_sites,)]).tolist()):
+                shocks = sampler.sample_year(restate(rng, row[0]))
+                shock_hits[y] = sum(len(hits) for hits in shocks.values())
+                for i, site in enumerate(sites):
+                    if shocks[site.name]:
+                        struck[y * n_sites + i] = shocks[site.name]
+            if struck:
+                starts_arr, durations_arr, counts_arr = _merge_shocks(
+                    starts_arr, durations_arr, counts_arr, struck
                 )
-                if shocks and shocks[site.name]:
-                    site_starts, site_durations = _merge_shocks(
-                        site_starts, site_durations, shocks[site.name]
-                    )
-                n = len(site_starts)
-                starts += site_starts
-                durations += site_durations
-                counts.append(n)
-                dg += draw_dg_starts(rng, row[2 * i + 1], reliabilities[i], n)
-    starts_arr = np.array(starts, dtype=float)
-    durations_arr = np.array(durations, dtype=float)
-    dg_arr = np.array(dg, dtype=bool)
-    counts_arr = np.array(counts, dtype=np.int64)
-    # Each outage's site-year lane (y * n_sites + i) and site.
-    lane_of = np.repeat(np.arange(years * n_sites), counts_arr)
-    site_of = lane_of % n_sites
+        # Each outage's site-year lane and site; a rolling site's DG
+        # rolls cover its lanes' final (shock-merged) outages.
+        lane_of = np.repeat(np.arange(years * n_sites), counts_arr)
+        site_of = lane_of % n_sites
+        dg_arr = np.ones(len(starts_arr), dtype=bool)
+        for column, i in enumerate(rolled, start=n_sites):
+            dg_arr[site_of == i] = draw_dg_starts(
+                streams[:, column], reliabilities[i], counts_arr[i::n_sites]
+            )
+        if sample_span is not None:
+            sample_span.set("scalar_years", scalar_years)
     site_plant = np.array([list(plants).index(key) for key in site_keys])
 
     # Every site-year sharing a plant runs through one kernel, in
@@ -327,23 +331,44 @@ def _route_fleet_sample(
 
 
 def _merge_shocks(
-    starts: List[float], durations: List[float], shocks: Sequence[OutageEvent]
-) -> Tuple[List[float], List[float]]:
-    """A struck site-year's outages with its shock events merged in
-    (:func:`~repro.fleet.correlation.merge_outage_events`)."""
-    merged = merge_outage_events(
-        OutageSchedule(
-            events=tuple(
-                OutageEvent(start_seconds=s, duration_seconds=d)
-                for s, d in zip(starts, durations)
+    starts: np.ndarray,
+    durations: np.ndarray,
+    counts: np.ndarray,
+    struck: Mapping[int, Sequence[OutageEvent]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flat site-year outages with each struck lane's shock events
+    merged in (:func:`~repro.fleet.correlation.merge_outage_events`)."""
+    offsets = (np.cumsum(counts) - counts).tolist()
+    counts = counts.copy()
+    starts_out: List[Any] = []
+    durations_out: List[Any] = []
+    done = 0
+    for lane in sorted(struck):
+        begin, end = offsets[lane], offsets[lane] + int(counts[lane])
+        merged = merge_outage_events(
+            OutageSchedule(
+                events=tuple(
+                    OutageEvent(start_seconds=s, duration_seconds=d)
+                    for s, d in zip(
+                        starts[begin:end].tolist(), durations[begin:end].tolist()
+                    )
+                ),
+                horizon_seconds=SECONDS_PER_YEAR,
             ),
-            horizon_seconds=SECONDS_PER_YEAR,
-        ),
-        shocks,
-    ).events
+            struck[lane],
+        ).events
+        starts_out += [starts[done:begin], [e.start_seconds for e in merged]]
+        durations_out += [
+            durations[done:begin], [e.duration_seconds for e in merged]
+        ]
+        counts[lane] = len(merged)
+        done = end
+    starts_out.append(starts[done:])
+    durations_out.append(durations[done:])
     return (
-        [event.start_seconds for event in merged],
-        [event.duration_seconds for event in merged],
+        np.concatenate(starts_out),
+        np.concatenate(durations_out),
+        counts,
     )
 
 

@@ -26,6 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.runner.jobs import word_doubles
 from repro.units import hours, minutes, ordered_sum, seconds
 
 
@@ -106,6 +107,14 @@ class EmpiricalDistribution:
                 # The subtraction ``rng.uniform(lo, hi)`` does.
                 self._span.append(math.log(bucket.high_seconds) - math.log(low))
         self._tails = frozenset(i for i, s in enumerate(self._span) if s is None)
+        #: The CDF, ``log_low`` and ``span`` tables as arrays for
+        #: drawing many lanes at once (:mod:`repro.outages.generator`);
+        #: a tail bucket's span is NaN.
+        self.lane_tables = (
+            np.array(self._cdf),
+            np.array(self._log_low),
+            np.array([math.nan if s is None else s for s in self._span]),
+        )
         #: An upper bound on any bounded-bucket draw (the 2x covers the
         #: rounding of ``exp``); see ``repro.outages.generator``.
         self.bounded_draw_bound = 2.0 * max(
@@ -247,6 +256,43 @@ def sample_outage_count(rng: np.random.Generator) -> int:
     """
     low, high = _COUNT_RANGES[OUTAGE_FREQUENCY_DISTRIBUTION.draw_buckets(rng)]
     return int(rng.integers(low, high))
+
+
+_COUNT_LOWS = np.array([low for low, _ in _COUNT_RANGES], dtype=np.int64)
+_COUNT_WIDTHS = np.array(
+    [high - low for low, high in _COUNT_RANGES], dtype=np.uint64
+)
+
+
+def outage_counts_from_words(
+    head: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`sample_outage_count` for many lanes, from raw PCG64 words.
+
+    ``head`` is ``(lanes, 2)``: each lane's first two raw words.  Word
+    0 draws the bucket as ``Generator.random`` does, and word 1 the
+    count as ``rng.integers(low, high)`` does for a range below
+    ``2**32`` — Lemire's method on the word's low 32 bits — except that
+    a one-count bucket draws no word.  Returns ``(counts, first,
+    scalar)``: ``first`` is the position of each lane's next word, and
+    ``scalar`` flags a lane whose Lemire leftover is below the range,
+    where numpy may reject and draw again; such a lane's count is not
+    defined here, and the caller must draw it on the scalar path.
+    """
+    mask32 = np.uint64(0xFFFFFFFF)
+    bucket = np.searchsorted(
+        OUTAGE_FREQUENCY_DISTRIBUTION.lane_tables[0],
+        word_doubles(head[:, 0]),
+        side="right",
+    )
+    width = _COUNT_WIDTHS[bucket]
+    drawn = width > 1
+    scaled = (head[:, 1] & mask32) * width
+    counts = _COUNT_LOWS[bucket] + np.where(
+        drawn, scaled >> np.uint64(32), np.uint64(0)
+    ).astype(np.int64)
+    scalar = drawn & ((scaled & mask32) < width)
+    return counts, 1 + drawn.astype(np.intp), scalar
 
 
 def fraction_shorter_than(duration_seconds: float) -> float:

@@ -6,24 +6,33 @@ year.  Seeded, so every availability analysis in the benchmarks is
 reproducible.
 
 :func:`sample_year_arrays` is the one sampling rule: a year as plain
-``(starts, durations)`` lists, which the fault-free Monte-Carlo paths
-(:mod:`repro.vsim.yearly`, :mod:`repro.fleet.sim`) feed straight to the
-kernel.  :class:`OutageGenerator` wraps the same draws in
-:class:`OutageSchedule` objects for the scalar, fault and CLI paths.
+``(starts, durations)`` lists.  :func:`sample_year_lanes` makes the same
+draws for many years at once, from raw PCG64 words
+(:class:`~repro.runner.jobs.PCG64Lanes`), and redoes the uncommon years
+(a tail bucket, a crowded first placement) with
+:func:`sample_year_arrays`; the fault-free Monte-Carlo paths
+(:mod:`repro.vsim.yearly`, :mod:`repro.fleet.sim`) feed its flat arrays
+straight to the kernel.  :class:`OutageGenerator` wraps the scalar
+draws in :class:`OutageSchedule` objects for the scalar, fault and CLI
+paths.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Tuple
 
 import numpy as np
+from numpy.random import PCG64, Generator
 
 from repro.outages.distributions import (
     OUTAGE_DURATION_DISTRIBUTION,
     EmpiricalDistribution,
+    outage_counts_from_words,
     sample_outage_count,
 )
 from repro.outages.events import OutageEvent, OutageSchedule
+from repro.runner.jobs import PCG64Lanes, restate, word_doubles
 from repro.units import SECONDS_PER_YEAR
 
 #: Placement attempts before the deterministic sequential fallback.
@@ -86,6 +95,78 @@ def sample_outages(
         starts.append(cursor)
         cursor += duration + gap
     return starts, durations
+
+
+def sample_year_lanes(
+    lanes: PCG64Lanes,
+    distribution: EmpiricalDistribution = OUTAGE_DURATION_DISTRIBUTION,
+    horizon: float = SECONDS_PER_YEAR,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Every lane's year: ``sample_year_arrays(restate(rng, row))`` per row.
+
+    ``lanes`` holds one stream per year
+    (:class:`~repro.runner.jobs.PCG64Lanes`).  Returns ``(starts,
+    durations, counts, scalar_years)``: the years' outages flat and
+    lane-major, each lane's outage count, and how many lanes were
+    redrawn on the scalar path.
+
+    The common-case year is drawn for all lanes at once from their raw
+    words: the count from words 0 and 1
+    (:func:`~repro.outages.distributions.outage_counts_from_words`),
+    then ``count`` bucket doubles, ``count`` duration doubles and
+    ``count`` start doubles — the lookahead :func:`sample_outages`
+    takes — with each lane's starts sorted and checked disjoint.  A
+    lane that draws a tail bucket (its exponential is a ziggurat
+    draw), may hit a Lemire rejection, has a horizon that refuses the
+    lookahead, or fails its first placement is redone whole by
+    :func:`sample_year_arrays`, the definition; every lane is ``==``
+    it (``tests/golden/test_lane_oracle.py``).
+    """
+    counts, first, scalar = outage_counts_from_words(lanes.words(2).reshape(-1, 2))
+    scalar |= (counts > 0) & (counts * distribution.bounded_draw_bound >= horizon)
+    live = np.where(scalar, 0, counts)
+    doubles = word_doubles(lanes.words(3 * live, first))
+    # Event ``e`` is outage ``rank`` of its lane; the lane's ``3 * live``
+    # doubles are its buckets, its durations and its starts, in order.
+    lane_of = np.arange(len(live)).repeat(live)
+    rank = np.arange(len(lane_of))
+    offsets = (np.cumsum(live) - live)[lane_of]
+    bucket_at = rank + 2 * offsets
+    rank -= offsets
+    size = live[lane_of]
+    cdf, log_low, span = distribution.lane_tables
+    buckets = cdf.searchsorted(doubles[bucket_at], side="right")
+    # A tail bucket's span is NaN, which sends its lane to the redo.
+    exponent = log_low[buckets] + span[buckets] * doubles[bucket_at + size]
+    durations = np.fromiter(map(math.exp, exponent.tolist()), float, len(rank))
+    # Each lane's starts sorted; the durations keep their draw order.
+    grid = np.full((len(live), int(live.max(initial=0))), np.inf)
+    grid[lane_of, rank] = horizon * doubles[bucket_at + 2 * size]
+    grid.sort(axis=1)
+    starts = grid[lane_of, rank]
+    ends = starts + durations
+    bad = np.isnan(exponent) | ((rank == size - 1) & (ends > horizon))
+    bad[1:] |= (starts[1:] < ends[:-1]) & (rank[1:] > 0)
+    scalar[lane_of[bad]] = True
+
+    redo = np.flatnonzero(scalar)
+    if not len(redo):
+        return starts, durations, counts, 0
+    rng = Generator(PCG64(0))
+    years = [
+        sample_year_arrays(restate(rng, row), distribution, horizon)
+        for row in lanes.streams[redo].tolist()
+    ]
+    counts[redo] = [len(year_starts) for year_starts, _ in years]
+    keep = ~scalar[lane_of]
+    order = np.concatenate([lane_of[keep], redo.repeat(counts[redo])]).argsort(
+        kind="stable"
+    )
+    redone = [value for year_starts, _ in years for value in year_starts]
+    starts = np.concatenate([starts[keep], redone])[order]
+    redone = [value for _, year_durations in years for value in year_durations]
+    durations = np.concatenate([durations[keep], redone])[order]
+    return starts, durations, counts, len(redo)
 
 
 def _disjoint_within(

@@ -22,15 +22,18 @@ qualified name).  Deterministic jobs simply ignore ``seed``; stochastic
 jobs build one or more :class:`numpy.random.Generator` instances from it
 (deriving independent child streams with :func:`child_seed`).  A job
 drawing from many streams seeds them all in one array pass
-(:func:`child_streams`, :func:`year_streams`) and re-states one reused
-generator per stream (:func:`restate`); the results are ``==`` to the
-``child_seed`` streams.
+(:func:`child_streams`, :func:`year_streams`) and either draws from all
+of them at once (:class:`PCG64Lanes`: raw PCG64 words by jump-ahead on
+uint64 arrays) or re-states one reused generator per stream
+(:func:`restate`); the results are ``==`` to the ``child_seed``
+streams.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import math
@@ -374,6 +377,129 @@ def restate(
         "uinteger": 0,
     }
     return rng
+
+
+# Word ``k`` of a restated stream is the XSL-RR output of the state
+# ``k + 1`` LCG steps past ``restate``'s, which is linear in the seed
+# words: ``A[k] * s + C[k] * inc`` (mod 2**128), with ``A[k] =
+# MULT**(k + 2)`` and ``C[k] = 1 + MULT + ... + MULT**(k + 2)``.  Each
+# product is taken as seven uint64 products (see ``_xsl_rr``), so the
+# table stores the constants as the seven left-hand factors — the low
+# word's 32-bit limbs ``l0, l0, l1, l1``, then ``low, high, low`` — for
+# ``A`` and ``C`` side by side.
+_MASK64 = (1 << 64) - 1
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0
+_U1, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 32, 58, 63, 64))
+_U_MASK32 = np.uint64(_MASK32)
+
+
+@functools.lru_cache(maxsize=None)
+def _jump_constants(size: int) -> np.ndarray:
+    """The ``(7, 2, size)`` factor table for words ``0 .. size - 1``,
+    read-only; :meth:`PCG64Lanes.words` asks for powers of two."""
+    power, total = _PCG64_MULT, 1 + _PCG64_MULT
+    columns = []
+    for _ in range(size):
+        power = (power * _PCG64_MULT) & _MASK128
+        total = (total + power) & _MASK128
+        column = []
+        for value in (power, total):
+            low, high = value & _MASK64, value >> 64
+            limb0, limb1 = low & _MASK32, low >> 32
+            column.append([limb0, limb0, limb1, limb1, low, high, low])
+        columns.append(column)
+    table = np.array(columns, dtype=np.uint64).transpose(2, 1, 0).copy()
+    table.flags.writeable = False
+    return table
+
+
+class PCG64Lanes:
+    """Many PCG64 streams stepped at once, one lane per stream.
+
+    Lane ``l`` is the stream ``restate(rng, streams[l])`` starts, for
+    ``streams`` a set of :func:`child_streams` rows.  PCG64's seeding
+    step, its 128-bit LCG and the XSL-RR output run on uint64 arrays
+    (64-bit words and their 32-bit limbs) — no per-lane Python int —
+    and every requested word is reached by jump-ahead, so a request is
+    a few flat passes over ``(lane, word)`` pairs, not one per word.
+    ``tests/runner/test_jobs.py`` and ``tests/golden/test_lane_oracle.py``
+    hold the words ``==`` numpy's ``random_raw``.
+    """
+
+    def __init__(self, streams: np.ndarray):
+        streams = np.asarray(streams, dtype=np.uint64).reshape(-1, 4)
+        self.streams = streams
+        s_high, s_low, i_high, i_low = streams.T
+        # The right-hand factors of the seven products, for s and inc:
+        # the low word's limbs ``b0, b1, b0, b1``, then ``high, low, low``.
+        factors = np.empty((7, 2, len(streams)), dtype=np.uint64)
+        factors[4, 0] = s_high
+        factors[4, 1] = (i_high << _U1) | (i_low >> _U63)
+        factors[5, 0] = s_low
+        factors[5, 1] = (i_low << _U1) | _U1
+        factors[6] = factors[5]
+        np.bitwise_and(factors[5], _U_MASK32, out=factors[0])
+        np.right_shift(factors[5], _U32, out=factors[1])
+        factors[2:4] = factors[0:2]
+        self._factors = factors
+
+    def words(self, counts: Any, first: Any = 0) -> np.ndarray:
+        """Raw words ``first[l] .. first[l] + counts[l] - 1`` of each lane.
+
+        Flat and lane-major; positions count from 0, the first
+        ``random_raw`` word after :func:`restate`.  ``counts`` and
+        ``first`` are per-lane integer arrays or scalars.
+        """
+        lanes = np.arange(len(self.streams)).repeat(counts)
+        if np.ndim(counts):
+            ends = np.cumsum(counts)
+            positions = np.arange(len(lanes)) - (ends - counts)[lanes]
+        else:
+            positions = np.tile(np.arange(counts), len(self.streams))
+        positions += first[lanes] if np.ndim(first) else first
+        if not len(positions):
+            return np.empty(0, dtype=np.uint64)
+        table = _jump_constants(max(64, 1 << int(positions.max()).bit_length()))
+        out = np.empty(len(positions), dtype=np.uint64)
+        for at in range(0, len(positions), _WORDS_PER_PASS):
+            chunk = slice(at, at + _WORDS_PER_PASS)
+            out[chunk] = _xsl_rr(
+                table[:, :, positions[chunk]] * self._factors[:, :, lanes[chunk]]
+            )
+        return out
+
+
+#: Words per flat pass of :meth:`PCG64Lanes.words`: a pass's uint64
+#: temporaries (~20 of ``14 x`` this many words) stay cache-sized.
+_WORDS_PER_PASS = 2048
+
+
+def _xsl_rr(product: np.ndarray) -> np.ndarray:
+    """The output words from the seven ``(7, 2, words)`` factor products.
+
+    ``a * b mod 2**128`` from 64-bit halves: the low words' product
+    wraps, and the high word adds both cross products and the low
+    words' carry-out, a 64x64 high product from four limb products.
+    ``A*s + C*inc`` is the state; XSL-RR XORs its halves and rotates
+    right by its top 6 bits.
+    """
+    limb_high = product[:3] >> _U32
+    carry = limb_high[0] + (product[1] & _U_MASK32) + (product[2] & _U_MASK32)
+    carry >>= _U32
+    high = product[3] + product[4] + product[5] + limb_high[1] + limb_high[2]
+    high += carry
+    low = product[6]
+    state_low = low[0] + low[1]
+    state_high = high[0] + high[1] + (state_low < low[0])
+    value = state_high ^ state_low
+    rotation = state_high >> _U58
+    return (value >> rotation) | (value << ((_U64 - rotation) & _U63))
+
+
+def word_doubles(words: np.ndarray) -> np.ndarray:
+    """Raw PCG64 words as the doubles ``Generator.random`` makes of them:
+    ``(word >> 11) * 2**-53``."""
+    return (words >> np.uint64(11)).astype(np.float64) * _DOUBLE_UNIT
 
 
 def make_jobs(

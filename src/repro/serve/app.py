@@ -87,6 +87,9 @@ DEFAULT_REQUEST_TIMEOUT_S = 300.0
 MAX_BODY_BYTES = 1 << 20
 #: Seconds between cache GC passes on the ticker thread (both modes).
 CACHE_GC_PERIOD_S = 10.0
+#: How often the listener checks for shutdown; ``close()`` waits up to
+#: one interval (``serve_forever``'s default is 0.5 s).
+SHUTDOWN_POLL_S = 0.02
 
 
 @dataclass(frozen=True)
@@ -660,6 +663,7 @@ class EvalServer:
         self._httpd.eval_server = self  # type: ignore[attr-defined]
         self._serve_thread = threading.Thread(
             target=self._httpd.serve_forever,
+            args=(SHUTDOWN_POLL_S,),
             name="serve-http",
             daemon=True,
         )

@@ -15,15 +15,19 @@ contiguous block of years per job:
   ``(i, 1)`` — the streams the scalar per-year job draws from under the
   runner's year seed ``(i,)``, named by spawn-key arithmetic
   (:func:`repro.runner.jobs.child_seed`) rather than by spawning — so
-  the sampled outages (:func:`repro.outages.generator.sample_year_arrays`)
-  and DG start rolls are bit-identical to the scalar path at any block
-  size.  No SeedSequence or ``PCG64`` is built per year: one
-  :func:`~repro.runner.jobs.child_streams` pass computes the same
-  states for every stream of the block, and one generator is re-stated
-  (:func:`~repro.runner.jobs.restate`) before each draw; the stream
-  oracles (``tests/runner/test_jobs.py``,
-  ``tests/golden/test_stream_oracle.py``) hold those states ``==`` to
-  ``PCG64(child_seed(...))``.
+  the sampled outages and DG start rolls are bit-identical to the
+  scalar path at any block size.  No SeedSequence, ``PCG64`` or
+  per-year generator is built: one
+  :func:`~repro.runner.jobs.child_streams` pass seeds the block's
+  streams (the DG streams only when rolls are drawn), and
+  :func:`~repro.outages.generator.sample_year_lanes` and
+  :func:`draw_dg_starts` draw every year at once from them
+  (:class:`~repro.runner.jobs.PCG64Lanes`), redoing only the uncommon
+  years with :func:`~repro.outages.generator.sample_year_arrays`, the
+  definition.  The stream and lane oracles
+  (``tests/runner/test_jobs.py``, ``tests/golden/test_stream_oracle.py``,
+  ``tests/golden/test_lane_oracle.py``) hold every draw ``==`` to
+  ``PCG64(child_seed(...))``'s.
 * **Same state threading.**  Cross-outage state of charge and recharge
   clamping follow :meth:`repro.sim.yearly.YearlyRunner._run_schedule`
   float for float; only the outage simulations themselves are
@@ -43,8 +47,9 @@ always run here, fault studies on the scalar path.
 Observability follows the scalar path's contract: the ambient tracer and
 metrics are captured once per block, and with both off every hook is a
 single ``is None`` check.  A traced block records a ``year_block`` span
-holding a ``sample`` span (drawing every year's outages) and then one
-``kernel`` span per event-position batch; metrics get the
+holding a ``sample`` span (drawing every year's outages; its
+``scalar_years`` counts the years redone on the scalar sampler) and
+then one ``kernel`` span per event-position batch; metrics get the
 scalar path's ``sim.outages``/``sim.crashes``/``sim.dg_start_failures``
 counters, plus each outage's end-of-outage charge as a ``battery.soc``
 observation when the datacenter has a UPS.
@@ -55,12 +60,11 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.random import PCG64, Generator
 
 from repro.errors import SimulationError
 from repro.obs import current_metrics, current_tracer
-from repro.outages.generator import sample_year_arrays
-from repro.runner.jobs import child_streams, restate
+from repro.outages.generator import sample_year_lanes
+from repro.runner.jobs import PCG64Lanes, child_streams, word_doubles
 from repro.vsim.kernel import PlanKernel
 
 #: Years per batch job.  A study of up to 1000 years is one kernel job
@@ -108,11 +112,12 @@ def _simulate_block(
     root = np.random.SeedSequence(spec["base_seed"])
     years = range(start, start + count)
     if tracer is None:
-        arrays = _sample_block(root, years, datacenter)
+        arrays, _ = _sample_block(root, years, datacenter)
     else:
         with tracer.span("sample", "vsim", years=count) as span:
-            arrays = _sample_block(root, years, datacenter)
+            arrays, scalar_years = _sample_block(root, years, datacenter)
             span.set("outages", len(arrays[0]))
+            span.set("scalar_years", scalar_years)
     out, _ = run_years(
         PlanKernel(datacenter, spec["plan"]),
         *arrays,
@@ -129,29 +134,25 @@ def _sample_block(root: np.random.SeedSequence, years: range, datacenter):
     Year ``i`` draws its schedule from ``child_seed(root, i, 0)`` and its
     DG rolls from ``child_seed(root, i, 1)`` — the streams the scalar
     job draws from under the runner's year seed ``(i,)`` — so the draws
-    are bit-identical to the scalar path at any block size.  Both
-    streams of every year are seeded in one
-    :func:`~repro.runner.jobs.child_streams` pass, and one generator is
-    re-stated (:func:`~repro.runner.jobs.restate`) for each draw.
+    are bit-identical to the scalar path at any block size.  The
+    streams are seeded in one :func:`~repro.runner.jobs.child_streams`
+    pass, the DG streams only when rolls are drawn, and every year is
+    drawn lane-parallel (:func:`~repro.outages.generator.sample_year_lanes`,
+    :func:`draw_dg_starts`).  Returns ``(starts, durations, dg,
+    counts)`` and the number of years redrawn on the scalar path.
     """
     reliability = dg_reliability(datacenter)
-    streams = child_streams(root, [(i, k) for i in years for k in (0, 1)])
-    streams = streams.tolist()
-    rng = Generator(PCG64(0))
-    starts: List[float] = []
-    durations: List[float] = []
-    dg: List[bool] = []
-    counts: List[int] = []
-    for schedule, rolls in zip(streams[0::2], streams[1::2]):
-        year_starts, year_durations = sample_year_arrays(
-            restate(rng, schedule)
-        )
-        n = len(year_starts)
-        starts += year_starts
-        durations += year_durations
-        counts.append(n)
-        dg += draw_dg_starts(rng, rolls, reliability, n)
-    return starts, durations, dg, counts
+    kinds = (0,) if reliability is None else (0, 1)
+    streams = child_streams(root, [(i, k) for i in years for k in kinds])
+    streams = streams.reshape(len(years), len(kinds), 4)
+    starts, durations, counts, scalar_years = sample_year_lanes(
+        PCG64Lanes(streams[:, 0])
+    )
+    if reliability is None:
+        dg = np.ones(len(starts), dtype=bool)
+    else:
+        dg = draw_dg_starts(streams[:, 1], reliability, counts)
+    return (starts, durations, dg, counts), scalar_years
 
 
 def dg_reliability(datacenter) -> Optional[float]:
@@ -168,21 +169,17 @@ def dg_reliability(datacenter) -> Optional[float]:
 
 
 def draw_dg_starts(
-    rng: Generator,
-    stream: Sequence[int],
-    reliability: Optional[float],
-    count: int,
-) -> List[bool]:
-    """A year's ``count`` DG start rolls, in outage order.
+    streams: np.ndarray, reliability: float, counts: np.ndarray
+) -> np.ndarray:
+    """Every year's DG start rolls, flat: ``counts[y]`` for year ``y``.
 
-    The rolls come from ``stream`` (a
-    :func:`~repro.runner.jobs.child_streams` row), which re-states
-    ``rng`` only when drawn from: with no reliability to roll against
-    (:func:`dg_reliability`) or no outage, every engine starts.
+    Year ``y`` rolls ``rng.random(counts[y]) < reliability`` from its
+    stream ``streams[y]`` (a :func:`~repro.runner.jobs.child_streams`
+    row), for all years at once (:class:`~repro.runner.jobs.PCG64Lanes`).
+    Call it only with a :func:`dg_reliability`; without one nothing is
+    drawn and every engine starts.
     """
-    if reliability is None or not count:
-        return [True] * count
-    return (restate(rng, stream).random(count) < reliability).tolist()
+    return word_doubles(PCG64Lanes(streams).words(counts)) < reliability
 
 
 def run_years(

@@ -5,7 +5,11 @@ import pytest
 
 from repro.analysis.availability import _simulate_year
 from repro.core.configurations import get_configuration
-from repro.core.performability import make_datacenter, plan_power_budget_watts
+from repro.core.performability import (
+    make_datacenter,
+    make_plant,
+    plan_power_budget_watts,
+)
 from repro.errors import RunnerError
 from repro.fleet.sim import (
     FleetAnalyzer,
@@ -205,6 +209,54 @@ class TestBatchAgainstScalarReference:
             for seed in np.random.SeedSequence(5).spawn(3)
         ]
         assert batch == scalar
+
+    def test_unreliable_engines_roll_per_outage(self, monkeypatch):
+        """DG start rolls, drawn lane-parallel over shock-merged years."""
+        from dataclasses import replace
+
+        import repro.fleet.sim as fleet_sim
+        import tests.fleet.reference as reference
+
+        def unreliable_plant(*args, **kwargs):
+            datacenter, plan = make_plant(*args, **kwargs)
+            engine = replace(datacenter.generator, start_reliability=0.7)
+            return replace(datacenter, generator=engine), plan
+
+        monkeypatch.setattr(fleet_sim, "make_plant", unreliable_plant)
+        monkeypatch.setattr(reference, "make_plant", unreliable_plant)
+        # Sites 1 and 3 have an engine to roll; 0 and 2 roll nothing.
+        base = get_fleet("regional-quad").with_shocks(6.0, 0.6)
+        fleet = replace(
+            base,
+            sites=tuple(
+                replace(site, configuration="DG-SmallPUPS") if i % 2 else site
+                for i, site in enumerate(base.sites)
+            ),
+        )
+        batch = simulate_fleet_years(
+            fleet, True, np.random.SeedSequence(8).spawn(4)
+        )
+        scalar = [
+            reference_fleet_year(fleet, True, seed)
+            for seed in np.random.SeedSequence(8).spawn(4)
+        ]
+        assert batch == scalar
+        assert any(
+            year["sites"][site]["dg_start_failures"]
+            for year in batch
+            for site in year["sites"]
+        )
+
+    def test_traced_sample_counts_scalar_years(self):
+        from repro import obs
+
+        # Seed 0's first year draws a tail bucket at some site.
+        with obs.session() as session:
+            simulate_fleet_years(
+                get_fleet("us-triad"), True, np.random.SeedSequence(0).spawn(6)
+            )
+        (sample,) = [r for r in session.tracer.records if r["name"] == "sample"]
+        assert sample["attrs"]["scalar_years"] >= 1
 
     def test_one_year_job_is_the_batch_of_one(self):
         fleet = get_fleet("coastal-pair").with_shocks(6.0, 0.6)

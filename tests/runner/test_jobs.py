@@ -12,12 +12,14 @@ from numpy.random import PCG64, Generator
 from repro.errors import RunnerError
 from repro.runner.jobs import (
     Job,
+    PCG64Lanes,
     canonical_encode,
     child_seed,
     child_streams,
     make_jobs,
     restate,
     spawn_seeds,
+    word_doubles,
     year_streams,
 )
 
@@ -271,6 +273,78 @@ class TestChildStreams:
             st.lists(st.tuples(*[word] * depth), min_size=1, max_size=6)
         )
         assert_streams_match(root, paths)
+
+
+def numpy_words(rows, counts, first):
+    """Each row's raw words ``first .. first + count - 1``, from numpy."""
+    rng = Generator(PCG64(0))
+    out = []
+    for row, count, skip in zip(rows.tolist(), counts, first):
+        restate(rng, row).bit_generator.advance(int(skip))
+        out += rng.bit_generator.random_raw(int(count)).tolist()
+    return out
+
+
+class TestPCG64Lanes:
+    """Jumped-ahead lane words against numpy's ``random_raw``."""
+
+    def streams(self, years=40):
+        return child_streams(
+            np.random.SeedSequence(2**70 + 3), [(i, 0) for i in range(years)]
+        )
+
+    def test_ragged_words_equal_numpy(self):
+        rows = self.streams()
+        counts = np.arange(len(rows)) % 7
+        first = np.arange(len(rows)) % 3
+        words = PCG64Lanes(rows).words(counts, first)
+        assert words.dtype == np.uint64
+        assert words.tolist() == numpy_words(rows, counts, first)
+
+    def test_scalar_counts_and_first(self):
+        rows = self.streams(5)
+        words = PCG64Lanes(rows).words(2, 1)
+        assert words.tolist() == numpy_words(rows, [2] * 5, [1] * 5)
+
+    def test_far_positions_grow_the_jump_table(self):
+        rows = self.streams(3)
+        words = PCG64Lanes(rows).words(3, 300)
+        assert words.tolist() == numpy_words(rows, [3] * 3, [300] * 3)
+
+    def test_no_words(self):
+        lanes = PCG64Lanes(self.streams(4))
+        assert lanes.words(np.zeros(4, dtype=np.int64)).shape == (0,)
+        assert PCG64Lanes(np.empty((0, 4), dtype=np.uint64)).words(2).shape == (0,)
+
+    def test_many_passes(self):
+        # More words than one pass holds, split mid-lane.
+        rows = self.streams(300)
+        counts = np.full(len(rows), 11)
+        words = PCG64Lanes(rows).words(counts)
+        assert words.tolist() == numpy_words(rows, counts, [0] * len(rows))
+
+    def test_doubles_are_generator_random(self):
+        rows = self.streams(6)
+        doubles = word_doubles(PCG64Lanes(rows).words(4))
+        rng = Generator(PCG64(0))
+        expected = [v for row in rows for v in restate(rng, row).random(4).tolist()]
+        assert doubles.tolist() == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        entropy=st.integers(0, 2**130),
+        counts=st.lists(st.integers(0, 12), min_size=1, max_size=8),
+        data=st.data(),
+    )
+    def test_property_random_streams(self, entropy, counts, data):
+        first = data.draw(
+            st.lists(st.integers(0, 50), min_size=len(counts), max_size=len(counts))
+        )
+        rows = child_streams(
+            np.random.SeedSequence(entropy), [(i, 1) for i in range(len(counts))]
+        )
+        words = PCG64Lanes(rows).words(np.array(counts), np.array(first))
+        assert words.tolist() == numpy_words(rows, counts, first)
 
 
 class TestYearStreams:

@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -211,8 +212,6 @@ class TestBackpressureHTTP:
                        "params": {"payload": "block", "sleep_s": 1.0}}),
             )
             blocker.start()
-            import time
-
             time.sleep(0.1)  # let the blocker reach the dispatcher
             status, payload = post_request(
                 slow.base_url,
@@ -232,6 +231,13 @@ class TestLifecycle:
         instance.close(drain=True, timeout=10)
         instance.close(drain=True, timeout=10)
 
+    def test_start_close_cycle_is_quick(self):
+        # close() waits for the listener's next shutdown poll; with
+        # serve_forever's default 0.5 s interval every cycle took 0.5 s.
+        began = time.perf_counter()
+        EvalServer(ServeConfig(port=0)).start().close(drain=True, timeout=10)
+        assert time.perf_counter() - began < 0.2
+
     def test_drain_finishes_in_flight_work(self):
         instance = EvalServer(ServeConfig(port=0)).start()
         outcome = {}
@@ -244,8 +250,6 @@ class TestLifecycle:
 
         thread = threading.Thread(target=slow_hit)
         thread.start()
-        import time
-
         time.sleep(0.1)
         instance.close(drain=True, timeout=30)
         thread.join(timeout=10)

@@ -122,10 +122,33 @@ class TestYearBlock:
         assert all(k["parent_id"] == block["span_id"] for k in kernels)
         # Records land as spans finish: sampling is done before any kernel.
         assert all(records.index(sample) < records.index(k) for k in kernels)
-        assert sample["attrs"] == {
+        attrs = dict(sample["attrs"])
+        assert 0 <= attrs.pop("scalar_years") <= 6
+        assert attrs == {
             "years": 6,
             "outages": int(sum(y["outages"] for y in traced)),
         }
+
+    def test_traced_block_counts_scalar_years(self):
+        from repro import obs
+
+        datacenter, plan = study()
+        # Year 4 of SeedSequence(0) draws a tail bucket, whose
+        # exponential only the scalar sampler draws
+        # (tests/outages/test_lane_sampler.py).
+        spec = {
+            "datacenter": datacenter,
+            "plan": plan,
+            "recharge_seconds": hours(8),
+            "base_seed": 0,
+            "start": 4,
+            "count": 1,
+            "total_years": 5,
+        }
+        with obs.session() as session:
+            simulate_year_block(spec)
+        (sample,) = [r for r in session.tracer.records if r["name"] == "sample"]
+        assert sample["attrs"]["scalar_years"] >= 1
 
     def test_rejects_bad_block_range(self):
         datacenter, plan = study()

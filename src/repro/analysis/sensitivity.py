@@ -41,12 +41,6 @@ class SensitivityRow:
     def swing(self) -> float:
         return abs(self.high_metric - self.low_metric)
 
-    @property
-    def relative_swing(self) -> float:
-        if self.baseline_metric == 0:
-            return float("inf") if self.swing > 0 else 0.0
-        return self.swing / abs(self.baseline_metric)
-
     def elasticity(self) -> float:
         """d(metric)/metric over d(param)/param, secant-estimated."""
         d_param = self.high_value - self.low_value

@@ -552,8 +552,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             cache_max_bytes=args.cache_max_bytes,
             cache_max_age_s=args.cache_max_age_s,
             telemetry=not args.no_telemetry,
-            telemetry_window_s=args.telemetry_window_s,
-            trace_capacity=args.trace_capacity,
             slos=slos,
             workers=args.workers,
             poison_threshold=args.poison_threshold,
@@ -990,18 +988,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable request tracing, rolling windows and SLO tracking "
         "(every hook reverts to its single is-None check)",
-    )
-    p_serve.add_argument(
-        "--telemetry-window-s",
-        type=float,
-        default=60.0,
-        help="rolling-window width for /healthz and Prometheus summaries",
-    )
-    p_serve.add_argument(
-        "--trace-capacity",
-        type=int,
-        default=256,
-        help="finished request traces kept for /trace/<id> lookup",
     )
     p_serve.add_argument(
         "--slo",

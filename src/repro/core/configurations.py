@@ -97,9 +97,6 @@ class BackupConfiguration:
     def with_runtime(self, ups_runtime_seconds: float) -> "BackupConfiguration":
         return replace(self, ups_runtime_seconds=ups_runtime_seconds)
 
-    def with_name(self, name: str) -> "BackupConfiguration":
-        return replace(self, name=name)
-
 
 def _table3() -> Dict[str, BackupConfiguration]:
     free = minutes(2)

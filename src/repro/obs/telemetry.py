@@ -298,11 +298,10 @@ class Telemetry:
 
     def __init__(
         self,
-        trace_capacity: int = 256,
         window_s: float = 60.0,
         slo: Optional[SLOTracker] = None,
     ) -> None:
-        self.store = TelemetryStore(capacity=trace_capacity)
+        self.store = TelemetryStore()
         self.rolling = RollingStats(window_s=window_s)
         self.slo = slo if slo is not None else SLOTracker()
 

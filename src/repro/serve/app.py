@@ -81,7 +81,8 @@ from repro.serve.resilience import (
 )
 from repro.serve.supervisor import Supervisor
 
-#: Longest a handler waits on an undeadlined request before giving up.
+#: Longest a handler waits on an undeadlined request before giving up
+#: (a deadlined one waits ``deadline_s + 1`` s).
 DEFAULT_REQUEST_TIMEOUT_S = 300.0
 #: Cap on the request body; evaluation requests are small.
 MAX_BODY_BYTES = 1 << 20
@@ -103,26 +104,24 @@ class ServeConfig:
             directory, which is what makes served responses provably
             identical to CLI ones.
         queue_bound / max_batch / batch_wait_s: Batcher knobs.
-        request_timeout_s: Handler-side wait bound for undeadlined
-            requests (a deadlined one waits ``deadline_s + 1`` s).
         cache_max_bytes / cache_max_age_s: When set, the cache is
             pruned to these bounds every :data:`CACHE_GC_PERIOD_S` on
             the ticker thread — the GC keeping a long-lived server's
             disk footprint flat.
         telemetry: Request-scoped tracing, rolling-window percentiles
             and SLO tracking.  ``False`` passes ``None`` through every
-            hook — the pre-telemetry code path, byte for byte.
-        telemetry_window_s: Rolling-window width for the sliding
-            percentiles in ``/healthz`` and Prometheus summaries.
-        trace_capacity: Finished request traces kept for ``/trace/<id>``
-            lookup before the oldest are evicted.
+            hook — the pre-telemetry code path, byte for byte.  The
+            rolling windows span 60 s and ``/trace/<id>`` keeps the last
+            256 finished traces (the :class:`~repro.obs.telemetry.Telemetry`
+            defaults).
         slos: Override the default SLO roster (see
             :data:`repro.obs.slo.DEFAULT_SLOS`); ``None`` keeps it.
         workers: Size of the supervised worker-process pool.  ``0``
             (the default) keeps the in-process execute path; ``>= 1``
             routes every batch through fingerprint-sharded workers with
             crash supervision and poison quarantine (see
-            :mod:`repro.serve.supervisor`).
+            :mod:`repro.serve.supervisor`).  :class:`EvalServer` rejects a
+            negative count with :class:`ServeError`.
         poison_threshold: Worker deaths on one fingerprint before it is
             quarantined (pool mode only).
         worker_backoff_s / worker_backoff_max_s: Exponential restart
@@ -141,12 +140,9 @@ class ServeConfig:
     queue_bound: int = 64
     max_batch: int = 16
     batch_wait_s: float = 0.005
-    request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S
     cache_max_bytes: Optional[int] = None
     cache_max_age_s: Optional[float] = None
     telemetry: bool = True
-    telemetry_window_s: float = 60.0
-    trace_capacity: int = 256
     slos: Optional[Tuple[SLOSpec, ...]] = None
     workers: int = 0
     poison_threshold: int = 3
@@ -264,17 +260,15 @@ class EvalServer:
     """
 
     def __init__(self, config: ServeConfig = ServeConfig()) -> None:
+        if config.workers < 0:
+            raise ServeError("workers must be >= 0")
         self.config = config
         self.session = ObsSession()
         self.cache = (
             ResultCache(config.cache_dir) if config.cache_dir else None
         )
         self.telemetry: Optional[Telemetry] = (
-            Telemetry(
-                trace_capacity=config.trace_capacity,
-                window_s=config.telemetry_window_s,
-                slo=SLOTracker(config.slos) if config.slos else None,
-            )
+            Telemetry(slo=SLOTracker(config.slos) if config.slos else None)
             if config.telemetry
             else None
         )
@@ -448,7 +442,7 @@ class EvalServer:
         wait = (
             request.deadline_s + 1.0
             if request.deadline_s is not None
-            else self.config.request_timeout_s
+            else DEFAULT_REQUEST_TIMEOUT_S
         )
         try:
             outcome = future.result(timeout=wait)

@@ -86,10 +86,6 @@ class Datacenter:
         return max(self.ups.power_capacity_watts, self.generator.power_capacity_watts)
 
     @property
-    def has_any_backup(self) -> bool:
-        return self.ups.is_provisioned or self.generator.is_provisioned
-
-    @property
     def switchover_is_seamless(self) -> bool:
         """Whether the PSU hold-up bridges the UPS switch-in gap.
 

@@ -82,11 +82,6 @@ class OutageOutcome:
             + self.downtime_after_restore_seconds
         )
 
-    @property
-    def available_throughout(self) -> bool:
-        """Zero down time — the MaxPerf bar."""
-        return self.downtime_seconds <= 1e-9
-
     def summary(self) -> str:
         """One-line human-readable summary for reports."""
         return (

@@ -69,11 +69,6 @@ JOULES_PER_WATT_HOUR = 3600.0
 JOULES_PER_KILOWATT_HOUR = 3.6e6
 
 
-def watts(value: float) -> float:
-    """Identity conversion, for call-site symmetry with :func:`kilowatts`."""
-    return float(value)
-
-
 def kilowatts(value: float) -> float:
     """Convert kilowatts to watts."""
     return float(value) * WATTS_PER_KILOWATT
@@ -102,11 +97,6 @@ def watt_hours(value: float) -> float:
 def kilowatt_hours(value: float) -> float:
     """Convert kilowatt-hours to joules."""
     return float(value) * JOULES_PER_KILOWATT_HOUR
-
-
-def to_watt_hours(value_joules: float) -> float:
-    """Convert joules to watt-hours."""
-    return float(value_joules) / JOULES_PER_WATT_HOUR
 
 
 def to_kilowatt_hours(value_joules: float) -> float:

@@ -26,10 +26,9 @@ simulator: one point is a one-lane batch that would pay a kernel
 compile and win nothing.
 """
 
-from repro.vsim.kernel import BatchOutcomes, PlanKernel, simulate_outages_batch
+from repro.vsim.kernel import BatchOutcomes, PlanKernel
 
 __all__ = [
     "BatchOutcomes",
     "PlanKernel",
-    "simulate_outages_batch",
 ]

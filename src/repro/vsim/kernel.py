@@ -424,12 +424,14 @@ class _BatchRun:
         perf,
         source: str,
         label,
+        suffix: str = "",
     ) -> None:
         """Replicates ``PowerTrace.record`` + the [0, T] integrals.
 
-        ``power``/``perf`` may be scalars or arrays; ``label`` may be a
-        string or a per-cell sequence (phase names).  Zero-length
-        segments are dropped, exactly as ``record`` drops them.
+        ``power``/``perf`` may be scalars or arrays; ``label`` is a string
+        or each cell's phase index, named (plus ``suffix``) only when
+        traces are collected.  Zero-length segments are dropped, exactly
+        as ``record`` drops them.
         """
         power = np.broadcast_to(np.asarray(power, dtype=float), (self.n,))
         perf = np.broadcast_to(np.asarray(perf, dtype=float), (self.n,))
@@ -451,8 +453,12 @@ class _BatchRun:
             self.covered_up[up] += hi[up] - lo[up]
             self.perf_integral[overlap] += perf[overlap] * width
         if self.traces is not None:
+            names = self.k.names
             for i in np.flatnonzero(live):
-                name = label if isinstance(label, str) else label[i]
+                name = (
+                    label if isinstance(label, str)
+                    else names[label[i]] + suffix
+                )
                 self.traces[i].append(
                     (
                         float(start[i]),
@@ -463,10 +469,6 @@ class _BatchRun:
                         name,
                     )
                 )
-
-    def _phase_labels(self, pidx: np.ndarray, suffix: str = "") -> List[str]:
-        names = self.k.names
-        return [names[j] + suffix for j in pidx]
 
     # -- battery / DG kernels -----------------------------------------------
 
@@ -746,7 +748,8 @@ class _BatchRun:
                 k.power[pidx],
                 k.perf[pidx],
                 SourceKind.DG.value,
-                self._phase_labels(pidx, "-completing"),
+                pidx,
+                "-completing",
             )
             died = seg & (sustained < wanted - _EPS)
             self._dg_died(died, start + sustained)
@@ -894,16 +897,16 @@ class _BatchRun:
             # cell; record per source bucket so the trace strings match.
             self._accumulate(
                 is_ups, self.t, seg_end, power, k.perf[pidx],
-                SourceKind.UPS.value, self._phase_labels(pidx),
+                SourceKind.UPS.value, pidx,
             )
             self._accumulate(
                 is_dg, self.t, seg_end, power, k.perf[pidx],
-                SourceKind.DG.value, self._phase_labels(pidx),
+                SourceKind.DG.value, pidx,
             )
             none_m = live & (src == _SRC_NONE)
             self._accumulate(
                 none_m, self.t, seg_end, power, k.perf[pidx],
-                SourceKind.NONE.value, self._phase_labels(pidx),
+                SourceKind.NONE.value, pidx,
             )
             self._ups_carry(is_ups, full)
             if is_dg.any():
@@ -981,21 +984,3 @@ class _BatchRun:
             traces=self.traces,
         )
 
-
-def simulate_outages_batch(
-    datacenter: Datacenter,
-    plan: OutagePlan,
-    outage_seconds,
-    initial_state_of_charge=None,
-    dg_starts=None,
-    lost_work_seconds: Optional[float] = None,
-    collect_traces: bool = False,
-) -> BatchOutcomes:
-    """Functional convenience wrapper over :class:`PlanKernel`."""
-    kernel = PlanKernel(datacenter, plan, lost_work_seconds=lost_work_seconds)
-    return kernel.run(
-        outage_seconds,
-        initial_state_of_charge=initial_state_of_charge,
-        dg_starts=dg_starts,
-        collect_traces=collect_traces,
-    )

@@ -8,6 +8,7 @@ import urllib.request
 
 import pytest
 
+from repro.errors import ServeError
 from repro.serve import (
     EvalServer,
     ServeConfig,
@@ -256,3 +257,19 @@ class TestLifecycle:
         status, payload = outcome["response"]
         assert status == 200
         assert payload["result"] == {"echo": "x"}
+
+
+class TestConfigValidation:
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ServeError, match="workers"):
+            EvalServer(ServeConfig(port=0, workers=-1))
+
+    def test_cli_exits_2_on_negative_workers(self, capsys, monkeypatch):
+        from repro.cli import main
+
+        def never_start(self):
+            raise AssertionError("a server with workers=-1 started")
+
+        monkeypatch.setattr(EvalServer, "start", never_start)
+        assert main(["serve", "--port", "0", "--workers", "-1"]) == 2
+        assert "workers" in capsys.readouterr().err

@@ -1,9 +1,12 @@
 """Repository-level sanity: docs exist, exports resolve, errors behave,
-and every source module is reachable from an entry point."""
+every source module is reachable from an entry point, and every source
+definition is used outside the tests."""
 
 import ast
+import dataclasses
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -214,3 +217,223 @@ class TestReachability:
     def test_every_module_is_reached_from_an_entry_point(self):
         unreached = _unreached_modules()
         assert not unreached, f"no entry point imports {unreached}"
+
+
+#: Definitions under ``src/repro`` that no code outside ``tests/`` uses, kept
+#: on purpose.  Key: ``module.Qualname``; value: why it stays.  "Pinned" means
+#: the named tests must keep passing across commits, so their subject stays
+#: in ``src`` until the pin is lifted.
+UNCALLED_KEPT = {
+    "repro.analysis.export.point_record":
+        "pinned: TestRecords::test_point_record_fields",
+    "repro.analysis.export.trace_records":
+        "pinned: TestRecords::test_trace_records",
+    "repro.analysis.report.format_paper_vs_measured":
+        "pinned: TestReport::test_paper_vs_measured",
+    "repro.checks.guard.InvariantGuard.raise_if_violated":
+        "pinned: TestCollectMode::test_raise_if_violated_lists_everything",
+    "repro.core.costs.BackupCostModel.breakdown":
+        "Eq. (2)'s terms; pinned: TestEquation2Details::test_breakdown_sums",
+    "repro.core.costs.CostBreakdown.total_dollars_per_year":
+        "Eq. (2)'s total; pinned: TestEquation2Details::test_breakdown_sums",
+    "repro.core.planner.ProvisioningPlanner.compare_named_configurations":
+        "pinned: TestPlanner::test_compare_named_configurations",
+    "repro.core.predictor.OutageDurationPredictor.transition_matrix":
+        "pinned: TestMarkovMatrix",
+    "repro.core.selection.rank_techniques":
+        "pinned: TestRankTechniques::test_rank_sorted_by_cost",
+    "repro.core.tco.TCOModel.yearly_loss_for_schedule":
+        "pinned: TestTCO::test_schedule_loss",
+    "repro.faults.injector.FaultDraw.healthy":
+        "tests use it as the no-fault reference draw",
+    "repro.fleet.failover.CloudBurstTechnique.burst_cost_dollars":
+        "pinned: TestCloudBurst::test_burst_cost_scales_with_duration",
+    "repro.fleet.failover.GeoEconomics.breakeven_outage_seconds_per_year":
+        "pinned: TestBreakeven",
+    "repro.fleet.failover.GeoEconomics.cheaper_than_local_backup":
+        "pinned: TestBreakeven::test_cheaper_than_local_backup_monotone_in_price",
+    "repro.fleet.spec.SiteSpec.spare_capacity":
+        "pinned: TestSiteGeometry::test_spare_and_utilization",
+    "repro.obs.bench.CheckReport.to_dict":
+        "pinned: TestCheck::test_report_serialises",
+    "repro.obs.export.span_tree_paths":
+        "tests use it as the oracle for span nesting",
+    "repro.outages.distributions.EmpiricalDistribution.bucket_for":
+        "Figure 1(b)'s buckets; pinned: TestFigure1b::test_bucket_lookup",
+    "repro.outages.distributions.fraction_shorter_than":
+        "Figure 1(b)'s CDF; pinned: TestFigure1b",
+    "repro.outages.events.OutageSchedule.longest_seconds":
+        "pinned: TestEvents::test_schedule_totals",
+    "repro.outages.events.OutageSchedule.utility_availability":
+        "pinned: TestEvents::test_schedule_totals",
+    "repro.policy.parse.policy_label": "pinned: TestSpecGrammar::test_labels",
+    "repro.power.generator.DieselGenerator.available_at":
+        "pinned: TestGenerator::test_not_available_during_transfer",
+    "repro.power.generator.DieselGenerator.refuel_full":
+        "pinned: TestGenerator::test_refuel",
+    "repro.power.placement.ServerLevelBatteryBank.stranded_fraction":
+        "pinned: TestBank::test_shrinking_strands_charge",
+    "repro.power.ups.UPSSpec.extra_energy_joules":
+        "pinned: TestUPSSpec::test_extra_energy_beyond_base",
+    "repro.power.ups.UPSUnit.recharge_full":
+        "pinned: TestUPSUnit::test_recharge",
+    "repro.runner.progress.CollectingProgress":
+        "tests use it as a fake progress listener",
+    "repro.runner.progress.ConsoleProgress": "pinned: TestConsoleProgress",
+    "repro.serve.app._Handler.do_GET": "http.server calls it by name",
+    "repro.serve.app._Handler.do_POST": "http.server calls it by name",
+    "repro.serve.app._Handler.log_message": "http.server calls it by name",
+    "repro.servers.pstates.PStateTable.deepest_within":
+        "pinned: TestPowerScaling::test_deepest_within_budget",
+    "repro.servers.server.ServerSpec.migration_transfer_seconds":
+        "pinned: TestPaperServer::test_migration_lower_bound",
+    "repro.servers.server.ServerSpec.min_active_power_watts":
+        "pinned: TestPaperServer::test_deepest_state_halves_peak_power",
+    "repro.servers.sleepstates.SleepStateTable.standby_power_watts":
+        "pinned: TestSleepStates::test_standby_power_s3",
+    "repro.sim.datacenter.Datacenter.backup_power_budget_watts":
+        "pinned: TestAssemble::test_backup_budget_is_larger_rating",
+    "repro.sim.yearly.YearlyResult.worst_event_downtime_seconds":
+        "pinned: TestAggregates::test_totals",
+    "repro.techniques.base.OutagePlan.fixed_prefix_seconds":
+        "pinned: TestPlanValidation::test_peak_power",
+    "repro.techniques.base.OutagePlan.terminal_phase":
+        "pinned: TestRDMASleep::test_draws_more_than_plain_sleep_less_than_throttle",
+    "repro.units.kilowatt_hours":
+        "pinned: TestPowerEnergy::test_kwh_in_joules",
+    "repro.units.megabytes": "pinned: TestData::test_megabytes",
+    "repro.units.runtime_at_power":
+        "pinned: TestPowerEnergy::test_runtime_at_power",
+    "repro.units.to_gigabytes":
+        "pinned: TestData::test_to_gigabytes_roundtrip",
+    "repro.units.to_hours": "pinned: TestTime::test_to_hours_roundtrip",
+    "repro.units.to_megawatts":
+        "pinned: TestPowerEnergy::test_to_megawatts_roundtrip",
+    "repro.units.transfer_time": "pinned: TestData::test_transfer_time",
+    "repro.units.watt_hours": "pinned: TestPowerEnergy::test_watt_hours",
+    "repro.vsim.equivalence.compare_cell":
+        "tests use it as the scalar-vs-batch oracle per cell",
+    "repro.workloads.base.WorkloadSpec.crash_downtime_bounds_seconds":
+        "Figure 9's SpecCPU crash-downtime range",
+    "repro.workloads.latency.LatencySLOModel.quantile_latency_seconds":
+        "tests use it as the oracle for the admission bound",
+}
+
+
+def _definitions():
+    """``(dotted qualname, name, path, first line, last line)`` of every
+    top-level function and class under ``src/repro`` and every method of a
+    top-level class; dunders are called implicitly and are skipped."""
+    modules = _source_modules()
+    for module, path in sorted(modules.items()):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue
+            members = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                members += [
+                    (f"{node.name}.{sub.name}", sub)
+                    for sub in node.body
+                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                ]
+            for qualname, member in members:
+                if member.name.startswith("__") and member.name.endswith("__"):
+                    continue
+                yield (
+                    f"{module}.{qualname}", member.name, path,
+                    member.lineno, member.end_lineno,
+                )
+
+
+def _names_used(path):
+    """``(word, line)`` for every name the code in ``path`` uses:
+    identifiers, attributes, imported names and the words of string
+    literals (``"module:attr"`` hook targets name their functions).
+    Comments, docstrings and an ``__init__``'s re-export lines (its
+    imports and ``__all__``) are not uses."""
+    tree = ast.parse(path.read_text())
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(
+            node,
+            (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef),
+        ) and ast.get_docstring(node, clean=False) is not None:
+            skipped.add(id(node.body[0].value))
+    if path.name == "__init__.py":
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            ):
+                skipped.update(id(sub) for sub in ast.walk(node))
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias) or (
+            isinstance(node, ast.Constant) and isinstance(node.value, str)
+        ):
+            text = node.name if isinstance(node, ast.alias) else node.value
+            for word in re.findall(r"[A-Za-z_]\w*", text):
+                yield word, node.lineno
+
+
+def _uncalled_definitions():
+    """Qualnames of definitions whose name no code in ``src/``,
+    ``benchmarks/``, ``examples/`` or ``perfbench/`` uses outside the
+    definition itself."""
+    uses = {}
+    for folder in ("src", "benchmarks", "examples", "perfbench"):
+        for path in (REPO_ROOT / folder).rglob("*.py"):
+            for word, line in _names_used(path):
+                uses.setdefault(word, []).append((path, line))
+    return sorted(
+        qualname
+        for qualname, name, path, first, last in _definitions()
+        if all(
+            where == path and first <= line <= last
+            for where, line in uses.get(name, ())
+        )
+    )
+
+
+def _serve_config_keywords():
+    """Every keyword a non-test ``ServeConfig(...)`` call passes."""
+    callers = [SRC / "repro" / "cli.py", SRC / "repro" / "serve" / "drill.py"]
+    callers += sorted((REPO_ROOT / "benchmarks").rglob("*.py"))
+    keywords = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) == "ServeConfig"
+                or getattr(node.func, "attr", None) == "ServeConfig"
+            ):
+                keywords.update(kw.arg for kw in node.keywords if kw.arg)
+    return keywords
+
+
+class TestNameReachability:
+    def test_every_definition_is_named_outside_tests(self):
+        uncalled = set(_uncalled_definitions())
+        unexplained = sorted(uncalled - set(UNCALLED_KEPT))
+        assert not unexplained, (
+            f"nothing outside tests/ names {unexplained}: cut them, or "
+            "keep them in UNCALLED_KEPT with a reason"
+        )
+        stale = sorted(set(UNCALLED_KEPT) - uncalled)
+        assert not stale, f"UNCALLED_KEPT names {stale}, which have callers"
+
+    def test_every_serve_config_field_is_set_by_a_caller(self):
+        from repro.serve.app import ServeConfig
+
+        fields = {field.name for field in dataclasses.fields(ServeConfig)}
+        unset = sorted(fields - _serve_config_keywords())
+        assert not unset, (
+            f"no CLI, drill or benchmark sets the ServeConfig fields {unset}: "
+            "make them constants"
+        )

@@ -131,6 +131,12 @@ class RollingStats:
     """Named rolling windows with get-or-create access (thread-safe)."""
 
     def __init__(self, window_s: float = 60.0, max_samples: int = 4096) -> None:
+        # RollingWindow's own checks, made here so a bad value fails where
+        # it enters rather than inside the first request that records.
+        if window_s <= 0:
+            raise ObsError("window_s must be positive")
+        if max_samples < 1:
+            raise ObsError("max_samples must be >= 1")
         self.window_s = window_s
         self.max_samples = max_samples
         self._windows: Dict[str, RollingWindow] = {}

@@ -18,9 +18,11 @@ that switching decision online.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Hashable, Mapping, Tuple
 
 from repro.errors import PolicyError, TechniqueError
+from repro.policy.base import ModeView
 from repro.sim.datacenter import Datacenter
 from repro.techniques.base import PlanPhase
 from repro.units import ordered_sum
@@ -80,6 +82,7 @@ class ModeCatalog:
         if not modes:
             raise PolicyError("mode catalog is empty (no technique compiled)")
         self._modes: Dict[str, PolicyMode] = dict(modes)
+        self._views: Dict[Hashable, Mapping[str, ModeView]] = {}
 
     @classmethod
     def compile(cls, datacenter: Datacenter) -> "ModeCatalog":
@@ -108,6 +111,21 @@ class ModeCatalog:
                 steady_phase=plan.phases[-1],
             )
         return cls(modes)
+
+    def views_for(
+        self, key: Hashable, build: Callable[[], Dict[str, ModeView]]
+    ) -> Mapping[str, ModeView]:
+        """The mode views against one battery, built once per ``key``.
+
+        A run's views depend only on this catalog and the store its
+        battery is built from (the UPS spec after fault derates, which
+        carries the placement, and the server count), never on the
+        charge, so every run keyed alike shares one read-only mapping.
+        """
+        views = self._views.get(key)
+        if views is None:
+            views = self._views[key] = MappingProxyType(build())
+        return views
 
     def __contains__(self, name: str) -> bool:
         return name in self._modes

@@ -113,7 +113,13 @@ class _PolicyRun(_OutageRun):
         self.catalog = (
             catalog if catalog is not None else ModeCatalog.compile(datacenter)
         )
-        self._mode_views = self._build_mode_views()
+        self._mode_views = self.catalog.views_for(
+            (
+                None if self.ups is None else self.ups.spec,
+                datacenter.cluster.num_servers,
+            ),
+            self._build_mode_views,
+        )
         self._mode: Optional[str] = None
         self._review_soc: Optional[float] = None
         self._leaving: Optional[PlanPhase] = None
@@ -126,7 +132,8 @@ class _PolicyRun(_OutageRun):
 
     def _build_mode_views(self) -> Dict[str, ModeView]:
         """Mode economics against *this* run's battery (fault derates
-        included — the store was built from the derated spec)."""
+        included — the store was built from the derated spec); the
+        catalog keeps them per store (:meth:`ModeCatalog.views_for`)."""
         views: Dict[str, ModeView] = {}
         for mode in self.catalog:
             steady = mode.steady_phase

@@ -351,7 +351,7 @@ class PlanKernel:
             ).copy()
             if len(soc) == 1 and n > 1:
                 soc = np.full(n, soc[0])
-        if np.any((soc < 0.0) | (soc > 1.0)):
+        if not ((soc >= 0.0) & (soc <= 1.0)).all():
             raise SimulationError("state of charge must be in [0, 1]")
         if dg_starts is None:
             starts = np.ones(n, dtype=bool)

@@ -31,11 +31,13 @@ contiguous block of years per job:
 * **Same state threading.**  Cross-outage state of charge and recharge
   clamping follow :meth:`repro.sim.yearly.YearlyRunner._run_schedule`
   float for float; only the outage simulations themselves are
-  vectorized, in event-position-major order (all years' first outages
-  as one batch, then all second outages, ...), which preserves each
-  year's sequential threading while batching across years.  That loop,
-  :func:`run_years`, takes flat per-outage arrays and also runs fleet
-  site-years (:mod:`repro.fleet.sim`).
+  vectorized, in recharge-dependency waves.  An outage after a gap of
+  at least ``recharge_seconds`` (or a year's first) starts from a full
+  battery whatever came before, so all of them, across every year, are
+  one kernel call; each deeper link of a short-gap chain is one more
+  call, fed by the end charges of the call before.  That loop,
+  :func:`run_years`, takes flat per-outage arrays, states why the full
+  start is exact, and also runs fleet site-years (:mod:`repro.fleet.sim`).
 * **Same aggregates.**  The returned per-year dicts accumulate
   downtime/performance in event order with the scalar path's float
   adds, so each dict equals the scalar job's bit-for-bit — certified by
@@ -49,10 +51,12 @@ metrics are captured once per block, and with both off every hook is a
 single ``is None`` check.  A traced block records a ``year_block`` span
 holding a ``sample`` span (drawing every year's outages; its
 ``scalar_years`` counts the years redone on the scalar sampler) and
-then one ``kernel`` span per event-position batch; metrics get the
-scalar path's ``sim.outages``/``sim.crashes``/``sim.dg_start_failures``
-counters, plus each outage's end-of-outage charge as a ``battery.soc``
-observation when the datacenter has a UPS.
+then one ``kernel`` span per dependency wave (``depth``, ``lanes``);
+metrics get the scalar path's
+``sim.outages``/``sim.crashes``/``sim.dg_start_failures`` counters, plus
+each outage's end-of-outage charge as a ``battery.soc`` observation when
+the datacenter has a UPS, recorded in event-position-major order (every
+year's first outage, then every second outage, ...).
 """
 
 from __future__ import annotations
@@ -196,13 +200,41 @@ def run_years(
 
     The years arrive flat: ``starts``, ``durations`` and ``dg`` (one DG
     start roll per outage) hold every year's ordered outages back to
-    back, and ``counts[y]`` is year ``y``'s number of outages.  Outages
-    run in event-position-major batches (all years' first outages, then
-    all second outages, ...), with the cross-outage state of charge
-    threaded exactly as
-    :meth:`repro.sim.yearly.YearlyRunner._run_schedule` does: each lane
-    gets the same float operations in the same order, and the clamps
-    keep Python's ``min``/``max`` tie rules.
+    back, and ``counts[y]`` is year ``y``'s number of outages.  Each
+    outage starts at the level
+    :meth:`repro.sim.yearly.YearlyRunner._run_schedule` gives it,
+    ``min(1, max(0, soc + gap / recharge_seconds))``, where ``soc`` is
+    the previous outage's end-of-outage charge (1.0 before a year's
+    first outage) and ``gap`` the time since it ended; the clamps keep
+    Python's ``min``/``max`` tie rules.
+
+    Outages run in recharge-dependency waves, one kernel call each.  An
+    outage is at depth 0 when it is its year's first or its gap is at
+    least ``recharge_seconds``; otherwise it is one deeper than the
+    outage before it.  Depth 0 starts from ``soc = 1.0`` and depth
+    ``k`` from its predecessor's ``ups_state_of_charge_end`` in wave
+    ``k - 1``.  Depth 0 is exact: for ``gap >= recharge_seconds`` the
+    rounded ``gap / recharge_seconds`` is at least 1 (rounding is
+    monotone and 1 is a double), so any ``soc`` in ``[0, 1]`` gives
+    ``soc + gap / recharge_seconds >= 1`` and the level clamps to 1.0,
+    as it does from 1.0.  The kernel keeps the charge in ``[0, 1]``:
+    :meth:`~repro.vsim.kernel.PlanKernel.run` rejects a start outside
+    it, ``_BatchRun._ups_carry`` only lowers the charge, through
+    ``max(0, soc - sustained / full)``, and a plant with no UPS reports
+    zeros (``_BatchRun._outcomes``).  That floor does not stop a NaN
+    (``np.maximum`` passes one through, say from ``0 / 0`` at a zero
+    ``full``), so every wave's end charges are checked, and one outside
+    ``[0, 1]`` raises :class:`SimulationError` rather than being
+    silently refilled.
+
+    The per-outage results are then folded into the years in
+    event-position-major order (every year's first outage, then every
+    second outage, ...) and recorded to ``metrics`` in that same order,
+    so the per-year float sums and the ``battery.soc`` histogram's sum
+    are bit-identical to threading the outages position by position
+    (the oracle ``tests/sim/reference_yearly.py``).
+    A traced call records one ``kernel`` span per wave (``depth``,
+    ``lanes``); no outages, no kernel call.
 
     Returns the per-year aggregate dicts (the fields of
     :func:`repro.analysis.availability._simulate_year`, accumulated in
@@ -218,56 +250,78 @@ def run_years(
     total = int(counts.sum())
     if not (len(starts) == len(durations) == len(dg) == total):
         raise SimulationError("outage arrays must match the per-year counts")
-    ends = starts + durations
     offsets = np.cumsum(counts) - counts
+    first = offsets[counts > 0]
+    previous_end = np.empty(total)
+    previous_end[1:] = (starts + durations)[:-1]
+    previous_end[first] = float("-inf")
+    gap = starts - previous_end
+    if (gap < 0).any():
+        raise SimulationError(
+            "schedule events must be ordered and non-overlapping"
+        )
+    rise = gap / recharge_seconds
+    chained = ~(gap >= recharge_seconds)
+    chained[first] = False
+    index = np.arange(total)
+    depth = index - np.maximum.accumulate(np.where(chained, 0, index))
+
+    downtime_of = np.empty(total)
+    crashed_of = np.empty(total, dtype=bool)
+    performance = np.empty(total)
+    soc_end = np.empty(total)
+    waves = np.argsort(depth, kind="stable")
+    bounds = np.cumsum(np.bincount(depth)).tolist()
+    for k, (lo, hi) in enumerate(zip([0] + bounds, bounds)):
+        events = waves[lo:hi]
+        # min(1.0, max(0.0, x)) with Python's tie rules.
+        level = (1.0 if k == 0 else soc_end[events - 1]) + rise[events]
+        level = np.where(level > 0.0, level, 0.0)
+        level = np.where(level < 1.0, level, 1.0)
+        lengths = durations[events]
+        if tracer is None:
+            batch = kernel.run(
+                lengths, initial_state_of_charge=level, dg_starts=dg[events]
+            )
+        else:
+            with tracer.span("kernel", "vsim", depth=k, lanes=len(events)):
+                batch = kernel.run(
+                    lengths, initial_state_of_charge=level, dg_starts=dg[events]
+                )
+        end = batch.ups_state_of_charge_end
+        if not ((end >= 0.0) & (end <= 1.0)).all():
+            raise SimulationError(
+                "kernel left a state of charge outside [0, 1]"
+            )
+        downtime_of[events] = (
+            batch.downtime_during_outage_seconds
+            + batch.downtime_after_restore_seconds
+        )
+        crashed_of[events] = batch.crashed
+        performance[events] = batch.mean_performance
+        soc_end[events] = end
+
     count = len(counts)
     provisioned = kernel.dc.generator.is_provisioned
-    soc = np.ones(count)
-    previous_end = np.full(count, float("-inf"))
     downtime = np.zeros(count)
     crashes = np.zeros(count, dtype=np.int64)
     perf_sum = np.zeros(count)
     perf_weight = np.zeros(count)
     dg_failures = np.zeros(count, dtype=np.int64)
-    performance = np.empty(total)
-
     for j in range(int(counts.max(initial=0))):
         lanes = np.flatnonzero(counts > j)
         events = offsets[lanes] + j
-        gap = starts[events] - previous_end[lanes]
-        if (gap < 0).any():
-            raise SimulationError(
-                "schedule events must be ordered and non-overlapping"
-            )
-        # min(1.0, max(0.0, x)) with Python's tie rules.
-        level = soc[lanes] + gap / recharge_seconds
-        level = np.where(level > 0.0, level, 0.0)
-        level = np.where(level < 1.0, level, 1.0)
-        dg_starts = dg[events]
         if provisioned:
-            dg_failures[lanes] += ~dg_starts
-        lengths = durations[events]
-        if tracer is None:
-            batch = kernel.run(
-                lengths, initial_state_of_charge=level, dg_starts=dg_starts
-            )
-        else:
-            with tracer.span("kernel", "vsim", position=j, lanes=len(lanes)):
-                batch = kernel.run(
-                    lengths, initial_state_of_charge=level, dg_starts=dg_starts
-                )
+            dg_failures[lanes] += ~dg[events]
         if metrics is not None:
-            _record_batch(metrics, kernel, batch)
-        downtime[lanes] += (
-            batch.downtime_during_outage_seconds
-            + batch.downtime_after_restore_seconds
-        )
-        crashes[lanes] += batch.crashed
-        perf_sum[lanes] += batch.mean_performance * lengths
+            _record_outages(
+                metrics, kernel, crashed_of[events], soc_end[events]
+            )
+        lengths = durations[events]
+        downtime[lanes] += downtime_of[events]
+        crashes[lanes] += crashed_of[events]
+        perf_sum[lanes] += performance[events] * lengths
         perf_weight[lanes] += lengths
-        performance[events] = batch.mean_performance
-        soc[lanes] = batch.ups_state_of_charge_end
-        previous_end[lanes] = ends[events]
 
     failures = int(dg_failures.sum())
     if metrics is not None and failures:
@@ -295,13 +349,20 @@ def run_years(
 
 def _record_batch(metrics, kernel: PlanKernel, batch) -> None:
     """The scalar path's per-outage metrics, for one kernel batch."""
-    metrics.counter("sim.outages").inc(len(batch))
-    crashes = int(batch.crashed.sum())
+    _record_outages(
+        metrics, kernel, batch.crashed, batch.ups_state_of_charge_end
+    )
+
+
+def _record_outages(metrics, kernel: PlanKernel, crashed, soc_end) -> None:
+    """The scalar path's per-outage metrics, for outages in this order."""
+    metrics.counter("sim.outages").inc(len(crashed))
+    crashes = int(crashed.sum())
     if crashes:
         metrics.counter("sim.crashes").inc(crashes)
     if kernel.has_ups:
         soc = metrics.histogram("battery.soc")
-        for value in batch.ups_state_of_charge_end:
+        for value in soc_end:
             soc.observe(float(value))
 
 

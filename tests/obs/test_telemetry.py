@@ -102,6 +102,15 @@ class TestRollingStats:
         stats = RollingStats()
         assert stats.window("x") is stats.window("x")
 
+    @pytest.mark.parametrize("window_s", [0, -1.0])
+    def test_bad_window_rejected_at_construction(self, window_s):
+        with pytest.raises(ObsError, match="window_s must be positive"):
+            RollingStats(window_s=window_s)
+
+    def test_bad_max_samples_rejected_at_construction(self):
+        with pytest.raises(ObsError, match="max_samples"):
+            RollingStats(max_samples=0)
+
 
 class TestRequestTrace:
     def test_span_shape_matches_tracer_records(self):

@@ -237,3 +237,27 @@ class TestContext:
         assert context.dg_restores
         assert context.state_of_charge == pytest.approx(1.0)
         assert set(context.modes) == set(ModeCatalog.compile(dc).names())
+
+    def test_mode_views_are_shared_per_battery_and_read_only(self):
+        from repro.faults import FaultDraw
+
+        dc = _datacenter("LargeEUPS")
+        catalog = ModeCatalog.compile(dc)
+        policy = ModePolicy("full")
+        full = _PolicyRun(dc, policy, 600.0, catalog=catalog)
+        drained = _PolicyRun(
+            dc, policy, 900.0, initial_state_of_charge=0.3, catalog=catalog
+        )
+        # The views ignore the charge: one mapping for both runs.
+        assert drained._mode_views is full._mode_views
+        with pytest.raises(TypeError):
+            full._mode_views["full"] = None
+        # A faded battery is another store, with its own views, equal
+        # to a fresh build against it.
+        faded = FaultDraw(battery_capacity_factor=0.7)
+        a = _PolicyRun(dc, policy, 600.0, faults=faded, catalog=catalog)
+        b = _PolicyRun(dc, policy, 600.0, faults=faded, catalog=catalog)
+        assert a._mode_views is b._mode_views
+        assert a._mode_views is not full._mode_views
+        assert dict(a._mode_views) == a._build_mode_views()
+        assert dict(a._mode_views) != dict(full._mode_views)

@@ -108,6 +108,11 @@ class TestValidation:
         with pytest.raises(SimulationError):
             self.kernel.run([600.0], initial_state_of_charge=[1.5])
 
+    def test_rejects_nan_soc(self):
+        # As the scalar battery's `0 <= soc <= 1` check does.
+        with pytest.raises(SimulationError, match=r"must be in \[0, 1\]"):
+            self.kernel.run([600.0], initial_state_of_charge=[float("nan")])
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(SimulationError):
             self.kernel.run([600.0, 60.0, 30.0], dg_starts=[True, False])

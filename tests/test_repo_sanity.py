@@ -313,6 +313,9 @@ UNCALLED_KEPT = {
     "repro.units.watt_hours": "pinned: TestPowerEnergy::test_watt_hours",
     "repro.vsim.equivalence.compare_cell":
         "tests use it as the scalar-vs-batch oracle per cell",
+    "repro.vsim.yearly._record_batch":
+        "the position-major oracle (tests/sim/reference_yearly.py) records "
+        "its per-batch metrics through it",
     "repro.workloads.base.WorkloadSpec.crash_downtime_bounds_seconds":
         "Figure 9's SpecCPU crash-downtime range",
     "repro.workloads.latency.LatencySLOModel.quantile_latency_seconds":

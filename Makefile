@@ -22,7 +22,9 @@ test:
 # lane-parallel sampler (repro.outages.generator.sample_year_lanes,
 # repro.vsim.yearly.draw_dg_starts) must equal the scalar one on the
 # outages and DG rolls of the same 3 roots x 100k years
-# (tests/golden/test_lane_oracle.py).
+# (tests/golden/test_lane_oracle.py), and numpy's exponential ziggurat
+# tables, committed in repro.runner.ziggurat, must equal the ones
+# re-derived from the installed numpy (tests/golden/test_ziggurat_tables.py).
 golden:
 	$(PYTHON) -m pytest -q tests/golden
 

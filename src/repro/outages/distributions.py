@@ -107,11 +107,12 @@ class EmpiricalDistribution:
                 # The subtraction ``rng.uniform(lo, hi)`` does.
                 self._span.append(math.log(bucket.high_seconds) - math.log(low))
         self._tails = frozenset(i for i, s in enumerate(self._span) if s is None)
-        #: The CDF, ``log_low`` and ``span`` tables as arrays for
-        #: drawing many lanes at once (:mod:`repro.outages.generator`);
+        #: The CDF, ``low``, ``log_low`` and ``span`` tables as arrays
+        #: for drawing many lanes at once (:mod:`repro.outages.generator`);
         #: a tail bucket's span is NaN.
         self.lane_tables = (
             np.array(self._cdf),
+            np.array(self._low),
             np.array(self._log_low),
             np.array([math.nan if s is None else s for s in self._span]),
         )

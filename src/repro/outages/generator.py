@@ -8,9 +8,11 @@ reproducible.
 :func:`sample_year_arrays` is the one sampling rule: a year as plain
 ``(starts, durations)`` lists.  :func:`sample_year_lanes` makes the same
 draws for many years at once, from raw PCG64 words
-(:class:`~repro.runner.jobs.PCG64Lanes`), and redoes the uncommon years
-(a tail bucket, a crowded first placement) with
-:func:`sample_year_arrays`; the fault-free Monte-Carlo paths
+(:class:`~repro.runner.jobs.PCG64Lanes`; a tail bucket's exponential on
+numpy's ziggurat fast path, :mod:`repro.runner.ziggurat`), and redoes
+the rare rest (about 0.6% of years: a tail draw off the fast path, a
+crowded first placement) with :func:`sample_year_arrays`; the
+fault-free Monte-Carlo paths
 (:mod:`repro.vsim.yearly`, :mod:`repro.fleet.sim`) feed its flat arrays
 straight to the kernel.  :class:`OutageGenerator` wraps the scalar
 draws in :class:`OutageSchedule` objects for the scalar, fault and CLI
@@ -33,10 +35,16 @@ from repro.outages.distributions import (
 )
 from repro.outages.events import OutageEvent, OutageSchedule
 from repro.runner.jobs import PCG64Lanes, restate, word_doubles
+from repro.runner.ziggurat import word_exponentials
 from repro.units import SECONDS_PER_YEAR
 
 #: Placement attempts before the deterministic sequential fallback.
 _PLACEMENT_ATTEMPTS = 1000
+
+#: A lane whose durations sum to within this fraction of the horizon is
+#: redone on the scalar path (which raises at the horizon), so the lane
+#: sampler's sum need not round as Python's ``sum`` does.
+_SUM_SLACK = 1e-9
 
 
 def sample_year_arrays(
@@ -113,41 +121,59 @@ def sample_year_lanes(
     The common-case year is drawn for all lanes at once from their raw
     words: the count from words 0 and 1
     (:func:`~repro.outages.distributions.outage_counts_from_words`),
-    then ``count`` bucket doubles, ``count`` duration doubles and
-    ``count`` start doubles — the lookahead :func:`sample_outages`
-    takes — with each lane's starts sorted and checked disjoint.  A
-    lane that draws a tail bucket (its exponential is a ziggurat
-    draw), may hit a Lemire rejection, has a horizon that refuses the
-    lookahead, or fails its first placement is redone whole by
-    :func:`sample_year_arrays`, the definition; every lane is ``==``
-    it (``tests/golden/test_lane_oracle.py``).
+    then ``count`` bucket doubles, one word per duration and ``count``
+    start doubles — the lookahead :func:`sample_outages` takes — with
+    each lane's starts sorted and checked disjoint.  A bounded bucket's
+    duration word is a double; a tail bucket's is the one word numpy's
+    exponential ziggurat reads on its fast path
+    (:func:`~repro.runner.ziggurat.word_exponentials`), so a tail year
+    keeps this layout.  A lane is redone whole by
+    :func:`sample_year_arrays`, the definition, when a tail draw leaves
+    the fast path (it reads more words), its durations sum to within
+    ``_SUM_SLACK`` of the horizon (the scalar path raises at it), it
+    may hit a Lemire rejection, its horizon refuses the lookahead, or
+    it fails its first placement: about 0.6% of years on Figure 1.
+    Every lane is ``==`` the definition
+    (``tests/golden/test_lane_oracle.py``).
     """
     counts, first, scalar = outage_counts_from_words(lanes.words(2).reshape(-1, 2))
     scalar |= (counts > 0) & (counts * distribution.bounded_draw_bound >= horizon)
     live = np.where(scalar, 0, counts)
-    doubles = word_doubles(lanes.words(3 * live, first))
+    words = lanes.words(3 * live, first)
+    doubles = word_doubles(words)
     # Event ``e`` is outage ``rank`` of its lane; the lane's ``3 * live``
-    # doubles are its buckets, its durations and its starts, in order.
+    # words are its buckets, its durations and its starts, in order.
     lane_of = np.arange(len(live)).repeat(live)
     rank = np.arange(len(lane_of))
     offsets = (np.cumsum(live) - live)[lane_of]
     bucket_at = rank + 2 * offsets
     rank -= offsets
     size = live[lane_of]
-    cdf, log_low, span = distribution.lane_tables
+    draw_at = bucket_at + size
+    cdf, low, log_low, span = distribution.lane_tables
     buckets = cdf.searchsorted(doubles[bucket_at], side="right")
-    # A tail bucket's span is NaN, which sends its lane to the redo.
-    exponent = log_low[buckets] + span[buckets] * doubles[bucket_at + size]
+    exponent = log_low[buckets] + span[buckets] * doubles[draw_at]
     durations = np.fromiter(map(math.exp, exponent.tolist()), float, len(rank))
+    # A tail bucket (span NaN) draws ``low + rng.exponential(scale=low)``
+    # from its one word when the ziggurat takes its fast path.
+    tail = np.flatnonzero(np.isnan(exponent))
+    draws, fast = word_exponentials(words[draw_at[tail]])
+    tail_low = low[buckets[tail]]
+    durations[tail] = tail_low + tail_low * draws
     # Each lane's starts sorted; the durations keep their draw order.
     grid = np.full((len(live), int(live.max(initial=0))), np.inf)
-    grid[lane_of, rank] = horizon * doubles[bucket_at + 2 * size]
+    grid[lane_of, rank] = horizon * doubles[draw_at + size]
     grid.sort(axis=1)
     starts = grid[lane_of, rank]
     ends = starts + durations
-    bad = np.isnan(exponent) | ((rank == size - 1) & (ends > horizon))
+    bad = (rank == size - 1) & (ends > horizon)
     bad[1:] |= (starts[1:] < ends[:-1]) & (rank[1:] > 0)
+    bad[tail[~fast]] = True
     scalar[lane_of[bad]] = True
+    # The scalar path raises when a year's durations sum to the horizon;
+    # a lane near it is redone, however ``sum`` rounds.
+    totals = np.bincount(lane_of, durations, len(live))
+    scalar |= totals >= horizon * (1.0 - _SUM_SLACK)
 
     redo = np.flatnonzero(scalar)
     if not len(redo):

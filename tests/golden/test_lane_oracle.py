@@ -59,5 +59,6 @@ def test_lanes_equal_scalar(root):
                 restate(rng, roll).random(n) < RELIABILITY
             ).tolist(), f"year {i}: DG rolls differ"
         assert end == len(starts)
-    # About 14% of years draw a tail bucket and are redone whole.
-    assert 0.10 * YEARS < redone < 0.20 * YEARS
+    # About 0.6% of years are redone whole: a tail draw off the
+    # ziggurat's fast path, or a failed first placement.
+    assert 0.002 * YEARS < redone < 0.01 * YEARS

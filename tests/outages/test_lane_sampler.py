@@ -7,6 +7,8 @@ here shows one branch taken and the lane's output ``==`` the scalar
 output; ``tests/golden/test_lane_oracle.py`` holds the same at scale.
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,18 +16,28 @@ from hypothesis import strategies as st
 from numpy.random import PCG64, Generator
 
 from repro.outages import generator
-from repro.outages.distributions import outage_counts_from_words
+from repro.outages.distributions import (
+    OUTAGE_DURATION_DISTRIBUTION,
+    outage_counts_from_words,
+    sample_outage_count,
+)
 from repro.outages.generator import sample_year_arrays, sample_year_lanes
 from repro.runner.jobs import PCG64Lanes, child_streams, restate
+from repro.runner.ziggurat import KE
 from repro.units import SECONDS_PER_YEAR
 from repro.vsim.yearly import draw_dg_starts
+from tests.runner.pcg64_words import row_emitting
 
 ROOT = np.random.SeedSequence(0)
 #: Found by search over the years of SeedSequence(0): year 4 draws a
-#: tail bucket (its duration is an exponential), year 323 draws 12
-#: bounded outages whose first placement collides (the scalar path
-#: draws a second set of starts), and year 9 draws no outage.
-TAIL_YEAR, RETRY_YEAR, EMPTY_YEAR = 4, 323, 9
+#: tail bucket (its duration is an exponential) on the ziggurat's fast
+#: path, year 1820 draws one whose exponential takes numpy's slow path
+#: (it reads a second word), year 323 draws 12 bounded outages whose
+#: first placement collides (the scalar path draws a second set of
+#: starts), and year 9 draws no outage.
+TAIL_YEAR, SLOW_TAIL_YEAR, RETRY_YEAR, EMPTY_YEAR = 4, 1820, 323, 9
+#: Figure 1(b)'s > 240 minute bucket.
+TAIL_BUCKET = len(OUTAGE_DURATION_DISTRIBUTION.buckets) - 1
 
 
 class CallLog:
@@ -82,10 +94,59 @@ def scalar_calls(row):
     return log.calls
 
 
+def words_read(row):
+    """How many raw words the scalar sampler reads for ``row``'s year."""
+    rng = restate(Generator(PCG64(0)), row)
+    sample_year_arrays(rng)
+    # The LCG state only: the count's ``integers`` call leaves half a
+    # word buffered.
+    state = rng.bit_generator.state["state"]
+    probe, read = restate(Generator(PCG64(0)), row), 0
+    while probe.bit_generator.state["state"] != state:
+        probe.bit_generator.advance(1)
+        read += 1
+    return read
+
+
+def ziggurat_word(index, ri):
+    """The raw word numpy's exponential reads as ziggurat index
+    ``index`` and mantissa ``ri``: ``ri = w >> 11``, ``index = (w >> 3)
+    & 0xff``."""
+    return ((ri << 8) | index) << 3
+
+
+def tail_year(word, start_word=1 << 63):
+    """A one-row stream whose year is one tail-bucket outage drawn from
+    ``word`` (raw word 3), starting at ``start_word``'s double (word 4;
+    the default starts it mid-year).  Words 3 and 4 are pinned
+    (``tests/runner/pcg64_words.py``); the search tries the two states'
+    free high halves until words 0-2 draw a count of 1 and the tail
+    bucket, about 1 try in 100."""
+    search = random.Random(word)
+    while True:
+        highs = (search.getrandbits(64), search.getrandbits(64))
+        row = row_emitting(3, word, start_word, highs)
+        rng = restate(Generator(PCG64(0)), row)
+        if (
+            sample_outage_count(rng) == 1
+            and OUTAGE_DURATION_DISTRIBUTION.draw_buckets(rng) == TAIL_BUCKET
+        ):
+            return row[None]
+
+
 class TestFallbacks:
-    def test_tail_bucket_year_is_redone(self):
+    def test_fast_path_tail_year_is_drawn_lane_parallel(self):
         rows = streams([TAIL_YEAR])
         assert "exponential" in scalar_calls(rows[0])
+        assert assert_lanes_match(rows) == 0
+
+    def test_slow_path_tail_year_is_redone(self):
+        rows = streams([SLOW_TAIL_YEAR])
+        calls = scalar_calls(rows[0])
+        assert calls.count("exponential") == 1
+        # Two outages on the common layout read 2 + 3 * 2 words; the
+        # slow path reads one more.
+        assert words_read(rows[0]) == 2 + 3 * 2 + 1
         assert assert_lanes_match(rows) == 1
 
     def test_failed_first_placement_is_redone(self):
@@ -157,10 +218,61 @@ class TestFallbacks:
         assert assert_lanes_match(rows, horizon) >= refused
 
 
+class TestTailDraws:
+    """One tail outage drawn from a crafted ziggurat word.
+
+    A fast-path draw reads one word, so the year reads 5: the count's
+    two, the bucket, the exponential and the start.  Any other draw
+    reads more, and the lane must be redone on the scalar path."""
+
+    @pytest.mark.parametrize(
+        "index, ri",
+        [
+            pytest.param(0, 1, id="index0-first"),
+            pytest.param(0, 1 << 52, id="index0-mid"),
+            pytest.param(0, int(KE[0]) - 1, id="index0-last-fast"),
+            pytest.param(0, int(KE[0]), id="index0-at-ke"),
+            pytest.param(1, 0, id="index1-zero"),
+            pytest.param(1, 1, id="index1-first"),
+            pytest.param(1, (1 << 53) - 1, id="index1-last"),
+            pytest.param(7, int(KE[7]) - 1, id="index7-last-fast"),
+            pytest.param(7, int(KE[7]), id="index7-at-ke"),
+            pytest.param(255, int(KE[255]) - 1, id="index255-last-fast"),
+            pytest.param(255, int(KE[255]), id="index255-at-ke"),
+        ],
+    )
+    def test_tail_word(self, index, ri):
+        rows = tail_year(ziggurat_word(index, ri))
+        assert scalar_calls(rows[0]).count("exponential") == 1
+        fast = words_read(rows[0]) == 5
+        assert fast == (ri < KE[index])
+        assert assert_lanes_match(rows) == (0 if fast else 1)
+
+    def test_tail_past_the_horizon_raises_like_the_scalar_path(self):
+        # x = 7.7 on the fast path: a 125,000 s outage.
+        rows = tail_year(ziggurat_word(0, int(KE[0]) - 1))
+        with pytest.raises(ValueError, match="horizon"):
+            scalar_years(rows, horizon=100_000.0)
+        with pytest.raises(ValueError, match="horizon"):
+            sample_year_lanes(PCG64Lanes(rows), horizon=100_000.0)
+
+    def test_tail_filling_the_horizon_raises_like_the_scalar_path(self):
+        # Started at 0 it ends on the horizon, so it is placed, but its
+        # duration sums to the horizon, where the scalar path raises.
+        rows = tail_year(ziggurat_word(0, 1 << 52), start_word=0)
+        [(_, [duration])] = scalar_years(rows)
+        assert assert_lanes_match(rows, horizon=duration + 1.0) == 0
+        with pytest.raises(ValueError, match="horizon"):
+            scalar_years(rows, horizon=duration)
+        with pytest.raises(ValueError, match="horizon"):
+            sample_year_lanes(PCG64Lanes(rows), horizon=duration)
+
+
 class TestLaneSampler:
     def test_block_of_years(self):
         redone = assert_lanes_match(streams(range(400)))
-        assert 0 < redone < 120
+        # Slow-path tail draws and failed first placements only.
+        assert redone < 0.02 * 400
 
     def test_no_lanes(self):
         starts, durations, counts, redone = sample_year_lanes(

@@ -15,16 +15,19 @@ Two divergences between the pair are *intentional* and excluded here:
   committed + save tail overdraws the pack); the closed form reports
   the hold the simulator should *attempt* — infeasibility surfaces as
   a crash later in the run, not as a zero hold.
-* When the closed form answers the full window it is claiming a
-  ride-out (the save stage never executes), so the oracle's replay of
-  the committed phases does not apply; the claim is verified by
-  replaying the hold power over the whole window instead — the same
-  guard ``repro selfcheck`` applies.
+* When the pack can hold for the whole window (``rate_hold * window
+  <= soc``) the closed form claims a ride-out (the save stage never
+  executes), so the oracle's replay of the committed phases does not
+  apply; the claim is verified by replaying the hold power over the
+  whole window instead — the same guard ``repro selfcheck`` applies.
+  Hold and save rates within ``_EPS`` also answer the whole hold
+  budget, which is no ride-out claim: with nothing committed it equals
+  the window, and the oracle still judges it.
 """
 
 import math
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.power.battery import BatterySpec
@@ -66,6 +69,17 @@ class TestClosedFormVsOracle:
         resolution=st.sampled_from([0.5, 1.0, 5.0]),
     )
     @settings(max_examples=120, deadline=None)
+    # Rates within ``_EPS``, nothing committed: the closed form answers
+    # the whole window, but the pack lasts 2882.09 s at hold power.
+    @example(
+        spec=BatterySpec(rated_power_watts=RATED_POWER, rated_runtime_seconds=60.0),
+        hold_frac=0.05000000000000001,
+        save_frac=0.05,
+        committed_frac=0.05,
+        committed_time=0.0,
+        window=2883.0,
+        resolution=1.0,
+    )
     def test_agreement_on_the_generated_space(
         self,
         spec,
@@ -100,11 +114,17 @@ class TestClosedFormVsOracle:
         )
         assume(abs(spent - 1.0) > 1e-6)
 
-        if closed >= window - 1e-9:
+        if rate_hold * window <= 1.0:
             # Ride-out claim: the pack survives the whole window at hold
             # power and the committed/save stages never run.
+            assert closed == window
             assert replay_phases(spec, [(hold_power, window)])
             return
+        if rate_hold <= rate_save + _EPS:
+            # Holding costs what saving does, so the closed form never
+            # transitions: it answers the whole hold budget, which the
+            # oracle below must agree with (or find the plan infeasible).
+            assert closed == max_hold
         numeric = numeric_adaptive_hold(
             spec,
             hold_power,

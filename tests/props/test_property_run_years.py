@@ -1,11 +1,12 @@
 """The array year threading equals the events-based one it replaced.
 
-:func:`repro.vsim.yearly.run_years` batches each event position's lanes
-with numpy indexing; ``tests/sim/reference_yearly.py`` threads the same
-years one lane at a time in Python floats.  For any ordered years —
-touching outages, empty years, failed DG starts, recharge windows short
-enough to clamp — both return ``==`` per-year dicts, the same
-per-outage performance and the same metrics.
+:func:`repro.vsim.yearly.run_years` runs a block's outages in
+recharge-dependency waves, one kernel call each, and folds and records
+the results in event-position order; ``tests/sim/reference_yearly.py``
+threads the same years one lane at a time in Python floats.  For any
+ordered years — touching outages, empty years, failed DG starts,
+recharge windows short enough to clamp — both return ``==`` per-year
+dicts, the same per-outage performance and the same metrics.
 """
 
 import functools

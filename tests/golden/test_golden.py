@@ -23,6 +23,11 @@ Each payload corpus file lists canonical requests, the request
   ``static:``/``greedy:``/``lyapunov:``/``hindsight`` specs, and
   configuration subsets.
 
+Every payload case also pins ``jobs_sha256``: the SHA-256 of its runner
+jobs' fingerprints, in order, one per line.  The fingerprints key the
+on-disk result cache, so a change that moves one orphans every cached
+cell; ``regenerate()`` never rewrites this digest either.
+
 ``cli.json`` pins the CLI's table output: the SHA-256 of each
 command's stdout with the ``[runner] ...`` line (elapsed time) dropped.
 
@@ -42,7 +47,7 @@ import os
 
 import pytest
 
-from repro.serve.analyses import evaluate_request
+from repro.serve.analyses import build, evaluate_request
 from repro.serve.protocol import canonical_json, parse_request
 
 HERE = os.path.dirname(__file__)
@@ -71,6 +76,12 @@ def payload_digest(body):
     return _sha256(canonical_json(evaluate_request(parse_request(body))))
 
 
+def jobs_digest(body):
+    """SHA-256 of one request's job fingerprints, in order, one a line."""
+    jobs, _ = build(parse_request(body))
+    return _sha256("\n".join(job.fingerprint for job in jobs))
+
+
 def cli_digest(argv):
     """SHA-256 of one CLI command's stdout, ``[runner]`` lines dropped."""
     from repro.cli import main
@@ -85,6 +96,14 @@ def cli_digest(argv):
 
 def _cases(corpus):
     return [pytest.param(case, id=case["name"]) for case in _load(corpus)]
+
+
+def _payload_cases():
+    return [
+        pytest.param(case, id=f"{corpus[:-5]}:{case['name']}")
+        for corpus in CORPORA
+        for case in _load(corpus)
+    ]
 
 
 @pytest.mark.parametrize("case", _cases("availability.json"))
@@ -124,16 +143,14 @@ def test_policy_frontier_payload_matches_golden_digest(case):
     assert payload_digest(case["request"]) == case["sha256"]
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        pytest.param(case, id=f"{corpus[:-5]}:{case['name']}")
-        for corpus in CORPORA
-        for case in _load(corpus)
-    ],
-)
+@pytest.mark.parametrize("case", _payload_cases())
 def test_request_fingerprint_matches_golden(case):
     assert parse_request(case["request"]).fingerprint == case["fingerprint"]
+
+
+@pytest.mark.parametrize("case", _payload_cases())
+def test_job_fingerprints_match_pinned_digest(case):
+    assert jobs_digest(case["request"]) == case["jobs_sha256"]
 
 
 @pytest.mark.parametrize("case", _cases(CLI_CORPUS))

@@ -30,6 +30,7 @@ from typing import Dict, List, Tuple
 
 from repro.core.costs import BackupCostModel
 from repro.errors import ConfigurationError
+from repro.memo import BoundedMemo
 from repro.power.generator import DieselGeneratorSpec
 from repro.power.ups import UPSSpec
 from repro.units import minutes
@@ -85,17 +86,30 @@ class BackupConfiguration:
         return self.ups_spec(peak_power_watts), self.generator_spec(peak_power_watts)
 
     def normalized_cost(self, model: "BackupCostModel | None" = None) -> float:
-        """Cost relative to MaxPerf (peak-independent; Table 3 column)."""
+        """Cost relative to MaxPerf (peak-independent; Table 3 column).
+
+        Memoized process-wide: a cost model prices with its class's
+        equations and its frozen parameters, so the key is the frozen
+        configuration, that class and those parameters.
+        """
         if model is None:
             model = BackupCostModel()
-        reference_peak = 1000.0  # 1 KW; the ratio is scale-free
-        ups, dg = self.materialize(reference_peak)
-        return model.normalized_cost(ups, dg, reference_peak)
+        key = (self, type(model), model.parameters)
+        cost = _COSTS.get(key)
+        if cost is None:
+            reference_peak = 1000.0  # 1 KW; the ratio is scale-free
+            ups, dg = self.materialize(reference_peak)
+            cost = _COSTS.put(key, model.normalized_cost(ups, dg, reference_peak))
+        return cost
 
     # -- derivation helpers ------------------------------------------------------
 
     def with_runtime(self, ups_runtime_seconds: float) -> "BackupConfiguration":
         return replace(self, ups_runtime_seconds=ups_runtime_seconds)
+
+
+#: (configuration, cost model class, cost parameters) -> normalised cost.
+_COSTS = BoundedMemo(1024)
 
 
 def _table3() -> Dict[str, BackupConfiguration]:

@@ -158,7 +158,30 @@ def evaluate_point(
     backup failures into the outage (what-if studies: "this point, but the
     engine dies after 20 minutes").
     """
-    datacenter = make_datacenter(workload, configuration, num_servers, server)
+    return evaluate_on(
+        make_datacenter(workload, configuration, num_servers, server),
+        configuration,
+        technique,
+        outage_seconds,
+        cost_model=cost_model,
+        lost_work_seconds=lost_work_seconds,
+        faults=faults,
+    )
+
+
+def evaluate_on(
+    datacenter: Datacenter,
+    configuration: BackupConfiguration,
+    technique: OutageTechnique,
+    outage_seconds: float,
+    cost_model: Optional[BackupCostModel] = None,
+    lost_work_seconds: Optional[float] = None,
+    faults: Optional["FaultDraw"] = None,
+) -> PerformabilityPoint:
+    """:func:`evaluate_point` on ``configuration``'s datacenter, already
+    built (the searches build one per configuration and try many
+    techniques or runtimes on it)."""
+    workload = datacenter.workload
     cost = configuration.normalized_cost(cost_model)
     try:
         plan = technique.compile_plan(plan_context(datacenter))

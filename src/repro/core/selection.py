@@ -24,7 +24,7 @@ from repro.core.costs import BackupCostModel
 from repro.core.performability import (
     DEFAULT_NUM_SERVERS,
     PerformabilityPoint,
-    evaluate_point,
+    evaluate_on,
     make_datacenter,
     plan_context,
 )
@@ -68,15 +68,9 @@ def best_technique(
 ) -> PerformabilityPoint:
     """The winning technique's point for a configuration (Figure 5 rule)."""
     names = list(candidates) if candidates is not None else list(DEFAULT_CANDIDATES)
+    datacenter = make_datacenter(workload, configuration, num_servers, server)
     points = [
-        evaluate_point(
-            configuration,
-            get_technique(name),
-            workload,
-            outage_seconds,
-            num_servers=num_servers,
-            server=server,
-        )
+        evaluate_on(datacenter, configuration, get_technique(name), outage_seconds)
         for name in names
     ]
     feasible = [p for p in points if p.feasible]
@@ -129,6 +123,7 @@ def lowest_cost_backup(
     metrics = current_metrics()
     # _minimal_runtime never returns less (see _search_runtime).
     shortest = max(0.0, min(DEFAULT_FREE_RUNTIME_SECONDS, max_runtime_seconds))
+    base = _search_base(workload, num_servers, server)
 
     best: Optional[SizedBackup] = None
     for fraction in power_fractions:
@@ -139,14 +134,7 @@ def lowest_cost_backup(
                     metrics.counter("selection.fractions_pruned").inc()
                 continue
         runtime = _minimal_runtime(
-            technique,
-            workload,
-            outage_seconds,
-            fraction,
-            num_servers,
-            server,
-            max_runtime_seconds,
-            metrics,
+            technique, base, outage_seconds, fraction, max_runtime_seconds, metrics
         )
         if runtime is None:
             continue
@@ -156,14 +144,8 @@ def lowest_cost_backup(
         cost = config.normalized_cost(model)
         if best is not None and not cost < best.normalized_cost:
             continue
-        point = evaluate_point(
-            config,
-            technique,
-            workload,
-            outage_seconds,
-            num_servers=num_servers,
-            server=server,
-            cost_model=model,
+        point = evaluate_on(
+            _refit(base, config), config, technique, outage_seconds, cost_model=model
         )
         if not point.feasible or point.crashed:
             continue
@@ -187,6 +169,31 @@ def _ups_only(
     )
 
 
+def _search_base(
+    workload: WorkloadSpec, num_servers: int, server: ServerSpec
+) -> Datacenter:
+    """The datacenter a search refits for every probe: each probe has
+    this cluster and workload, and only its UPS differs."""
+    return make_datacenter(
+        workload,
+        _ups_only("base", 1.0, DEFAULT_FREE_RUNTIME_SECONDS),
+        num_servers,
+        server,
+    )
+
+
+def _refit(base: Datacenter, config: BackupConfiguration) -> Datacenter:
+    """What :func:`make_datacenter` builds for the DG-less ``config`` on
+    ``base``'s workload and cluster: ``base`` with ``config``'s UPS."""
+    return Datacenter(
+        cluster=base.cluster,
+        workload=base.workload,
+        ups=config.ups_spec(base.peak_power_watts),
+        generator=base.generator,
+        psu=base.psu,
+    )
+
+
 def _compile_fraction(
     technique: OutageTechnique,
     workload: WorkloadSpec,
@@ -194,15 +201,18 @@ def _compile_fraction(
     num_servers: int,
     server: ServerSpec,
     runtime_seconds: float,
+    base: Optional[Datacenter] = None,
 ) -> Tuple[Datacenter, Optional[OutagePlan]]:
     """The datacenter at one battery runtime, and the technique's plan
     for it (None when the plan overdraws the UPS rating).
 
     The plan depends on the UPS *power* rating only, so it is the plan
-    for every runtime at this fraction.
+    for every runtime at this fraction.  A search passes its
+    :func:`_search_base` as ``base``; without one it is built here.
     """
-    config = _ups_only("probe", power_fraction, runtime_seconds)
-    datacenter = make_datacenter(workload, config, num_servers, server)
+    if base is None:
+        base = _search_base(workload, num_servers, server)
+    datacenter = _refit(base, _ups_only("probe", power_fraction, runtime_seconds))
     try:
         return datacenter, technique.compile_plan(plan_context(datacenter))
     except TechniqueError:
@@ -232,11 +242,9 @@ def _drain_threshold(
 
 def _minimal_runtime(
     technique: OutageTechnique,
-    workload: WorkloadSpec,
+    base: Datacenter,
     outage_seconds: float,
     power_fraction: float,
-    num_servers: int,
-    server: ServerSpec,
     max_runtime_seconds: float,
     metrics: Optional[MetricsRegistry] = None,
 ) -> Optional[float]:
@@ -254,7 +262,13 @@ def _minimal_runtime(
     """
     widest = max(max_runtime_seconds, DEFAULT_FREE_RUNTIME_SECONDS)
     reference, plan = _compile_fraction(
-        technique, workload, power_fraction, num_servers, server, widest
+        technique,
+        base.workload,
+        power_fraction,
+        base.cluster.num_servers,
+        base.cluster.spec,
+        widest,
+        base=base,
     )
     if plan is None:
         return None
@@ -262,11 +276,8 @@ def _minimal_runtime(
     def simulated(runtime_seconds: float) -> bool:
         if metrics is not None:
             metrics.counter("selection.probes_simulated").inc()
-        datacenter = make_datacenter(
-            workload,
-            _ups_only("probe", power_fraction, runtime_seconds),
-            num_servers,
-            server,
+        datacenter = _refit(
+            base, _ups_only("probe", power_fraction, runtime_seconds)
         )
         return not simulate_outage(datacenter, plan, outage_seconds).crashed
 

@@ -43,6 +43,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.errors import RunnerError
+from repro.memo import BoundedMemo
 
 #: The one job-callable signature the executors understand.
 JobFn = Callable[[Mapping[str, Any], Optional[np.random.SeedSequence]], Any]
@@ -58,6 +59,11 @@ def canonical_encode(obj: Any) -> Any:
     — rejected when it contains a memory address (`` at 0x``), because an
     address-bearing key would silently change every process and defeat
     both caching and fingerprint comparison.
+
+    A frozen dataclass's encoding is memoized by object identity
+    (:data:`_ENCODINGS`), so the jobs of a sweep, which share one
+    ``WorkloadSpec`` and one ``ServerSpec``, encode each of them once.
+    The encoding is shared between calls: treat it as read-only.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -77,11 +83,19 @@ def canonical_encode(obj: Any) -> Any:
     if isinstance(obj, np.ndarray):
         return {"__ndarray__": [canonical_encode(x) for x in obj.tolist()]}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        frozen = type(obj).__dataclass_params__.frozen
+        if frozen:
+            found = _ENCODINGS.get(id(obj))
+            if found is not None:
+                return found[1]
         fields = {
             f.name: canonical_encode(getattr(obj, f.name))
             for f in dataclasses.fields(obj)
         }
-        return {"__dataclass__": type(obj).__qualname__, "fields": fields}
+        encoded = {"__dataclass__": type(obj).__qualname__, "fields": fields}
+        if frozen:
+            return _ENCODINGS.put(id(obj), (obj, encoded))[1]
+        return encoded
     if isinstance(obj, Mapping):
         return {
             "__mapping__": [
@@ -109,6 +123,13 @@ def canonical_encode(obj: Any) -> Any:
             "dataclass, or pass primitive spec fields instead"
         )
     return {"__repr__": rendered}
+
+
+#: id(frozen dataclass) -> (the object, its encoding).  Keyed by identity,
+#: not value: equal specs can encode differently (``0.0`` and ``-0.0``,
+#: ``1`` and ``1.0``).  The entry pins the object, so its id cannot be
+#: reused while the entry stands.
+_ENCODINGS = BoundedMemo(256)
 
 
 def _seed_material(seed: Optional[np.random.SeedSequence]) -> Any:

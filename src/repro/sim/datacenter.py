@@ -55,9 +55,12 @@ class Datacenter:
         psu: "PowerSupplySpec | None" = None,
     ) -> "Datacenter":
         """Build a datacenter, aligning cluster utilisation to the workload."""
-        aligned = replace(cluster, utilization=workload.utilization)
+        if cluster.utilization is not workload.utilization:
+            # Equal values can still differ (1 vs 1.0, 0.0 vs -0.0): only
+            # the workload's own value object makes the copy a no-op.
+            cluster = replace(cluster, utilization=workload.utilization)
         return cls(
-            cluster=aligned,
+            cluster=cluster,
             workload=workload,
             ups=ups,
             generator=generator,

@@ -25,15 +25,21 @@ Phase semantics:
 * ``resume_downtime_seconds`` — down time to return to full service when
   power returns while sitting in this phase (S3 exit, hibernation image
   restore, zero for throttling).
+
+:meth:`OutageTechnique.compile_plan` memoizes plans process-wide (see
+:data:`_PLANS`): a plan is a pure function of the technique's
+constructor parameters and the frozen :class:`TechniqueContext`.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import TechniqueError
+from repro.memo import BoundedMemo
 from repro.obs import current_tracer
 from repro.servers.cluster import Cluster
 from repro.servers.server import ServerSpec
@@ -105,7 +111,8 @@ class OutagePlan:
 
     Attributes:
         technique_name: Name of the compiling technique.
-        phases: The segments, executed in order from outage start.
+        phases: The segments, executed in order from outage start; stored
+            as a tuple, because compiled plans are shared.
         peak_power_watts: Largest phase draw — the power capacity the
             backup must be rated for (what the cost model prices).
     """
@@ -114,6 +121,7 @@ class OutagePlan:
     phases: Sequence[PlanPhase]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "phases", tuple(self.phases))
         if not self.phases:
             raise TechniqueError("plan needs at least one phase")
         *body, tail = self.phases
@@ -214,25 +222,82 @@ class OutageTechnique:
         raise NotImplementedError
 
     def compile_plan(self, context: TechniqueContext) -> OutagePlan:
-        """:meth:`plan`, wrapped in a ``technique.plan`` span when tracing.
+        """:meth:`plan`, memoized process-wide, in a ``technique.plan``
+        span when tracing.
 
-        The analysis layers call this entry point so a trace attributes
-        plan-compilation time (and infeasibility) to the technique; with
-        no ambient tracer it is exactly :meth:`plan`.
+        The analysis layers call this entry point.  An equal technique
+        (same class and constructor parameters) on an equal context gets
+        the one stored plan; an infeasible compile raises a new
+        :class:`TechniqueError` with the stored message.  Traced, every
+        call records its span, with ``hit`` telling whether the memo
+        answered it.
         """
         tracer = current_tracer()
         if tracer is None:
-            return self.plan(context)
+            return _unwrap(_compiled(self, context)[0])
         with tracer.span(
             "technique.plan", "technique", technique=self.name
         ) as span:
-            plan = self.plan(context)
+            entry, hit = _compiled(self, context)
+            span.set("hit", hit)
+            plan = _unwrap(entry)
             span.set("phases", len(plan.phases))
             span.set("peak_power_watts", plan.peak_power_watts)
             return plan
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+#: (technique identity, context) -> the plan, or an infeasible compile's
+#: error message.  Only the message is kept: a caught exception's
+#: traceback would pin the frames of the job that raised it.
+_PLANS = BoundedMemo(2048)
+
+#: technique -> its memo identity, computed once per instance.  Weak, so
+#: the identity never outlives the technique and adds no attribute to it.
+_IDENTITIES: "weakref.WeakKeyDictionary[OutageTechnique, Hashable]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _identity(technique: OutageTechnique) -> Hashable:
+    """The class plus every instance attribute, parts of a hybrid by
+    their own identity: everything a constructor parameter can set."""
+    found = _IDENTITIES.get(technique)
+    if found is None:
+        found = (
+            type(technique),
+            tuple(
+                (name, _identity(value))
+                if isinstance(value, OutageTechnique)
+                else (name, type(value), value)
+                for name, value in sorted(vars(technique).items())
+            ),
+        )
+        _IDENTITIES[technique] = found
+    return found
+
+
+def _compiled(
+    technique: OutageTechnique, context: TechniqueContext
+) -> Tuple[Union[OutagePlan, str], bool]:
+    """The memo's entry for (technique, context), and whether it was a hit."""
+    key = (_identity(technique), context)
+    entry = _PLANS.get(key)
+    if entry is not None:
+        return entry, True
+    try:
+        entry = technique.plan(context)
+    except TechniqueError as exc:
+        entry = str(exc)
+    return _PLANS.put(key, entry), False
+
+
+def _unwrap(entry: Union[OutagePlan, str]) -> OutagePlan:
+    if isinstance(entry, str):
+        raise TechniqueError(entry)
+    return entry
 
 
 def check_budget(phases: List[PlanPhase], budget_watts: float, technique: str) -> None:

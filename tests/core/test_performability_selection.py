@@ -266,3 +266,19 @@ class TestSizingFastPath:
             if cap is not None:
                 assert sized.configuration.ups_runtime_seconds <= cap
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("servers", [4, 16])
+    @pytest.mark.parametrize(
+        "fraction, runtime", [(0.05, 120.0), (0.5, 1800.0), (1.0, 9000.0)]
+    )
+    def test_probe_datacenters_equal_what_make_datacenter_builds(
+        self, servers, fraction, runtime
+    ):
+        from repro.core.selection import _refit, _search_base, _ups_only
+        from repro.servers.server import PAPER_SERVER
+
+        config = _ups_only("probe", fraction, runtime)
+        base = _search_base(memcached(), servers, PAPER_SERVER)
+        assert _refit(base, config) == make_datacenter(
+            memcached(), config, servers, PAPER_SERVER
+        )

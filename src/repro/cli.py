@@ -969,7 +969,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-wait-s",
         type=float,
         default=0.005,
-        help="micro-batch accumulation window after the first arrival",
+        help="micro-batch accumulation window after the first arrival "
+        "(--workers >= 1 only; in-process dispatch never lingers)",
     )
     p_serve.add_argument(
         "--cache-max-bytes",
@@ -1016,7 +1017,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-brownout",
         action="store_true",
         help="disable the graded-degradation controller (never refuse "
-        "for pressure, always linger the full batch window)",
+        "for pressure; with --workers >= 1, always linger the full "
+        "batch window)",
     )
     p_serve.set_defaults(func=_cmd_serve)
 

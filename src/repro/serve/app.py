@@ -104,6 +104,9 @@ class ServeConfig:
             directory, which is what makes served responses provably
             identical to CLI ones.
         queue_bound / max_batch / batch_wait_s: Batcher knobs.
+            ``batch_wait_s`` is the micro-batch linger and applies
+            only with ``workers >= 1``; in-process dispatch cuts a
+            batch as soon as the dispatcher is free.
         cache_max_bytes / cache_max_age_s: When set, the cache is
             pruned to these bounds every :data:`CACHE_GC_PERIOD_S` on
             the ticker thread — the GC keeping a long-lived server's
@@ -128,7 +131,8 @@ class ServeConfig:
             backoff for crashed workers.
         brownout: Run the graded-degradation controller (see
             :mod:`repro.serve.resilience`).  ``False`` never refuses
-            for pressure and always lingers the full batch window.
+            for pressure and, with a pool, always lingers the full
+            batch window.
         brownout_policy: Threshold overrides; ``None`` keeps defaults.
         brownout_interval_s: Controller sampling period (also bounds
             how fast tiers can escalate — one tier per sample).

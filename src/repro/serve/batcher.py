@@ -8,13 +8,16 @@ with, and the same two amortisations apply:
   analysis, same normalised params) are one evaluation: later arrivals
   attach to the in-flight entry's future and the runner sees exactly one
   job set.  ``serve.coalesced`` counts the requests that rode along.
-* **Micro-batching.**  The dispatcher drains whatever accumulated during
-  a short window (``max_wait_s`` after the first arrival, up to
+* **Micro-batching.**  The dispatcher cuts whatever is queued (up to
   ``max_batch`` requests), concatenates their job lists, and makes **one**
-  executor submission — amortising pool dispatch the way inference
-  servers amortise kernel launches.  Each request's jobs keep their own
-  seeds and fingerprints, so batched results are bit-identical to
-  dedicated runs (and hit the same cache entries).
+  executor submission.  In-process it cuts as soon as it is free: the
+  requests that arrived while the previous batch ran are the next batch.
+  With a worker pool it first lingers a short window (``max_wait_s``
+  after the first arrival) so each shard's items go out in one IPC
+  submission — amortising pool dispatch the way inference servers
+  amortise kernel launches.  Each request's jobs keep their own seeds
+  and fingerprints, so batched results are bit-identical to dedicated
+  runs (and hit the same cache entries).
 
 One function evaluates a batch wherever it runs:
 :func:`repro.serve.analyses.evaluate_batch`, called here in-process or
@@ -82,7 +85,8 @@ class Batcher:
             slots — they attach to the entry already holding one.
         max_batch: Most requests dispatched in one executor submission.
         max_wait_s: How long the dispatcher lingers after the first
-            arrival to let a batch accumulate.  Zero dispatches eagerly.
+            arrival to let a batch accumulate, in pool mode.  Zero
+            dispatches eagerly.  Without a pool it never lingers.
         metrics: Optional :class:`~repro.obs.MetricsRegistry` receiving
             the ``serve.*`` queue instrumentation.
         telemetry: Optional :class:`~repro.obs.Telemetry` bundle; when
@@ -97,10 +101,11 @@ class Batcher:
             to the pool, and entry futures resolve from the pool's
             completion callbacks (:meth:`pool_done`).  ``None`` keeps
             the in-process execute path.
-        linger_policy: Optional override for the micro-batch linger
-            window, consulted at every collect — the brownout
+        linger_policy: Optional override for the pool-mode micro-batch
+            linger window, consulted at every collect — the brownout
             controller's hook for shrinking the window under pressure.
-            ``None`` always lingers ``max_wait_s``.
+            ``None`` always lingers ``max_wait_s``.  Unused without a
+            pool.
     """
 
     def __init__(
@@ -264,8 +269,25 @@ class Batcher:
             if batch:
                 self._dispatch(batch)
 
+    def _linger_s(self) -> float:
+        """How long to wait for riders after the first arrival.
+
+        Only pool mode lingers.  There :meth:`_dispatch_pool` returns at
+        once and the window is what groups a shard's items into one IPC
+        submission.  In-process the dispatcher *is* the executor: a
+        batch of two costs what two batches of one cost on the
+        :class:`~repro.runner.SerialExecutor`, so waiting would only
+        idle it.  Requests that arrive while a batch runs still queue
+        up and become the next cut.
+        """
+        if self._pool is None:
+            return 0.0
+        if self._linger_policy is not None:
+            return self._linger_policy()
+        return self.max_wait_s
+
     def _collect(self) -> Optional[List[_Entry]]:
-        """Block for work, linger ``max_wait_s`` for riders, cut a batch.
+        """Block for work, linger (pool mode) for riders, cut a batch.
 
         Returns None when closed and fully drained (thread exit)."""
         with self._cond:
@@ -273,12 +295,7 @@ class Batcher:
                 if self._closed:
                     return None
                 self._cond.wait(timeout=0.1)
-            linger = (
-                self._linger_policy()
-                if self._linger_policy is not None
-                else self.max_wait_s
-            )
-            window_ends = time.monotonic() + max(0.0, linger)
+            window_ends = time.monotonic() + max(0.0, self._linger_s())
             while (
                 len(self._queue) < self.max_batch
                 and not self._closed

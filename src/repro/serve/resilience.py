@@ -246,7 +246,8 @@ class BrownoutController:
         return None
 
     def linger_s(self, normal_linger_s: float) -> float:
-        """The batcher's micro-batch linger under the current tier.
+        """The batcher's pool-mode micro-batch linger under the current
+        tier (in-process dispatch never lingers).
 
         TRIM and above dispatch eagerly — under pressure, waiting for
         riders only adds latency to a queue that is already deep.

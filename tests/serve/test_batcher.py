@@ -97,6 +97,61 @@ class TestBatching:
             small.close(drain=False, timeout=5)
 
 
+class _StubPool:
+    """Records each submission; resolves nothing."""
+
+    def __init__(self):
+        self.submissions = []
+
+    def shard_of(self, fingerprint):
+        return 0
+
+    def submit(self, items):
+        self.submissions.append(list(items))
+
+
+def _wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.005)
+
+
+class TestLinger:
+    def test_in_process_dispatch_does_not_linger(self):
+        eager = Batcher(max_wait_s=30.0).start()
+        try:
+            future = eager.submit(echo_request("alone"))
+            assert future.result(timeout=5)["result"] == {"echo": "alone"}
+        finally:
+            eager.close(drain=False, timeout=5)
+
+    def test_arrivals_during_a_running_batch_form_the_next_batch(self):
+        eager = Batcher(max_wait_s=30.0).start()
+        try:
+            slow = eager.submit(echo_request("slow", sleep_s=0.3))
+            _wait_for(lambda: eager.batches == 1)
+            riders = [eager.submit(echo_request(i)) for i in range(3)]
+            outcomes = [f.result(timeout=5) for f in riders]
+            assert slow.result(timeout=5)["meta"]["batch_size"] == 1
+            assert all(o["meta"]["batch_size"] == 3 for o in outcomes)
+            assert eager.batches == 2
+        finally:
+            eager.close(drain=False, timeout=5)
+
+    def test_pool_mode_lingers_for_riders(self):
+        pool = _StubPool()
+        lingering = Batcher(max_wait_s=0.5, pool=pool).start()
+        try:
+            lingering.submit(echo_request("first"))
+            time.sleep(0.02)
+            lingering.submit(echo_request("second"))
+            _wait_for(lambda: pool.submissions)
+            assert [len(items) for items in pool.submissions] == [2]
+        finally:
+            lingering.close(drain=False, timeout=5)
+
+
 class TestBackpressure:
     def test_overflow_sheds_with_queue_full(self):
         tight = Batcher(queue_bound=2, max_batch=2, max_wait_s=0.0)

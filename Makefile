@@ -24,7 +24,10 @@ test:
 # outages and DG rolls of the same 3 roots x 100k years
 # (tests/golden/test_lane_oracle.py), and numpy's exponential ziggurat
 # tables, committed in repro.runner.ziggurat, must equal the ones
-# re-derived from the installed numpy (tests/golden/test_ziggurat_tables.py).
+# re-derived from the installed numpy (tests/golden/test_ziggurat_tables.py),
+# and the fleet router's routed and unrouted totals must equal the
+# per-interval scalar loop on every named fleet, shocked and not, at
+# 3 roots x 40 years (tests/golden/test_route_oracle.py).
 golden:
 	$(PYTHON) -m pytest -q tests/golden
 

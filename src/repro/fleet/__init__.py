@@ -47,6 +47,7 @@ from repro.fleet.routing import (
     SiteTimeline,
     SiteWindows,
     latency_factor,
+    route_fleet_routings,
     route_fleet_year,
     route_fleet_years,
     serve_instant,
@@ -100,6 +101,7 @@ __all__ = [
     "reduce_fleet_frontier",
     "reduce_fleet_years",
     "required_spare_fraction",
+    "route_fleet_routings",
     "route_fleet_year",
     "route_fleet_years",
     "serve_instant",

@@ -68,7 +68,7 @@ class SiteSpec:
             raise ConfigurationError(
                 f"{self.name}: load must be within [0, capacity]"
             )
-        if self.rtt_seconds < 0:
+        if not self.rtt_seconds >= 0:  # NaN too
             raise ConfigurationError(f"{self.name}: rtt must be >= 0")
 
     @property
@@ -114,13 +114,13 @@ class FleetSpec:
         names = [site.name for site in self.sites]
         if len(set(names)) != len(names):
             raise ConfigurationError("site names must be unique")
-        if self.shock_rate_per_year < 0:
+        if not self.shock_rate_per_year >= 0:  # NaN too
             raise ConfigurationError("shock rate must be >= 0")
         if not 0 <= self.correlation <= 1:
             raise ConfigurationError("correlation must be in [0, 1]")
         if not 0 <= self.spillover <= 1:
             raise ConfigurationError("spillover must be in [0, 1]")
-        if self.redirect_seconds < 0:
+        if not self.redirect_seconds >= 0:  # NaN too
             raise ConfigurationError("redirect_seconds must be >= 0")
 
     @property

@@ -2,7 +2,7 @@
 
 Production runs fleet years as batches (:func:`repro.fleet.sim.
 simulate_fleet_years`) and routes them in one array pass
-(:func:`repro.fleet.routing.route_fleet_years`).  This module keeps the
+(:func:`repro.fleet.routing.route_fleet_routings`).  This module keeps the
 per-interval, per-year scalar forms those replaced, so tests can hold
 the batch engine to them with ``==``:
 

@@ -1,11 +1,15 @@
 """Oracles for the array router.
 
-:func:`route_fleet_year`/:func:`route_fleet_years` price every
-elementary interval of a fleet year in one numpy pass.  These tests hold
-it to independent forms of the same integral:
+:func:`route_fleet_routings` (and its one-routing and one-year calls,
+:func:`route_fleet_years` and :func:`route_fleet_year`) prices every
+elementary interval of many fleet years in one numpy pass, for any
+sequence of routing flags.  These tests hold it to independent forms of
+the same integral:
 
 * the per-interval scalar loop (``tests/fleet/reference.py``), with
-  ``==`` on every total;
+  ``==`` on every total, for every flag order, and on the float edges
+  of the interval merge (one-ULP intervals, a window starting on a
+  midpoint, windowless sites, windows past the horizon);
 * a sampled integral: :func:`serve_instant` evaluated at several instants
   inside each elementary interval, summed exactly with ``math.fsum``,
   within 1e-9 relative;
@@ -29,6 +33,8 @@ from repro.fleet.routing import (
     SiteState,
     SiteTimeline,
     SiteWindows,
+    _window_index,
+    route_fleet_routings,
     route_fleet_year,
     route_fleet_years,
     serve_instant,
@@ -142,44 +148,147 @@ class TestAgainstScalarReference:
     def test_many_years_at_once_equal_each_year_alone(
         self, years, redirect, routing
     ):
-        # Every year reuses the first year's sites with its own windows.
-        sites = years[0]
-        per_year = [
-            [
-                SiteTimeline(
-                    name=s.name,
-                    capacity=s.capacity,
-                    load=s.load,
-                    power_region=s.power_region,
-                    rtt_seconds=s.rtt_seconds,
-                    windows=(year[i].windows if i < len(year) else ()),
-                )
-                for i, s in enumerate(sites)
-            ]
-            for year in years
-        ]
-        windows = []
-        for i in range(len(sites)):
-            rows = [
-                (y, w)
-                for y, year in enumerate(per_year)
-                for w in year[i].windows
-            ]
-            windows.append(
-                SiteWindows(
-                    year=np.array([y for y, _ in rows], dtype=np.int64),
-                    start=np.array([w.start_seconds for _, w in rows]),
-                    end=np.array([w.end_seconds for _, w in rows]),
-                    performance=np.array([w.performance for _, w in rows]),
-                )
-            )
+        sites, per_year = same_sites(years)
         batch = route_fleet_years(
-            sites, windows, len(years), HORIZON, redirect, routing=routing
+            sites, site_windows_of(per_year), len(years), HORIZON, redirect,
+            routing=routing,
         )
         assert batch == [
             reference_route_fleet_year(year, HORIZON, redirect, routing=routing)
             for year in per_year
         ]
+
+
+def same_sites(years):
+    """Every year on the first year's sites, each with its own windows."""
+    sites = years[0]
+    per_year = [
+        [
+            replace(s, windows=(year[i].windows if i < len(year) else ()))
+            for i, s in enumerate(sites)
+        ]
+        for year in years
+    ]
+    return sites, per_year
+
+
+def site_windows_of(per_year):
+    """Each site's windows over every year, as the array router's input."""
+    windows = []
+    for i in range(len(per_year[0])):
+        rows = [(y, w) for y, year in enumerate(per_year) for w in year[i].windows]
+        windows.append(
+            SiteWindows(
+                year=np.array([y for y, _ in rows], dtype=np.int64),
+                start=np.array([w.start_seconds for _, w in rows], dtype=float),
+                end=np.array([w.end_seconds for _, w in rows], dtype=float),
+                performance=np.array(
+                    [w.performance for _, w in rows], dtype=float
+                ),
+            )
+        )
+    return windows
+
+
+FLAG_ORDERS = [(False, True), (True, False), (True,), (False,)]
+
+
+def assert_routings_equal_reference(per_year, horizon, redirect):
+    """Every flag order's totals ``==`` the scalar loop, year by year."""
+    windows = site_windows_of(per_year)
+    for routings in FLAG_ORDERS:
+        batch = route_fleet_routings(
+            per_year[0], windows, len(per_year), horizon, redirect, routings
+        )
+        assert batch == [
+            [
+                reference_route_fleet_year(year, horizon, redirect, routing)
+                for year in per_year
+            ]
+            for routing in routings
+        ], routings
+
+
+def window(start, end, performance=0.0):
+    return OutageWindow(start_seconds=start, end_seconds=end,
+                        performance=performance)
+
+
+def site(name, region, windows=(), load=0.6):
+    return SiteTimeline(name, 1.0, load, region, 0.05, tuple(windows))
+
+
+class TestRoutingsAgainstScalarReference:
+    """All routings of one sample, routed in one call."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(fleets(), min_size=1, max_size=3), redirects)
+    def test_every_flag_order_equals_scalar_loop(self, years, redirect):
+        _, per_year = same_sites(years)
+        assert_routings_equal_reference(per_year, HORIZON, redirect)
+
+    def test_one_ulp_interval_whose_midpoint_is_its_end(self):
+        """``(a + b) / 2`` rounds onto ``b`` when ``b = nextafter(a)`` has
+        an even mantissa: the interval's midpoint is not inside the
+        one-ULP window, so that site is up there."""
+        a = float(np.nextafter(500.0, np.inf))
+        b = float(np.nextafter(a, np.inf))
+        assert (a + b) / 2.0 == b
+        fleet = [
+            site("x", "a", [window(100.0, a), window(a, b), window(b, 700.0)]),
+            site("y", "b", [window(300.0, b, 0.5)]),
+            site("z", "c"),
+        ]
+        assert_routings_equal_reference([fleet], HORIZON, 25.0)
+
+    def test_window_starting_on_another_sites_midpoint(self):
+        """Site ``y``'s window starts at ``b``, the midpoint of the
+        one-ULP interval ``[a, b]`` that ``x``'s window end cuts: the
+        window sorts ahead of the midpoint, so ``y`` is dark there."""
+        a = float(np.nextafter(500.0, np.inf))
+        b = float(np.nextafter(a, np.inf))
+        fleet = [
+            site("x", "a", [window(200.0, a)]),
+            site("y", "b", [window(b, 800.0, 0.25)]),
+            site("z", "c"),
+        ]
+        windows = site_windows_of([fleet])
+        (index,) = _window_index(
+            np.zeros(1, dtype=np.int64), np.array([b]), windows[1:2]
+        )
+        assert index.tolist() == [0]
+        assert_routings_equal_reference([fleet], HORIZON, 0.0)
+        assert_routings_equal_reference([fleet], HORIZON, 90.0)
+
+    def test_sites_with_no_windows(self):
+        dark = [window(100.0, 400.0, 0.1)]
+        assert_routings_equal_reference(
+            [
+                [site("x", "a", dark), site("y", "b"), site("z", "c")],
+                [site("x", "a"), site("y", "b"), site("z", "c")],
+                [site("x", "a"), site("y", "b", dark), site("z", "c")],
+            ],
+            HORIZON,
+            25.0,
+        )
+
+    def test_windows_that_cross_the_horizon(self):
+        assert_routings_equal_reference(
+            [
+                [
+                    site("x", "a", [window(900.0, 1200.0, 0.3)]),
+                    site("y", "b", [window(950.0, 1000.0)]),
+                    site("z", "a", [window(1100.0, 1300.0)]),
+                ],
+                [
+                    site("x", "a", [window(0.0, 50.0), window(990.0, 2000.0)]),
+                    site("y", "b", [window(999.0, 1001.0, 0.5)]),
+                    site("z", "a"),
+                ],
+            ],
+            HORIZON,
+            25.0,
+        )
 
 
 def sampled_integral(timelines, redirect, routing):

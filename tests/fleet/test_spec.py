@@ -1,6 +1,8 @@
 """FleetSpec/SiteSpec: validation, registry, canonical encodability."""
 
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
@@ -33,6 +35,11 @@ class TestSiteSpec:
         with pytest.raises(ConfigurationError):
             SiteSpec(name="a", rtt_seconds=-0.1)
 
+    def test_nan_rtt_rejected(self):
+        # latency_factor would turn a NaN RTT into no penalty at all.
+        with pytest.raises(ConfigurationError, match="rtt"):
+            SiteSpec(name="a", rtt_seconds=math.nan)
+
 
 class TestFleetSpec:
     def test_validation(self):
@@ -52,6 +59,16 @@ class TestFleetSpec:
             FleetSpec(name="f", sites=sites, spillover=-0.1)
         with pytest.raises(ConfigurationError):
             FleetSpec(name="f", sites=sites, redirect_seconds=-1.0)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [("redirect_seconds", "redirect"), ("shock_rate_per_year", "shock")],
+    )
+    def test_nan_knobs_rejected(self, field, message):
+        # A NaN redirect would silently turn routing off (no interval is
+        # ever past it), and a NaN rate would silently turn shocks off.
+        with pytest.raises(ConfigurationError, match=message):
+            replace(get_fleet("us-triad"), **{field: math.nan})
 
     def test_totals_and_lookup(self):
         fleet = get_fleet("us-triad")

@@ -76,6 +76,10 @@ class TestTraceFlag:
             e for e in trace_events if e["name"] in ("sample", "kernel", "route")
         ]
         assert all(e["args"]["parent_id"] in cells for e in stages)
+        # Both routings share one route pass per cell.
+        routes = [e for e in stages if e["name"] == "route"]
+        assert sorted(e["args"]["parent_id"] for e in routes) == sorted(cells)
+        assert all(e["args"]["routings"] == [False, True] for e in routes)
         _, snap = read_events_jsonl(events)
         # 2 configurations x routed/unrouted x 3 years.
         assert snap["fleet.years"]["value"] == 12

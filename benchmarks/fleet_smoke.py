@@ -2,17 +2,19 @@
 
 Four gates, in order:
 
-1. **Seeded determinism.**  The same fleet study must produce identical
-   results serial, with a process pool, and at different worker counts —
-   fleet-year jobs follow the runner's positional SeedSequence
-   discipline, so parallelism can never change a number.
+1. **Seeded determinism.**  The ``fleet_frontier`` payload users are
+   served must be identical serial, with a process pool, and at
+   different worker counts — its configuration jobs follow the runner's
+   positional SeedSequence discipline, so parallelism can never change
+   a number.
 2. **Independence regression.**  With the shock layer off, every site of
    a fleet year must reproduce the certified single-site yearly job
    *bit-identically* (same seeds, same dicts) — the fleet layer adds
    exactly nothing to the single-site path.
 3. **Correlation sanity.**  Raising the regional-shock correlation (same
    shock rate, same seeds) must strictly increase the probability of
-   >= 2 simultaneous site outages.
+   >= 2 simultaneous site outages, folded from the batch fleet-year
+   path (``simulate_fleet_years``) the frontier cells run on.
 4. **Fleet frontier.**  Some fleet-level provisioning must strictly
    dominate the best uniform single-site Table 3 configuration on cost
    at equal-or-better fleet service — "the fleet is the backup" as a
@@ -39,6 +41,7 @@ OUTPUT = REPO_ROOT / "BENCH_fleet.json"
 DETERMINISM_YEARS = 8
 INDEPENDENCE_YEARS = 4
 CORRELATION_YEARS = 60
+CORRELATION_SEED = 11
 CORRELATION_SHOCK_RATE = 6.0
 CORRELATION_LOW = 0.05
 CORRELATION_HIGH = 0.6
@@ -47,22 +50,20 @@ FRONTIER_YEARS = 40
 
 
 def check_determinism() -> int:
-    """Gate 1: serial == process pool == any worker count."""
-    from repro.fleet import FleetAnalyzer, get_fleet
-    from repro.runner.executor import SerialExecutor
+    """Gate 1: the frontier payload serial == process pool == any worker
+    count; returns the fleet years each run simulates."""
+    from repro.runner.executor import make_executor
+    from repro.serve.protocol import canonical_json
 
-    fleet = get_fleet("us-triad").with_shocks(4.0, 0.4)
-    serial = FleetAnalyzer(fleet, seed=42).analyze(
-        years=DETERMINISM_YEARS, executor=SerialExecutor()
-    )
+    serial = canonical_json(run_frontier(DETERMINISM_YEARS, seed=42))
     for jobs in (2, 3):
-        pooled = FleetAnalyzer(fleet, seed=42).analyze(
-            years=DETERMINISM_YEARS, jobs=jobs
+        pooled = run_frontier(
+            DETERMINISM_YEARS, seed=42, executor=make_executor(jobs=jobs)
         )
-        if pooled != serial:
+        if canonical_json(pooled) != serial:
             print(f"FAIL determinism: jobs={jobs} differs from serial")
             return -1
-    return DETERMINISM_YEARS
+    return len(FRONTIER_CONFIGS) * DETERMINISM_YEARS
 
 
 def check_independence() -> int:
@@ -127,18 +128,21 @@ def check_independence() -> int:
 
 def check_correlation() -> dict:
     """Gate 3: P(>=2 simultaneous site outages) rises with correlation."""
-    from repro.fleet import FleetAnalyzer, get_fleet
-    from repro.runner.executor import SerialExecutor
+    import numpy as np
+
+    from repro.fleet import get_fleet, simulate_fleet_years
+    from repro.fleet.sim import reduce_fleet_scores
 
     base = get_fleet("regional-quad")
+    seeds = np.random.SeedSequence(CORRELATION_SEED).spawn(CORRELATION_YEARS)
     results = {}
     for label, correlation in (
         ("low", CORRELATION_LOW),
         ("high", CORRELATION_HIGH),
     ):
         fleet = base.with_shocks(CORRELATION_SHOCK_RATE, correlation)
-        report = FleetAnalyzer(fleet, seed=11).analyze(
-            years=CORRELATION_YEARS, executor=SerialExecutor()
+        report = reduce_fleet_scores(
+            simulate_fleet_years(fleet, True, seeds), fleet, True
         )
         results[label] = {
             "correlation": correlation,
@@ -156,8 +160,11 @@ def check_correlation() -> dict:
     return results
 
 
-def run_frontier() -> dict:
-    """Gate 4 over the serve-protocol reference path."""
+def run_frontier(
+    years: int = FRONTIER_YEARS, seed: int = 0, executor=None
+) -> dict:
+    """The us-triad ``fleet_frontier`` payload over the serve-protocol
+    reference path (gates 1 and 4); serial unless given an executor."""
     from repro.runner.executor import SerialExecutor
     from repro.serve.analyses import evaluate_request
     from repro.serve.protocol import PROTOCOL_VERSION, parse_request
@@ -169,11 +176,12 @@ def run_frontier() -> dict:
             "params": {
                 "fleet": "us-triad",
                 "configurations": list(FRONTIER_CONFIGS),
-                "years": FRONTIER_YEARS,
+                "years": years,
+                "seed": seed,
             },
         }
     )
-    return evaluate_request(request, executor=SerialExecutor())
+    return evaluate_request(request, executor=executor or SerialExecutor())
 
 
 def main() -> int:
@@ -185,8 +193,8 @@ def main() -> int:
     if determinism_years < 0:
         return 1
     print(
-        f"determinism: {determinism_years} fleet years identical at "
-        "jobs=1/2/3 (serial vs process pool)"
+        f"determinism: fleet_frontier payload ({determinism_years} fleet "
+        "years) identical at jobs=1/2/3 (serial vs process pool)"
     )
 
     independence_pairs = check_independence()

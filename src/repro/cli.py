@@ -49,6 +49,17 @@ backup-component failures into the simulation (see docs/FAULTS.md) — and
 transient failures, cache corruption) and certifies that every recovery
 path reproduces baseline-identical results.
 
+The operational defaults live in the objects the subcommands configure,
+not in the parser: a ``serve``, ``drill``, ``loadgen``, ``chaos``,
+``top`` or ``bench check`` flag left off the command line keeps the
+default of :class:`~repro.serve.app.ServeConfig`,
+:class:`~repro.serve.drill.DrillConfig`,
+:class:`~repro.serve.loadgen.LoadgenConfig`,
+:func:`~repro.runner.chaos.run_chaos`, :func:`~repro.serve.top.run_top`
+or :func:`repro.obs.bench.check` (likewise ``plan``'s targets,
+``selfcheck -w`` and ``fleet --depth``).  The parser holds only the
+defaults no callee declares, such as ``--url`` and the report paths.
+
 Every subcommand additionally accepts the :mod:`repro.obs` flags:
 ``--trace FILE`` writes a Chrome/Perfetto ``trace_event`` JSON of the run
 (open it at https://ui.perfetto.dev) and ``--metrics FILE`` writes a JSONL
@@ -60,16 +71,19 @@ nothing.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
-from typing import List, Optional
+from functools import partial
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.analysis.report import format_table
 from repro.core.configurations import PAPER_CONFIGURATIONS, get_configuration
-from repro.core.performability import evaluate_point
+from repro.core.performability import DEFAULT_NUM_SERVERS, evaluate_point
 from repro.core.planner import ProvisioningPlanner
 from repro.core.tco import TCOModel
 from repro.errors import InfeasibleError, ReproError, RunnerError
 from repro.faults import FaultInjector, FaultPlan
+from repro.obs.bench import DEFAULT_TOLERANCE
 from repro.runner import ResultCache, RetryPolicy, SweepCheckpoint, make_executor
 from repro.serve.analyses import (
     ANALYSIS_SPECS,
@@ -80,6 +94,7 @@ from repro.serve.analyses import (
     WORKLOAD,
     evaluate_request,
 )
+from repro.serve.app import ServeConfig
 from repro.serve.protocol import PROTOCOL_VERSION, canonical_json, parse_request
 from repro.serve.spec import REQUIRED, Param
 from repro.techniques.registry import get_technique, technique_names
@@ -136,16 +151,45 @@ def _cmd_workloads(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_faults(args: argparse.Namespace) -> Optional[FaultPlan]:
-    """The ``--faults`` spec as a :class:`FaultPlan`, or None when absent."""
-    spec = getattr(args, "faults", None)
-    if not spec:
-        return None
-    return FaultPlan.parse(spec)
+def _from_flags(
+    callee: Callable[..., Any],
+    args: argparse.Namespace,
+    **convert: Callable[[Any], Any],
+) -> Any:
+    """``callee`` called with each parsed flag that names one of its
+    parameters, passed through ``convert[name]`` when there is one.
+
+    A flag whose default is ``argparse.SUPPRESS`` is absent when left off
+    the command line, so ``callee`` applies its own default: each
+    operational default is declared once, on the object it configures.
+    """
+    params = inspect.signature(callee).parameters
+    return callee(
+        **{
+            name: convert[name](value) if name in convert else value
+            for name, value in vars(args).items()
+            if name in params
+        }
+    )
+
+
+def _parse_faults(spec: Optional[str]) -> Optional[FaultPlan]:
+    """A ``--faults`` spec as a :class:`FaultPlan`, or None when empty."""
+    return FaultPlan.parse(spec) if spec else None
+
+
+def _int_tuple(text: str) -> Tuple[int, ...]:
+    """``"0,2,4"`` -> ``(0, 2, 4)``; blank parts are skipped."""
+    return tuple(int(part) for part in text.split(",") if part.strip())
+
+
+def _base_url(url: str) -> str:
+    """A server URL without its trailing slashes."""
+    return url.rstrip("/")
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    plan = _parse_faults(args)
+    plan = _parse_faults(args.faults)
     draw = None
     if plan is not None and not plan.is_null:
         draw = FaultInjector(plan, seed=args.fault_seed).draw()
@@ -176,14 +220,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     planner = ProvisioningPlanner(get_workload(args.workload), num_servers=args.servers)
-    max_down = float("inf") if args.max_down_minutes is None else minutes(
-        args.max_down_minutes
-    )
     try:
-        result = planner.plan(
-            outage_seconds=minutes(args.outage_minutes),
-            min_performance=args.min_performance,
-            max_downtime_seconds=max_down,
+        result = _from_flags(
+            partial(planner.plan, minutes(args.outage_minutes)),
+            args,
+            max_downtime_seconds=minutes,
         )
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
@@ -326,9 +367,7 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
     from repro.checks.selfcheck import run_selfcheck
 
     executor = _make_executor(args)
-    report = run_selfcheck(
-        fast=args.fast, workload=args.workload, executor=executor
-    )
+    report = _from_flags(partial(run_selfcheck, executor=executor), args)
     by_check = Counter(r["check"] for r in report.records)
     failed_by_check = Counter(r["check"] for r in report.failures)
     rows = [
@@ -412,9 +451,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_top(args: argparse.Namespace) -> int:
     from repro.serve.top import run_top
 
-    return run_top(
-        args.url.rstrip("/"), interval_s=args.interval, once=args.once
-    )
+    return _from_flags(run_top, args, base_url=_base_url)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -453,9 +490,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not entries:
         print(f"[bench] no history at {path}; run 'repro bench record' first")
         return 1
-    report = benchmod.check(
-        entries, tolerance=args.tolerance, benches=args.bench
-    )
+    report = _from_flags(partial(benchmod.check, entries), args)
     print(benchmod.format_report(report))
     return 0 if report.ok else 1
 
@@ -463,19 +498,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.runner.chaos import run_chaos
 
-    report = run_chaos(
-        get_workload(args.workload),
-        get_configuration(args.configuration),
-        get_technique(args.technique),
-        years=args.years,
-        jobs=args.jobs,
-        kills=args.kills,
-        flaky=args.flaky,
-        corrupt=args.corrupt,
-        faults=_parse_faults(args),
-        seed=args.seed,
-        workdir=args.workdir,
-        num_servers=args.servers,
+    report = _from_flags(
+        run_chaos,
+        args,
+        workload=get_workload,
+        configuration=get_configuration,
+        technique=get_technique,
+        faults=_parse_faults,
     )
     print(report.summary())
     if not report.ok:
@@ -498,7 +527,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.fleet.spec import DEFAULT_FLEET, get_fleet
 
     fleet = args.fleet or DEFAULT_FLEET
-    report = contingency_report(get_fleet(fleet), depth=args.depth)
+    report = _from_flags(partial(contingency_report, get_fleet(fleet)), args)
     if args.json:
         print(canonical_json(report))
         return 0
@@ -534,28 +563,28 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve.app import ServeConfig, run_server
+    from repro.serve.app import run_server
 
-    slos = None
-    if args.slo:
+    slos = args.slos
+    if slos:
         from repro.obs.slo import parse_slo
 
-        slos = tuple(parse_slo(spec) for spec in args.slo)
+        slos = tuple(parse_slo(spec) for spec in slos)
     return run_server(
         ServeConfig(
             host=args.host,
             port=args.port,
-            cache_dir=args.cache,
+            cache_dir=args.cache_dir,
             queue_bound=args.queue_bound,
             max_batch=args.max_batch,
             batch_wait_s=args.batch_wait_s,
             cache_max_bytes=args.cache_max_bytes,
             cache_max_age_s=args.cache_max_age_s,
-            telemetry=not args.no_telemetry,
+            telemetry=args.telemetry,
             slos=slos,
             workers=args.workers,
             poison_threshold=args.poison_threshold,
-            brownout=not args.no_brownout,
+            brownout=args.brownout,
         )
     )
 
@@ -565,20 +594,8 @@ def _cmd_drill(args: argparse.Namespace) -> int:
 
     from repro.serve.drill import DrillConfig, run_drill
 
-    bench_workers = tuple(
-        int(part) for part in args.bench_workers.split(",") if part.strip()
-    )
     report = run_drill(
-        DrillConfig(
-            workers=args.workers,
-            seed=args.seed,
-            kills=args.kills,
-            corrupt=args.corrupt,
-            chaos_duration_s=args.duration,
-            poison_threshold=args.poison_threshold,
-            bench_workers=bench_workers,
-        ),
-        emit=print,
+        _from_flags(DrillConfig, args, bench_workers=_int_tuple), emit=print
     )
     print(report.summary())
     if args.report:
@@ -596,16 +613,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.serve.loadgen import LoadgenConfig, parse_mix, run_loadgen
 
     report = run_loadgen(
-        LoadgenConfig(
-            base_url=args.url.rstrip("/"),
-            concurrency=args.concurrency,
-            duration_s=args.duration,
-            mix=parse_mix(args.mix),
-            seed=args.seed,
-            deadline_s=args.deadline_s,
-            timeout_s=args.timeout,
-            net_retries=args.net_retries,
-        )
+        _from_flags(LoadgenConfig, args, base_url=_base_url, mix=parse_mix)
     )
     print(f"[loadgen] {report.summary()}")
     if args.output:
@@ -671,6 +679,10 @@ def _add_param(parser: argparse.ArgumentParser, param: Param) -> None:
     parser.add_argument(*flags, **kwargs)
 
 
+#: Where a default ``repro serve`` listens: ``top`` and ``loadgen``'s ``--url``.
+_SERVER_URL = f"http://{ServeConfig.host}:{ServeConfig.port}"
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
 
@@ -693,10 +705,16 @@ def build_parser() -> argparse.ArgumentParser:
         func=_cmd_workloads
     )
 
+    def add_url(p: argparse.ArgumentParser):
+        p.add_argument(
+            "--url", dest="base_url", metavar="URL", default=_SERVER_URL,
+            help="server base URL",
+        )
+
     def add_common(p: argparse.ArgumentParser):
         _add_param(p, WORKLOAD)
         p.add_argument("-m", "--outage-minutes", type=float, default=30.0)
-        p.add_argument("--servers", type=int, default=16)
+        p.add_argument("--servers", type=int, default=DEFAULT_NUM_SERVERS)
 
     p_eval = sub.add_parser("evaluate", help="evaluate one operating point")
     add_common(p_eval)
@@ -711,10 +729,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.set_defaults(func=_cmd_evaluate)
 
-    p_plan = sub.add_parser("plan", help="cheapest backup for targets")
+    p_plan = sub.add_parser(
+        "plan", help="cheapest backup for targets", argument_default=argparse.SUPPRESS
+    )
     add_common(p_plan)
-    p_plan.add_argument("--min-performance", type=float, default=0.0)
-    p_plan.add_argument("--max-down-minutes", type=float, default=None)
+    p_plan.add_argument("--min-performance", type=float)
+    p_plan.add_argument(
+        "--max-down-minutes", dest="max_downtime_seconds", metavar="MAX_DOWN_MINUTES",
+        type=float,
+    )
     p_plan.set_defaults(func=_cmd_plan)
 
     def add_runner_flags(p: argparse.ArgumentParser, with_seed: bool = True):
@@ -727,7 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--cache",
-            default=None,
             metavar="DIR",
             help="on-disk result cache directory (reruns skip computed jobs)",
         )
@@ -743,7 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--checkpoint",
-            default=None,
             metavar="FILE",
             help="crash-safe JSONL progress manifest recording finished jobs",
         )
@@ -779,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument(
         "--depth",
         type=int,
-        default=2,
+        default=argparse.SUPPRESS,
         help="contingency order (1 = N-1 only, 2 = N-1 and N-2)",
     )
     p_fleet.set_defaults(func=_cmd_fleet)
@@ -796,14 +817,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "-w",
         "--workload",
-        default="specjbb",
+        default=argparse.SUPPRESS,
         choices=workload_names(),
         help="workload driving the strict-simulation cells",
     )
     p_check.add_argument(
         "--fuzz",
         type=int,
-        default=None,
         metavar="N",
         help="fuzz case count (default: 10 fast / 40 full; 0 disables)",
     )
@@ -821,15 +841,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_repro.add_argument(
         "experiment",
         nargs="?",
-        default=None,
         help="one experiment id (figure5, table3, ...); default: all",
     )
     p_repro.add_argument(
         "--full", action="store_true", help="full duration grids (slower)"
     )
-    p_repro.add_argument(
-        "--csv-dir", default=None, help="also write each experiment as CSV here"
-    )
+    p_repro.add_argument("--csv-dir", help="also write each experiment as CSV here")
     add_runner_flags(p_repro)
     p_repro.set_defaults(func=_cmd_reproduce)
 
@@ -845,17 +862,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.set_defaults(func=_cmd_stats)
 
     p_top = sub.add_parser(
-        "top", help="live terminal dashboard over a running server"
+        "top",
+        help="live terminal dashboard over a running server",
+        argument_default=argparse.SUPPRESS,
     )
+    add_url(p_top)
     p_top.add_argument(
-        "--url", default="http://127.0.0.1:8321", help="server base URL"
+        "--interval", dest="interval_s", metavar="INTERVAL", type=float,
+        help="refresh period (seconds)",
     )
-    p_top.add_argument(
-        "--interval", type=float, default=2.0, help="refresh period (seconds)"
-    )
-    p_top.add_argument(
-        "--once", action="store_true", help="print one frame and exit"
-    )
+    p_top.add_argument("--once", action="store_true", help="print one frame and exit")
     p_top.set_defaults(func=_cmd_top)
 
     p_bench = sub.add_parser(
@@ -871,7 +887,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--root", default=".", help="directory holding the BENCH_*.json files"
     )
     p_bench_record.add_argument(
-        "--history", default=None, metavar="FILE",
+        "--history", metavar="FILE",
         help="ledger path (default: BENCH_history.jsonl under --root)",
     )
     p_bench_record.set_defaults(func=_cmd_bench)
@@ -879,17 +895,19 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         help="fail when the newest entry regresses past tolerance vs the "
         "median of prior runs",
+        argument_default=argparse.SUPPRESS,
     )
     p_bench_check.add_argument(
         "--history", default=None, metavar="FILE",
         help="ledger path (default: ./BENCH_history.jsonl)",
     )
     p_bench_check.add_argument(
-        "--tolerance", type=float, default=0.15,
-        help="fractional bad-direction slack before failing (default 0.15)",
+        "--tolerance", type=float,
+        help="fractional bad-direction slack before failing "
+        f"(default {DEFAULT_TOLERANCE:g})",
     )
     p_bench_check.add_argument(
-        "--bench", action="append", default=None, metavar="NAME",
+        "--bench", dest="benches", action="append", metavar="NAME",
         help="gate only this ledger stream (repeatable; default: every "
         "stream in the ledger)",
     )
@@ -898,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
         "show", help="print the ledger entries as JSONL"
     )
     p_bench_show.add_argument(
-        "--history", default=None, metavar="FILE",
+        "--history", metavar="FILE",
         help="ledger path (default: ./BENCH_history.jsonl)",
     )
     p_bench_show.set_defaults(func=_cmd_bench)
@@ -906,34 +924,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos = sub.add_parser(
         "chaos",
         help="break the runner on purpose and certify bit-identical recovery",
+        argument_default=argparse.SUPPRESS,
     )
     p_chaos.add_argument(
         "-w", "--workload", default="websearch", choices=workload_names()
     )
     p_chaos.add_argument("-c", "--configuration", default="MaxPerf")
     p_chaos.add_argument("-t", "--technique", default="full-service")
-    p_chaos.add_argument("--servers", type=int, default=16)
-    p_chaos.add_argument(
-        "--years", type=int, default=8, help="year-cells in the chaos sweep"
-    )
-    p_chaos.add_argument(
-        "--jobs", type=int, default=2, help="worker processes for the chaos run"
-    )
-    p_chaos.add_argument(
-        "--kills", type=int, default=1, help="worker hard-kills to inject"
-    )
-    p_chaos.add_argument(
-        "--flaky", type=int, default=1, help="transient job failures to inject"
-    )
-    p_chaos.add_argument(
-        "--corrupt", type=int, default=1, help="cache entries to corrupt mid-run"
-    )
-    p_chaos.add_argument(
-        "--seed", type=int, default=0, help="root seed shared by all passes"
-    )
+    p_chaos.add_argument("--servers", dest="num_servers", metavar="SERVERS", type=int)
+    p_chaos.add_argument("--years", type=int, help="year-cells in the chaos sweep")
+    p_chaos.add_argument("--jobs", type=int, help="worker processes for the chaos run")
+    p_chaos.add_argument("--kills", type=int, help="worker hard-kills to inject")
+    p_chaos.add_argument("--flaky", type=int, help="transient job failures to inject")
+    p_chaos.add_argument("--corrupt", type=int, help="cache entries to corrupt mid-run")
+    p_chaos.add_argument("--seed", type=int, help="root seed shared by all passes")
     p_chaos.add_argument(
         "--workdir",
-        default=None,
         metavar="DIR",
         help="scratch dir for cache/checkpoint/markers (default: a tempdir)",
     )
@@ -944,121 +950,89 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the batched, backpressured HTTP evaluation service",
     )
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8321)
+    p_serve.add_argument("--host")
+    p_serve.add_argument("--port", type=int)
     p_serve.add_argument(
-        "--cache",
-        default=None,
-        metavar="DIR",
+        "--cache", dest="cache_dir", metavar="DIR",
         help="shared result cache; point the CLI at the same DIR for "
         "byte-identical responses served from the same entries",
     )
     p_serve.add_argument(
-        "--queue-bound",
-        type=int,
-        default=64,
+        "--queue-bound", type=int,
         help="admitted requests waiting before arrivals are shed with 429",
     )
     p_serve.add_argument(
-        "--max-batch",
-        type=int,
-        default=16,
+        "--max-batch", type=int,
         help="most requests dispatched in one runner submission",
     )
     p_serve.add_argument(
-        "--batch-wait-s",
-        type=float,
-        default=0.005,
+        "--batch-wait-s", type=float,
         help="micro-batch accumulation window after the first arrival "
         "(--workers >= 1 only; in-process dispatch never lingers)",
     )
     p_serve.add_argument(
-        "--cache-max-bytes",
-        type=int,
-        default=None,
-        help="prune the cache to this size every ~10 s",
+        "--cache-max-bytes", type=int, help="prune the cache to this size every ~10 s"
     )
     p_serve.add_argument(
-        "--cache-max-age-s",
-        type=float,
-        default=None,
+        "--cache-max-age-s", type=float,
         help="prune cache entries older than this every ~10 s",
     )
     p_serve.add_argument(
-        "--no-telemetry",
-        action="store_true",
+        "--no-telemetry", dest="telemetry", action="store_false",
         help="disable request tracing, rolling windows and SLO tracking "
         "(every hook reverts to its single is-None check)",
     )
     p_serve.add_argument(
-        "--slo",
-        action="append",
-        default=None,
-        metavar="SPEC",
+        "--slo", dest="slos", action="append", metavar="SPEC",
         help="override the SLO roster; repeatable. SPECs: "
         "'latency:<ms>:<objective>', 'shed_rate:<objective>', "
         "'error_rate:<objective>', optionally '@win1,win2' seconds",
     )
     p_serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
+        "--workers", type=int,
         help="supervised worker processes behind the batcher "
         "(0 = in-process execution; >=1 adds crash supervision, "
         "fingerprint sharding and poison quarantine)",
     )
     p_serve.add_argument(
-        "--poison-threshold",
-        type=int,
-        default=3,
+        "--poison-threshold", type=int,
         help="worker deaths on one fingerprint before it is quarantined",
     )
     p_serve.add_argument(
-        "--no-brownout",
-        action="store_true",
+        "--no-brownout", dest="brownout", action="store_false",
         help="disable the graded-degradation controller (never refuse "
         "for pressure; with --workers >= 1, always linger the full "
         "batch window)",
     )
-    p_serve.set_defaults(func=_cmd_serve)
+    # Every flag (and every field no flag sets) defaults to ServeConfig's.
+    p_serve.set_defaults(func=_cmd_serve, **vars(ServeConfig()))
 
     p_drill = sub.add_parser(
         "drill",
         help="chaos-certify the serve tier: SIGKILL workers, corrupt the "
         "cache, flood into brownout, and assert every 2xx is "
         "bit-identical to a clean run",
+        argument_default=argparse.SUPPRESS,
+    )
+    p_drill.add_argument("--workers", type=int, help="pool size under chaos")
+    p_drill.add_argument("--kills", type=int, help="worker SIGKILLs to deliver")
+    p_drill.add_argument(
+        "--corrupt", type=int, help="cache entries to overwrite with garbage mid-run"
     )
     p_drill.add_argument(
-        "--workers", type=int, default=2, help="pool size under chaos"
-    )
-    p_drill.add_argument(
-        "--kills", type=int, default=3, help="worker SIGKILLs to deliver"
-    )
-    p_drill.add_argument(
-        "--corrupt",
-        type=int,
-        default=2,
-        help="cache entries to overwrite with garbage mid-run",
-    )
-    p_drill.add_argument(
-        "--duration",
-        type=float,
-        default=2.5,
+        "--duration", dest="chaos_duration_s", metavar="DURATION", type=float,
         help="chaos-pass load duration (seconds)",
     )
     p_drill.add_argument(
-        "--poison-threshold",
-        type=int,
-        default=2,
+        "--poison-threshold", type=int,
         help="deaths before quarantine in the poison pass",
     )
     p_drill.add_argument(
         "--bench-workers",
-        default="0,2,4",
         help="comma-separated workers axis for the scaling bench "
         "(0 = in-process baseline)",
     )
-    p_drill.add_argument("--seed", type=int, default=0)
+    p_drill.add_argument("--seed", type=int)
     p_drill.add_argument(
         "--report",
         default="drill-report.json",
@@ -1075,37 +1049,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_drill.set_defaults(func=_cmd_drill)
 
     p_load = sub.add_parser(
-        "loadgen", help="closed-loop load generator against a running server"
+        "loadgen",
+        help="closed-loop load generator against a running server",
+        argument_default=argparse.SUPPRESS,
     )
+    add_url(p_load)
+    p_load.add_argument("--concurrency", type=int, help="closed-loop worker threads")
     p_load.add_argument(
-        "--url", default="http://127.0.0.1:8321", help="server base URL"
-    )
-    p_load.add_argument(
-        "--concurrency", type=int, default=4, help="closed-loop worker threads"
-    )
-    p_load.add_argument(
-        "--duration", type=float, default=5.0, help="issuing window (seconds)"
+        "--duration", dest="duration_s", metavar="DURATION", type=float,
+        help="issuing window (seconds)",
     )
     p_load.add_argument(
         "--mix",
-        default="whatif=2,availability=1,echo=1",
         help="weighted request mix, e.g. 'whatif=2,rank=1' "
         "(shapes: echo, whatif, availability, rank, sweep)",
     )
-    p_load.add_argument("--seed", type=int, default=0)
+    p_load.add_argument("--seed", type=int)
     p_load.add_argument(
-        "--deadline-s",
-        type=float,
-        default=None,
-        help="per-request deadline forwarded in each body",
+        "--deadline-s", type=float, help="per-request deadline forwarded in each body"
     )
     p_load.add_argument(
-        "--timeout", type=float, default=60.0, help="client socket timeout"
+        "--timeout", dest="timeout_s", metavar="TIMEOUT", type=float,
+        help="client socket timeout",
     )
     p_load.add_argument(
-        "--net-retries",
-        type=int,
-        default=2,
+        "--net-retries", type=int,
         help="per-request retry budget for connection refused/reset "
         "(a restarting worker pool seen from outside)",
     )
@@ -1122,15 +1090,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cache.add_argument("dir", help="cache directory (as given to --cache)")
     p_cache.add_argument(
-        "--max-bytes",
-        type=int,
-        default=None,
+        "--max-bytes", type=int,
         help="prune oldest-first until the cache fits this many bytes",
     )
     p_cache.add_argument(
-        "--max-age-s",
-        type=float,
-        default=None,
+        "--max-age-s", type=float,
         help="prune entries whose mtime is older than this many seconds",
     )
     p_cache.set_defaults(func=_cmd_cache)

@@ -29,7 +29,7 @@ import numpy as np
 from repro.analysis.frontier import dominates, pareto_frontier
 from repro.core.configurations import get_configuration
 from repro.errors import RunnerError
-from repro.fleet.sim import reduce_fleet_years, simulate_fleet_routings
+from repro.fleet.sim import reduce_fleet_scores, simulate_fleet_routings
 from repro.fleet.spec import get_fleet
 from repro.runner.cache import ResultCache
 from repro.runner.executor import BaseExecutor, make_executor
@@ -69,7 +69,7 @@ def fleet_cell_pair(
         fleet, ROUTINGS, [child_seed(seed, y) for y in range(years)]
     )
     return [
-        _cell_record(spec, reduce_fleet_years(values, fleet, routing))
+        _cell_record(spec, reduce_fleet_scores(values, fleet, routing))
         for routing, values in zip(ROUTINGS, results)
     ]
 

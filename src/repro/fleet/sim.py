@@ -379,11 +379,24 @@ def reduce_fleet_years(
     fleet: FleetSpec,
     routing: bool,
 ) -> Dict[str, Any]:
-    """Fold fleet-year job values into the fleet report payload.
+    """Fold fleet-year job values into the fleet report payload: the
+    fleet scores (:func:`reduce_fleet_scores`) and the per-site block.
 
     Plain JSON-able dict, deterministic in input order — serve and CLI
     fold identical lists identically.
     """
+    report = reduce_fleet_scores(values, fleet, routing)
+    report["per_site"] = _reduce_site_years(values, fleet)
+    return report
+
+
+def reduce_fleet_scores(
+    values: Sequence[Mapping[str, Any]],
+    fleet: FleetSpec,
+    routing: bool,
+) -> Dict[str, Any]:
+    """The fleet-level part of :func:`reduce_fleet_years` (everything but
+    ``per_site``): all a fleet-frontier cell records."""
     if not values:
         raise RunnerError("cannot reduce zero fleet years")
     years = len(values)
@@ -408,24 +421,6 @@ def reduce_fleet_years(
     multi_years = sum(
         1 for v in values if v["fleet"]["max_simultaneous_outages"] >= 2
     )
-
-    per_site: Dict[str, Dict[str, float]] = {}
-    for site in fleet.sites:
-        downtime = np.array(
-            [v["sites"][site.name]["downtime_seconds"] for v in values]
-        )
-        outages = sum(v["sites"][site.name]["outages"] for v in values)
-        crashes = sum(v["sites"][site.name]["crashes"] for v in values)
-        per_site[site.name] = {
-            "mean_downtime_minutes_per_year": to_minutes(float(downtime.mean())),
-            "availability": 1.0 - float(downtime.mean()) / SECONDS_PER_YEAR,
-            "outages": float(outages),
-            "crash_fraction": crashes / outages if outages else 0.0,
-            "dg_start_failures": float(
-                sum(v["sites"][site.name]["dg_start_failures"] for v in values)
-            ),
-        }
-
     return {
         "fleet": fleet.name,
         "routing": routing,
@@ -442,8 +437,30 @@ def reduce_fleet_years(
         "mean_shock_site_hits": float(
             np.mean([v["fleet"]["shock_site_hits"] for v in values])
         ),
-        "per_site": per_site,
     }
+
+
+def _reduce_site_years(
+    values: Sequence[Mapping[str, Any]], fleet: FleetSpec
+) -> Dict[str, Dict[str, float]]:
+    """Each site's downtime, outage, crash and DG-start aggregates."""
+    per_site: Dict[str, Dict[str, float]] = {}
+    for site in fleet.sites:
+        downtime = np.array(
+            [v["sites"][site.name]["downtime_seconds"] for v in values]
+        )
+        outages = sum(v["sites"][site.name]["outages"] for v in values)
+        crashes = sum(v["sites"][site.name]["crashes"] for v in values)
+        per_site[site.name] = {
+            "mean_downtime_minutes_per_year": to_minutes(float(downtime.mean())),
+            "availability": 1.0 - float(downtime.mean()) / SECONDS_PER_YEAR,
+            "outages": float(outages),
+            "crash_fraction": crashes / outages if outages else 0.0,
+            "dg_start_failures": float(
+                sum(v["sites"][site.name]["dg_start_failures"] for v in values)
+            ),
+        }
+    return per_site
 
 
 class FleetAnalyzer:

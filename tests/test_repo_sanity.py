@@ -252,6 +252,9 @@ UNCALLED_KEPT = {
         "pinned: TestBreakeven",
     "repro.fleet.failover.GeoEconomics.cheaper_than_local_backup":
         "pinned: TestBreakeven::test_cheaper_than_local_backup_monotone_in_price",
+    "repro.fleet.sim.FleetAnalyzer":
+        "one runner job per fleet year; the smoke gates run the batch path; "
+        "pinned: TestFleetAnalyzer",
     "repro.fleet.spec.SiteSpec.spare_capacity":
         "pinned: TestSiteGeometry::test_spare_and_utilization",
     "repro.obs.bench.CheckReport.to_dict":
